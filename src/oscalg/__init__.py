@@ -3,17 +3,17 @@ oscillator and Fock representations, and coinvariants at semigroup points."""
 
 from .laurent import (LaurentPoly, Rational, derivative, format_laurent,
                       parse_laurent, rat, residue, symplectic_form)
-from .quadops import (DiagonalSeries, HOp, Poly, QuadraticElement, SpMatrix,
-                      WittElement, alpha, b, beta, bracket, d_cocycle, gamma,
-                      is_in_sp, is_in_sp_F, is_in_sp_plus, normal_order_lift,
-                      pair, psi, psi_trace, quad_to_endo, rho_minus, rho_plus,
-                      sigma, sigma_hat, tau, tau_hat, unit, witt_bracket)
+from .quadops import (DiagonalSeries, HOp, Poly, QuadraticElement, WittElement,
+                      alpha, b, beta, bracket, d_cocycle, gamma, is_in_sp,
+                      is_in_sp_plus, normal_order_lift, pair, psi, psi_trace,
+                      rho_minus, sigma, tau, unit, witt_bracket)
 from .fock import (FockVector, VoaConfig, apply_mode, apply_quadratic,
                    exp_apply, format_label, format_vector, graded_basis,
                    measure_central_charge, parse_label, virasoro,
                    virasoro_all)
 from .coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
-                    default_schedule, fperp_basis, sp_f_generators, stabilize)
+                    default_schedule, fperp_basis, is_in_sp_F, sp_f_generators,
+                    stabilize)
 from .verify import (CocycleHandle, central_scalars, check_closed_forms,
                      check_jacobi, check_lift_diagram, check_pullback_sigma,
                      check_splitting, cocycle_defect, fit_cocycle_coefficients,

@@ -6,9 +6,9 @@ Grammar:  expr := ['+'|'-'] term (('+'|'-') term)*
           atom := 'K' | 'b(' int ')' | ':b(' int ')b(' int '):'
                 | 'T(' int ')' | 'S(' int ')'
 Whitespace is insignificant.  b(0) is rejected: the zero mode is the
-central element K.  The printer emits a canonical form (tau terms, then
-pair terms, then modes, then K, indices ascending) and parse is a left
-inverse of it.
+central element K.  The printer (quadops.format_expression) emits a
+canonical form (tau terms, then pair terms, then modes, then K, indices
+ascending) and parse is a left inverse of it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 coinvariant run did not stabilize.
@@ -22,8 +22,10 @@ import sys
 from fractions import Fraction
 
 from .coinv import FPoint, coinvariants_A, coinvariants_X, default_schedule, stabilize
-from .fock import FockVector, VoaConfig, apply_quadratic, format_vector, parse_label
-from .quadops import QuadraticElement, WittElement, b, bracket, pair, sigma_hat, tau_hat
+from .fock import (FockVector, VoaConfig, apply_quadratic, format_label,
+                   format_vector, parse_label)
+from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
+                      pair, sigma, tau)
 from .verify import CocycleHandle, central_scalars, verify_all
 
 
@@ -144,56 +146,13 @@ class _Parser:
             self.take("(")
             p = self.integer()
             self.take(")")
-            return tau_hat(p) if kind == "T" else sigma_hat(WittElement.L(p))
+            return tau(p) if kind == "T" else sigma(WittElement.L(p))
         raise ExpressionError(f"expected an atom, found {kind!r}",
                               self.toks[self.i][2])
 
 
 def parse_expression(text: str) -> QuadraticElement:
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# canonical printer
-# ---------------------------------------------------------------------------
-
-def _term_chunks(A: QuadraticElement):
-    chunks = []
-    for d in sorted(A.quad):
-        series = A.quad[d]
-        if not series.poly.is_constant():
-            raise ValueError("no canonical expression: diagonal coefficient "
-                             "is a non-constant polynomial")
-        c = series.poly.constant_value()
-        if c:
-            chunks.append((c, f"T({d})"))
-    for d in sorted(A.quad):
-        series = A.quad[d]
-        c = series.poly.constant_value()
-        for a in sorted(x for x in series.exc if 2 * x <= d):
-            v = series.exc[a]
-            coeff = (v - c) / 2 if 2 * a == d else v - c
-            chunks.append((coeff, f":b({a})b({d - a}):"))
-    for m in sorted(A.linear.coeffs):
-        chunks.append((A.linear.coeffs[m], f"b({m})"))
-    if A.central:
-        chunks.append((A.central, "K"))
-    return chunks
-
-
-def format_expression(A: QuadraticElement) -> str:
-    chunks = _term_chunks(A)
-    if not chunks:
-        return "0*K"
-    parts = []
-    for coeff, atom in chunks:
-        mag = abs(coeff)
-        body = atom if mag == 1 else f"{mag}*{atom}"
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +203,11 @@ def _cmd_fock_apply(args):
     state = parse_label(args.state)
     result = apply_quadratic(A, FockVector.basis(state))
     if args.format == "json":
-        terms = [{"label": _label_text(st), "coeff": c}
+        terms = [{"label": format_label(st), "coeff": c}
                  for st, c in result.terms_sorted()]
         return 0, _dump({"command": "fock-apply", "expr": args.expr,
                          "state": args.state, "result": terms})
     return 0, format_vector(result)
-
-def _label_text(state) -> str:
-    from .fock import format_label
-    return format_label(state)
 
 def _cmd_coinv(args):
     F = FPoint(_parse_gaps(args.gaps))
@@ -413,6 +368,13 @@ def main(argv=None) -> int:
         for sub in table.values():
             sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
+    # config values reach args through set_defaults, which skips choices
+    for action in table[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value not in action.choices:
+            print(f"error: config key {action.dest!r}: invalid choice {value!r}",
+                  file=sys.stderr)
+            return 2
     try:
         code, text = args.func(args)
     except ExpressionError as e:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .fock import FockVector, VoaConfig, apply_quadratic, graded_basis, state_degree
 from .laurent import LaurentPoly
-from .quadops import QuadraticElement, b, pair
+from .quadops import QuadraticElement, _quad_apply_laurent, b, pair
 
 F0 = Fraction(0)
 
@@ -47,6 +47,17 @@ def fperp_basis(F: FPoint, W: int):
     out = [LaurentPoly.t(-m) for m in range(1, W + 1)]
     out += [LaurentPoly.t(m) for m in sorted(F.gaps) if m <= W]
     return out
+
+
+def is_in_sp_F(A: QuadraticElement, F: FPoint, W: int) -> bool:
+    """Checks X(F-perp) inside F on the window."""
+    if A.central or not A.linear.is_zero():
+        raise ValueError("is_in_sp_F expects zero central and linear parts")
+    for u in fperp_basis(F, W):
+        for e in _quad_apply_laurent(A.quad, u).coeffs:
+            if e >= 0 or -e in F.gaps:
+                return False
+    return True
 
 
 def sp_f_generators(F: FPoint, W: int):

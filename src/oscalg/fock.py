@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .laurent import rat
-from .quadops import QuadraticElement, tau_hat
+from .quadops import QuadraticElement, tau
 
 F0 = Fraction(0)
 
@@ -217,14 +217,14 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
     return FockVector(v.rank, out)
 
 def virasoro(p: int, v: FockVector, cfg: VoaConfig | None = None) -> FockVector:
-    """L_p as the normal-ordered quadratic tau_hat(p) on one channel."""
-    return apply_quadratic(tau_hat(p), v, cfg)
+    """L_p as the normal-ordered quadratic tau(p) on one channel."""
+    return apply_quadratic(tau(p), v, cfg)
 
 def virasoro_all(p: int, v: FockVector) -> FockVector:
     """L_p summed over every channel of the tensor power."""
     out = FockVector(v.rank)
     for e in range(1, v.rank + 1):
-        out = out + apply_quadratic(tau_hat(p), v, VoaConfig(v.rank, e))
+        out = out + apply_quadratic(tau(p), v, VoaConfig(v.rank, e))
     return out
 
 

@@ -231,12 +231,53 @@ class QuadraticElement:
                 and self.quad == other.quad)
 
     def __repr__(self):
-        from .cli import format_expression
         try:
             return f"QuadraticElement({format_expression(self)!r})"
-        except Exception:
+        except ValueError:
             return (f"QuadraticElement(central={self.central}, "
                     f"linear={self.linear!r}, quad={self.quad!r})")
+
+
+# -- canonical printer -------------------------------------------------------
+
+def _term_chunks(A: QuadraticElement):
+    chunks = []
+    for d in sorted(A.quad):
+        series = A.quad[d]
+        if not series.poly.is_constant():
+            raise ValueError("no canonical expression: diagonal coefficient "
+                             "is a non-constant polynomial")
+        c = series.poly.constant_value()
+        if c:
+            chunks.append((c, f"T({d})"))
+    for d in sorted(A.quad):
+        series = A.quad[d]
+        c = series.poly.constant_value()
+        for a in sorted(x for x in series.exc if 2 * x <= d):
+            v = series.exc[a]
+            coeff = (v - c) / 2 if 2 * a == d else v - c
+            chunks.append((coeff, f":b({a})b({d - a}):"))
+    for m in sorted(A.linear.coeffs):
+        chunks.append((A.linear.coeffs[m], f"b({m})"))
+    if A.central:
+        chunks.append((A.central, "K"))
+    return chunks
+
+
+def format_expression(A: QuadraticElement) -> str:
+    """Canonical text of A in the expression language of oscalg.cli."""
+    chunks = _term_chunks(A)
+    if not chunks:
+        return "0*K"
+    parts = []
+    for coeff, atom in chunks:
+        mag = abs(coeff)
+        body = atom if mag == 1 else f"{mag}*{atom}"
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 # -- named elements ----------------------------------------------------------
@@ -282,11 +323,6 @@ def tau(p: int) -> QuadraticElement:
     return QuadraticElement(quad={p: DiagonalSeries(p, POLY_ONE)})
 
 
-def tau_hat(p: int) -> QuadraticElement:
-    """Same data as tau(p); centrality enters only through brackets."""
-    return tau(p)
-
-
 # ---------------------------------------------------------------------------
 # the commutator
 # ---------------------------------------------------------------------------
@@ -302,6 +338,16 @@ def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Fraction:
     for j in range(1, d):
         total += j * (d - j) * s1.coeff(d - j) * s2.coeff(-j)
     return -total
+
+
+def _quad_trace(qa: dict, qb: dict) -> Fraction:
+    """psi of two quadratic parts: the trace pairs opposite offsets only."""
+    total = F0
+    for d, s1 in qa.items():
+        s2 = qb.get(-d)
+        if s2 is not None:
+            total += _psi_diag_pair(s1, s2)
+    return total
 
 
 def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
@@ -341,10 +387,9 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
     on linear-linear pairs; quadratic-linear brackets are purely linear.
     """
     central = symplectic_form(A.linear, B.linear)
-    for d, s1 in A.quad.items():
-        s2 = B.quad.get(-d)
-        if s2 is not None:
-            central += Fraction(-1, 2) * _psi_diag_pair(s1, s2)
+    trace = _quad_trace(A.quad, B.quad)
+    if trace:
+        central -= trace / 2
     linear = (_quad_apply_laurent(A.quad, B.linear)
               - _quad_apply_laurent(B.quad, A.linear))
     quad = {}
@@ -363,9 +408,10 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
 class HOp:
     """Banded operator on H = Q((t)): t^m -> sum_s w_s(m) t^(m+s).
 
-    Each shift s carries a weight function, a polynomial in m overridden at
-    finitely many exceptional m.  Unlike quadratic parts, an HOp may move
-    and produce t^0 (needed for multiplication operators and honest
+    The operator picture of the trace cocycle psi_trace.  Each shift s
+    carries a weight function, a polynomial in m overridden at finitely
+    many exceptional m.  Unlike quadratic parts, an HOp may move and
+    produce t^0 (needed for multiplication operators and honest
     derivations of H).
     """
 
@@ -386,15 +432,13 @@ class HOp:
         return cls({e - 1: (Poly((F0, c)), {}) for e, c in f.coeffs.items()})
 
     @classmethod
-    def from_quad(cls, A) -> "HOp":
-        """S^2 action of a quadratic part: t^m -> -m c(-m) t^(m+d).
+    def from_quad(cls, A: QuadraticElement) -> "HOp":
+        """S^2 action of the quadratic part of A: t^m -> -m c(-m) t^(m+d).
 
-        Accepts a QuadraticElement (central and linear parts ignored) or a
-        plain offset -> DiagonalSeries dict.
+        Central and linear parts are ignored.
         """
-        quad = A.quad if isinstance(A, QuadraticElement) else A
         terms = {}
-        for d, series in quad.items():
+        for d, series in A.quad.items():
             wpoly = Poly((F0, -1)) * series.poly.affine(-1, 0)
             exc = {}
             for a in set(series.exc) | {0, d}:
@@ -432,19 +476,6 @@ class HOp:
         return HOp({s: (poly.scale(c), {m: c * v for m, v in exc.items()})
                     for s, (poly, exc) in self.terms.items()})
 
-    def apply(self, f: LaurentPoly) -> LaurentPoly:
-        out = {}
-        for m, cm in f.coeffs.items():
-            for s in self.terms:
-                w = self.weight(s, m)
-                if w:
-                    e = m + s
-                    out[e] = out.get(e, F0) + cm * w
-        return LaurentPoly(out)
-
-    def apply_exponent(self, m: int) -> LaurentPoly:
-        return self.apply(LaurentPoly.t(m))
-
 
 def psi_trace(A: HOp, B: HOp) -> Fraction:
     """Tr(pi+ A pi- B pi+ - pi+ B pi- A pi+) over the t^j, j >= 0 basis.
@@ -469,14 +500,10 @@ def _combined_hop(u: QuadraticElement) -> HOp:
     return HOp.from_quad(u) + HOp.mult(u.linear)
 
 
-def psi(u, v) -> Fraction:
+def psi(u: QuadraticElement, v: QuadraticElement) -> Fraction:
     """Trace cocycle.  Quadratic parts act via the S^2 action, linear parts
     by multiplication; central parts contribute nothing to the trace."""
-    if isinstance(u, QuadraticElement) and isinstance(v, QuadraticElement):
-        return psi_trace(_combined_hop(u), _combined_hop(v))
-    if isinstance(u, SpMatrix) and isinstance(v, SpMatrix):
-        return _psi_matrix(u, v)
-    raise TypeError("psi expects two QuadraticElements or two SpMatrices")
+    return psi_trace(_combined_hop(u), _combined_hop(v))
 
 
 def _require_cocycle_argument(u: QuadraticElement):
@@ -489,7 +516,7 @@ def alpha(u: QuadraticElement, v: QuadraticElement) -> Fraction:
     """psi of the quadratic parts."""
     _require_cocycle_argument(u)
     _require_cocycle_argument(v)
-    return psi_trace(HOp.from_quad(u), HOp.from_quad(v))
+    return _quad_trace(u.quad, v.quad)
 
 
 def beta(u: QuadraticElement, v: QuadraticElement) -> Fraction:
@@ -508,125 +535,8 @@ def gamma(u: QuadraticElement, v: QuadraticElement) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# window matrices
-# ---------------------------------------------------------------------------
-
-class SpMatrix:
-    """Endomorphism of H' truncated to the window [-W, W] without 0.
-
-    Entries map (row, col) to the t^row coefficient of the image of t^col.
-    Identities that involve composition are only meaningful on columns at
-    distance > bandwidth from the window edge; use agrees_on_interior.
-    """
-
-    __slots__ = ("W", "entries", "bandwidth")
-
-    def __init__(self, W: int, entries=None, bandwidth=0):
-        self.W = int(W)
-        self.entries = {}
-        bw = bandwidth
-        if entries:
-            for (r, c), v in entries.items():
-                v = rat(v)
-                if v:
-                    self.entries[(r, c)] = v
-                    bw = max(bw, abs(r - c))
-        self.bandwidth = bw
-
-    def window(self):
-        return [i for i in range(-self.W, self.W + 1) if i != 0]
-
-    def scale(self, s) -> "SpMatrix":
-        s = rat(s)
-        return SpMatrix(self.W, {k: s * v for k, v in self.entries.items()},
-                        self.bandwidth)
-
-    def __add__(self, other: "SpMatrix") -> "SpMatrix":
-        assert self.W == other.W
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, F0) + v
-        return SpMatrix(self.W, out, max(self.bandwidth, other.bandwidth))
-
-    def __sub__(self, other: "SpMatrix") -> "SpMatrix":
-        return self + other.scale(-1)
-
-    def commutator(self, other: "SpMatrix") -> "SpMatrix":
-        assert self.W == other.W
-        out = {}
-        by_col_self = {}
-        for (r, c), v in self.entries.items():
-            by_col_self.setdefault(c, []).append((r, v))
-        by_col_other = {}
-        for (r, c), v in other.entries.items():
-            by_col_other.setdefault(c, []).append((r, v))
-        for (r, c), v in other.entries.items():
-            for r2, v2 in by_col_self.get(r, ()):
-                out[(r2, c)] = out.get((r2, c), F0) + v2 * v
-        for (r, c), v in self.entries.items():
-            for r2, v2 in by_col_other.get(r, ()):
-                out[(r2, c)] = out.get((r2, c), F0) - v2 * v
-        return SpMatrix(self.W, out, self.bandwidth + other.bandwidth)
-
-    def agrees_on_interior(self, other: "SpMatrix", margin: int | None = None) -> bool:
-        """Column-by-column equality away from the window edge."""
-        assert self.W == other.W
-        if margin is None:
-            margin = max(self.bandwidth, other.bandwidth)
-        interior = [c for c in self.window() if abs(c) <= self.W - margin]
-        for c in interior:
-            col_a = {r: v for (r, cc), v in self.entries.items() if cc == c}
-            col_b = {r: v for (r, cc), v in other.entries.items() if cc == c}
-            if col_a != col_b:
-                return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SpMatrix) and self.W == other.W
-                and self.entries == other.entries)
-
-
-def quad_to_endo(A: QuadraticElement, W: int) -> SpMatrix:
-    """Window matrix of the S^2 action of a purely quadratic element."""
-    if A.central or not A.linear.is_zero():
-        raise ValueError("quad_to_endo expects zero central and linear parts")
-    hop = HOp.from_quad(A)
-    bw = max((abs(d) for d in A.quad), default=0)
-    entries = {}
-    for c in range(-W, W + 1):
-        if c == 0:
-            continue
-        image = hop.apply_exponent(c)
-        for r, v in image.coeffs.items():
-            if r != 0 and -W <= r <= W:
-                entries[(r, c)] = v
-    return SpMatrix(W, entries, bw)
-
-
-def _psi_matrix(A: SpMatrix, B: SpMatrix) -> Fraction:
-    assert A.W == B.W
-    W = A.W
-    if W < A.bandwidth + B.bandwidth + 1:
-        raise ValueError("window too small for an exact trace")
-    total = F0
-    for j in range(1, W + 1):
-        for l in range(-W, 0):
-            total += A.entries.get((j, l), F0) * B.entries.get((l, j), F0)
-            total -= B.entries.get((j, l), F0) * A.entries.get((l, j), F0)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # membership predicates
 # ---------------------------------------------------------------------------
-
-def _fperp_exponents(gaps, W: int):
-    """Exponent list of the window basis of F-perp for F spanned by t^-s,
-    s ranging over the positive integers outside the gap set."""
-    exps = list(range(-W, 0))
-    exps += [m for m in sorted(gaps) if 0 < m <= W]
-    return exps
-
 
 def is_in_sp(A: QuadraticElement, W: int) -> bool:
     """Checks <Xa, b> + <a, Xb> = 0 on all window basis pairs.
@@ -635,8 +545,8 @@ def is_in_sp(A: QuadraticElement, W: int) -> bool:
     truncation."""
     if A.central or not A.linear.is_zero():
         raise ValueError("is_in_sp expects zero central and linear parts")
-    hop = HOp.from_quad(A)
-    images = {m: hop.apply_exponent(m) for m in range(-W, W + 1) if m != 0}
+    images = {m: _quad_apply_laurent(A.quad, LaurentPoly.t(m))
+              for m in range(-W, W + 1) if m != 0}
     for a in images:
         for bb in images:
             lhs = symplectic_form(images[a], LaurentPoly.t(bb))
@@ -650,25 +560,10 @@ def is_in_sp_plus(A: QuadraticElement, W: int) -> bool:
     """is_in_sp and additionally X(H'_+) stays inside H'_+ on the window."""
     if not is_in_sp(A, W):
         return False
-    hop = HOp.from_quad(A)
     for m in range(1, W + 1):
-        image = hop.apply_exponent(m)
+        image = _quad_apply_laurent(A.quad, LaurentPoly.t(m))
         if any(e < 1 for e in image.coeffs):
             return False
-    return True
-
-
-def is_in_sp_F(A: QuadraticElement, F, W: int) -> bool:
-    """Checks X(F-perp) inside F on the window; F given by its gap set."""
-    if A.central or not A.linear.is_zero():
-        raise ValueError("is_in_sp_F expects zero central and linear parts")
-    gaps = set(F.gaps) if hasattr(F, "gaps") else set(F)
-    hop = HOp.from_quad(A)
-    for m in _fperp_exponents(gaps, W):
-        image = hop.apply_exponent(m)
-        for e in image.coeffs:
-            if e >= 0 or (-e) in gaps:
-                return False
     return True
 
 
@@ -728,21 +623,10 @@ def sigma(x: WittElement) -> QuadraticElement:
     out = QuadraticElement(linear=x.g)
     for n, c in x.f.coeffs.items():
         p = n - 1
-        out = out + tau_hat(p).scale(-c)
+        out = out + tau(p).scale(-c)
         if p != 0:
             out = out + b(p, c * Fraction(n, 2))
     return out
-
-
-def sigma_hat(x: WittElement) -> QuadraticElement:
-    """Same element as sigma(x); the lift of the central generator is K
-    itself, which callers add via unit()."""
-    return sigma(x)
-
-
-def rho_plus(x: WittElement) -> HOp:
-    """f d/dt as an honest derivation of H plus multiplication by g."""
-    return HOp.derivation(x.f) + HOp.mult(x.g)
 
 
 def rho_minus(x: WittElement) -> HOp:

@@ -11,10 +11,9 @@ from fractions import Fraction
 
 from .coinv import FPoint, sp_f_generators
 from .laurent import LaurentPoly, residue, symplectic_form
-from .quadops import (HOp, QuadraticElement, SpMatrix, WittElement, alpha, b,
-                      beta, bracket, d_cocycle, gamma, pair, psi, psi_trace,
-                      quad_to_endo, sigma, sigma_hat, tau, tau_hat, unit,
-                      witt_bracket)
+from .quadops import (HOp, QuadraticElement, WittElement, _quad_apply_laurent,
+                      alpha, b, beta, bracket, d_cocycle, gamma, pair, psi,
+                      psi_trace, sigma, tau, unit, witt_bracket)
 
 F0 = Fraction(0)
 HALF = Fraction(1, 2)
@@ -70,10 +69,9 @@ def check_splitting(F: FPoint, W: int) -> bool:
     """alpha vanishes on all stabilizer generator pairs and beta on all
     pairs from F itself, so the central extension splits over sp_F x| F."""
     gens = sp_f_generators(F, W)
-    hops = [HOp.from_quad(X) for X in gens]
-    for i, A in enumerate(hops):
-        for B in hops[i:]:
-            if psi_trace(A, B):
+    for i, X in enumerate(gens):
+        for Y in gens[i:]:
+            if alpha(X, Y):
                 return False
     fmodes = [LaurentPoly.t(-s) for s in F.semigroup(W)]
     for f in fmodes:
@@ -110,8 +108,8 @@ def check_pullback_sigma(probes=None, bound: int = 5) -> bool:
 
 def sigma_hat_defect(u: WittElement, v: WittElement) -> Fraction:
     """Central defect of the normal-ordered lift:
-    [sigma_hat u, sigma_hat v] - sigma_hat([u, v]) as a multiple of K."""
-    diff = bracket(sigma_hat(u), sigma_hat(v)) - sigma_hat(witt_bracket(u, v))
+    [sigma u, sigma v] - sigma([u, v]) as a multiple of K."""
+    diff = bracket(sigma(u), sigma(v)) - sigma(witt_bracket(u, v))
     if not diff.drop_central().is_zero():
         raise ValueError("lift defect is not central")
     return diff.central
@@ -123,7 +121,7 @@ def sigma_hat_defect(u: WittElement, v: WittElement) -> Fraction:
 
 def default_fit_probes():
     """Probes on which (alpha, beta, gamma) is an invertible diagonal."""
-    return [(tau_hat(2), tau_hat(-2)), (b(1), b(-1)), (tau_hat(2), b(-2))]
+    return [(tau(2), tau(-2)), (b(1), b(-1)), (tau(2), b(-2))]
 
 def fit_cocycle_coefficients(c, probes=None):
     """Solve c = A alpha + B beta + C gamma on the probe pairs.
@@ -178,7 +176,7 @@ def check_closed_forms(bound: int = 5) -> bool:
             if psi_trace(Dp, HOp.derivation(Lq.f)) != alpha_closed(Lp, Lq):
                 return False
             # the quadratic-lift trace computes the same alpha
-            if alpha(tau_hat(p), tau_hat(q)) != alpha_closed(Lp, Lq):
+            if alpha(tau(p), tau(q)) != alpha_closed(Lp, Lq):
                 return False
             if q == 0:
                 continue
@@ -201,7 +199,7 @@ def central_scalars(charges=(0, 1, 2, 26)) -> dict:
     """Scalar bookkeeping: defining cocycles, fiber scalars for the unit,
     and the per-charge multiples c/2 and -c, cross-checked so that
     multiple * fiber = c on both sides."""
-    mp_value = -HALF * psi(tau_hat(2), tau_hat(-2))
+    mp_value = -HALF * psi(tau(2), tau(-2))
     rows = []
     for c in charges:
         c = Fraction(c)
@@ -229,14 +227,14 @@ def verdict(check: str, parameters: dict, passed: bool, witnesses=None) -> dict:
             "witnesses": list(witnesses or [])}
 
 def small_generator_set():
-    """1, b modes, pairs and tau-hats with indices <= 2."""
+    """1, b modes, pairs and taus with indices <= 2."""
     gens = [unit()]
     gens += [b(m) for m in (-2, -1, 1, 2)]
     idx = [-2, -1, 1, 2]
     for i, a in enumerate(idx):
         for bb in idx[i:]:
             gens.append(pair(a, bb))
-    gens += [tau_hat(p) for p in range(-2, 3)]
+    gens += [tau(p) for p in range(-2, 3)]
     return gens
 
 def check_jacobi(gens) -> list:
@@ -259,28 +257,21 @@ def check_jacobi(gens) -> list:
     return bad
 
 def check_lift_diagram(bound: int = 5, W: int = 12) -> bool:
-    """Forgetting the central coordinate intertwines the hatted and
-    unhatted pictures: tau_hat drops to tau, sigma_hat to sigma, and the
-    sigma square commutes with brackets."""
+    """tau(p) acts on the window modes t^m as the endomorphism
+    t^m -> -m t^(m+p), and forgetting the central coordinate makes the
+    sigma square commute with brackets."""
     for p in range(-bound, bound + 1):
-        if tau_hat(p).drop_central() != tau(p):
-            return False
-        Lp = WittElement.L(p)
-        if sigma_hat(Lp).drop_central() != sigma(Lp):
-            return False
-        # independent endomorphism picture: t^m -> -m t^(m+p)
-        direct = {}
+        X = tau(p).quad
         for m in range(-W, W + 1):
-            if m == 0 or m + p == 0:
+            if m == 0:
                 continue
-            if -W <= m + p <= W:
-                direct[(m + p, m)] = Fraction(-m)
-        if quad_to_endo(tau(p), W) != SpMatrix(W, direct):
-            return False
+            direct = LaurentPoly.zero() if m + p == 0 else LaurentPoly.term(-m, m + p)
+            if _quad_apply_laurent(X, LaurentPoly.t(m)) != direct:
+                return False
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
             u, v = WittElement.L(p), WittElement.L(q)
-            lhs = bracket(sigma_hat(u), sigma_hat(v)).drop_central()
+            lhs = bracket(sigma(u), sigma(v)).drop_central()
             if lhs != sigma(witt_bracket(u, v)):
                 return False
     return True

@@ -16,7 +16,7 @@ from oscalg.coinv import FPoint, coinvariants_A, default_schedule, stabilize
 from oscalg.fock import (FockVector, VoaConfig, apply_quadratic, graded_basis,
                          virasoro)
 from oscalg.quadops import (QuadraticElement, WittElement, b, bracket, pair,
-                            psi, tau_hat, unit)
+                            psi, tau, unit)
 from oscalg.verify import (central_scalars, check_closed_forms, check_lift_diagram,
                            check_pullback_sigma, check_splitting,
                            cocycle_defect, fit_cocycle_coefficients)
@@ -40,13 +40,13 @@ def acceptance_generators():
     for i, a in enumerate(idx):
         for bb in idx[i:]:
             gens.append(pair(a, bb))
-    gens += [tau_hat(p) for p in range(-3, 4)]
+    gens += [tau(p) for p in range(-3, 4)]
     return gens
 
 
 def test_criterion_01_central_values():
     t0 = time.monotonic()
-    ok = all(-HALF * psi(tau_hat(p), tau_hat(-p)) == Fraction(p**3 - p, 12)
+    ok = all(-HALF * psi(tau(p), tau(-p)) == Fraction(p**3 - p, 12)
              for p in range(1, 9))
     dt = time.monotonic() - t0
     ok = ok and dt < 1.0
@@ -243,8 +243,8 @@ def test_criterion_12_central_scalar_table():
 
 def test_criterion_13_lift_diagram_commutes():
     ok = check_lift_diagram(bound=5) is True
-    ok_line("criterion 13: hatted lifts drop to the plain quadratic and "
-            "endomorphism pictures for |p|<=5", ok)
+    ok_line("criterion 13: tau(p) acts as t^m -> -m t^(m+p) and the sigma "
+            "square commutes with brackets for |p|<=5", ok)
     assert ok
 
 
@@ -264,7 +264,7 @@ def _cli_corpus():
             elif kind == 2:
                 A = A + pair(rng.choice(idx), rng.choice(idx)).scale(coeff)
             else:
-                A = A + tau_hat(rng.randrange(-4, 5)).scale(coeff)
+                A = A + tau(rng.randrange(-4, 5)).scale(coeff)
         texts.add(format_expression(A))
     return sorted(texts)
 

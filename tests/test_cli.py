@@ -1,11 +1,14 @@
 """Tests for the expression language and the command-line front end."""
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oscalg
 from oscalg.cli import ExpressionError, format_expression, main, parse_expression
 from oscalg.quadops import (
     DiagonalSeries,
@@ -14,8 +17,8 @@ from oscalg.quadops import (
     WittElement,
     b,
     pair,
-    sigma_hat,
-    tau_hat,
+    sigma,
+    tau,
     unit,
 )
 
@@ -29,8 +32,8 @@ def test_parse_atoms():
     assert parse_expression("b(1)") == b(1)
     assert parse_expression("b(-3)") == b(-3)
     assert parse_expression(":b(1)b(2):") == pair(1, 2)
-    assert parse_expression("T(2)") == tau_hat(2)
-    assert parse_expression("S(2)") == sigma_hat(WittElement.L(2))
+    assert parse_expression("T(2)") == tau(2)
+    assert parse_expression("S(2)") == sigma(WittElement.L(2))
 
 
 def test_parse_combination():
@@ -38,7 +41,7 @@ def test_parse_combination():
     assert got == pair(-1, -1).scale(Fraction(1, 2)) + unit()
     assert parse_expression("-b(1)") == b(1).scale(-1)
     assert parse_expression("2*T(-1) + b(-3) + K") == \
-        tau_hat(-1).scale(2) + b(-3) + unit()
+        tau(-1).scale(2) + b(-3) + unit()
 
 
 def test_parse_whitespace_insensitive():
@@ -47,7 +50,7 @@ def test_parse_whitespace_insensitive():
 
 def test_parse_sigma_atom_expansion():
     got = parse_expression("S(2)")
-    assert got == tau_hat(2) + b(2).scale(Fraction(-3, 2))
+    assert got == tau(2) + b(2).scale(Fraction(-3, 2))
     assert format_expression(got) == "T(2) - 3/2*b(2)"
 
 
@@ -139,7 +142,7 @@ def _random_element(rng):
             bb = rng.choice([m for m in range(-4, 5) if m])
             A = A + pair(a, bb).scale(coeff)
         else:
-            A = A + tau_hat(rng.randrange(-4, 5)).scale(coeff)
+            A = A + tau(rng.randrange(-4, 5)).scale(coeff)
     return A
 
 
@@ -349,6 +352,34 @@ def test_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["--config", str(tmp_path / "nope.cfg"),
                                     "coinv"])
     assert code == 2
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("side", "Z", ["coinv", "--gaps", "1"]),
+    ("format", "xml", ["bracket", "b(1)", "b(-1)"]),
+])
+def test_config_value_outside_choices_exit_2(capsys, tmp_path, key, value, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, out, err = run_cli(capsys, ["--config", str(cfg)] + argv)
+    assert code == 2
+    assert out == ""
+    assert repr(key) in err and repr(value) in err
+
+
+def test_only_entry_points_import_cli():
+    pkg = Path(oscalg.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n in ("cli", "oscalg.cli") for n in names), path.name
 
 
 # ---------------------------------------------------------------------------

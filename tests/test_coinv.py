@@ -3,11 +3,10 @@ import json
 import pytest
 
 from oscalg.coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
-                          default_schedule, fperp_basis, sp_f_generators,
-                          stabilize)
+                          default_schedule, fperp_basis, is_in_sp_F,
+                          sp_f_generators, stabilize)
 from oscalg.fock import VoaConfig
 from oscalg.laurent import LaurentPoly, symplectic_form
-from oscalg.quadops import is_in_sp_F
 
 CFG1 = VoaConfig(1, 1)
 

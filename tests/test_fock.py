@@ -7,7 +7,7 @@ from oscalg.fock import (FockVector, VoaConfig, apply_mode, apply_quadratic,
                          exp_apply, format_label, format_vector, graded_basis,
                          measure_central_charge, parse_label, state_degree,
                          virasoro, virasoro_all)
-from oscalg.quadops import QuadraticElement, b, bracket, pair, tau_hat, unit
+from oscalg.quadops import QuadraticElement, b, bracket, pair, tau, unit
 
 HALF = Fraction(1, 2)
 
@@ -63,14 +63,14 @@ def test_apply_quadratic_examples():
     v1 = FockVector.basis(((1,),))
     assert apply_quadratic(pair(-1, 1), v1) == v1
     v21 = FockVector.basis(((2, 1),))
-    assert apply_quadratic(tau_hat(0), v21) == v21.scale(3)
+    assert apply_quadratic(tau(0), v21) == v21.scale(3)
     assert apply_quadratic(unit(), v21) == v21
 
 
 def test_grading():
     rng = random.Random(20)
     quads = [pair(a, bb) for a in range(-3, 4) for bb in range(-3, 4)
-             if a and bb] + [tau_hat(p) for p in range(-3, 4)]
+             if a and bb] + [tau(p) for p in range(-3, 4)]
     vs = basis_upto(6)
     for _ in range(60):
         A = rng.choice(quads)
@@ -107,7 +107,7 @@ def test_bracket_action_compatibility_sample():
     rng = random.Random(21)
     gens = ([b(m) for m in (-2, -1, 1, 2)]
             + [pair(a, bb) for a in (-2, -1, 1, 2) for bb in (-2, -1, 1, 2)]
-            + [tau_hat(p) for p in range(-2, 3)] + [unit()])
+            + [tau(p) for p in range(-2, 3)] + [unit()])
     vs = basis_upto(5)
     for _ in range(120):
         A = rng.choice(gens)

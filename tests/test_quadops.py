@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
-from oscalg.quadops import (DiagonalSeries, HOp, Poly, QuadraticElement,
-                            SpMatrix, WittElement, alpha, b, beta, bracket,
-                            d_cocycle, gamma, is_in_sp, is_in_sp_F,
+from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
+                            WittElement, _quad_apply_laurent, alpha, b, beta,
+                            bracket, d_cocycle, gamma, is_in_sp,
                             is_in_sp_plus, normal_order_lift, pair, psi,
-                            psi_trace, quad_to_endo, sigma, sigma_hat, tau,
-                            tau_hat, unit, witt_bracket)
+                            sigma, tau, unit, witt_bracket)
 
 HALF = Fraction(1, 2)
 
@@ -21,8 +22,37 @@ def generator_set(idx=2, taus=2):
     for i, a in enumerate(ids):
         for bb in ids[i:]:
             gens.append(pair(a, bb))
-    gens += [tau_hat(p) for p in range(-taus, taus + 1)]
+    gens += [tau(p) for p in range(-taus, taus + 1)]
     return gens
+
+
+def windowed(K):
+    """(element, oracle window matrix) for the pairs and taus of
+    generator_set()."""
+    ids = [-2, -1, 1, 2]
+    out = [(pair(a, bb), oracles.mat_pair(a, bb, K))
+           for i, a in enumerate(ids) for bb in ids[i:]]
+    out += [(tau(p), oracles.mat_tau(p, K)) for p in range(-2, 3)]
+    return out
+
+
+def action(A, m):
+    """The library's S^2 action of A on t^m."""
+    return _quad_apply_laurent(A.quad, LaurentPoly.t(m))
+
+
+def column(mat, m):
+    """Image of t^m under an oracle window matrix."""
+    return LaurentPoly({r: v for (r, c), v in mat.items() if c == m})
+
+
+def interior_columns(mat, K, margin):
+    """Columns of a window matrix at least margin away from its edge."""
+    return {c: column(mat, c) for c in range(-K + margin, K - margin + 1) if c}
+
+
+def bandwidth(A):
+    return max(abs(d) for d in A.quad)
 
 
 # -- constructors ------------------------------------------------------------
@@ -74,7 +104,7 @@ def test_bracket_examples():
     assert bracket(b(1), b(-1)) == unit()
     assert bracket(pair(1, -2), b(-1)) == b(-2)
     assert bracket(b(-1), pair(1, 1)) == b(1).scale(-2)
-    assert bracket(tau_hat(2), tau_hat(-2)) == tau_hat(0).scale(4) + unit(HALF)
+    assert bracket(tau(2), tau(-2)) == tau(0).scale(4) + unit(HALF)
 
 
 def test_bracket_pairs_frozen():
@@ -87,10 +117,10 @@ def test_bracket_pairs_frozen():
 def test_virasoro_relation_on_tau_hat():
     for p in range(-4, 5):
         for q in range(-4, 5):
-            want = tau_hat(p + q).scale(p - q)
+            want = tau(p + q).scale(p - q)
             if p + q == 0:
                 want = want + unit(Fraction(p ** 3 - p, 12))
-            assert bracket(tau_hat(p), tau_hat(q)) == want
+            assert bracket(tau(p), tau(q)) == want
 
 
 def test_bracket_bilinear_antisymmetric():
@@ -118,54 +148,61 @@ def test_jacobi_small_set():
 # -- endomorphism picture ----------------------------------------------------
 
 def test_quad_to_endo_examples():
-    assert HOp.from_quad(pair(-1, 1)).apply_exponent(1) == LaurentPoly.term(-1, 1)
-    assert HOp.from_quad(tau_hat(0)).apply_exponent(3) == LaurentPoly.term(-3, 3)
-    h = HOp.from_quad(pair(-2, -3))
-    assert h.apply_exponent(2) == LaurentPoly.term(-2, -3)
-    assert h.apply_exponent(3) == LaurentPoly.term(-3, -2)
-    assert h.apply_exponent(5).is_zero()
+    K = 8
+    assert action(pair(-1, 1), 1) == LaurentPoly.term(-1, 1)
+    assert action(tau(0), 3) == LaurentPoly.term(-3, 3)
+    assert action(pair(-2, -3), 2) == LaurentPoly.term(-2, -3)
+    assert action(pair(-2, -3), 3) == LaurentPoly.term(-3, -2)
+    assert action(pair(-2, -3), 5).is_zero()
+    assert column(oracles.mat_pair(-1, 1, K), 1) == action(pair(-1, 1), 1)
+    assert column(oracles.mat_tau(0, K), 3) == action(tau(0), 3)
+    for m in (2, 3, 5):
+        assert column(oracles.mat_pair(-2, -3, K), m) == action(pair(-2, -3), m)
 
 
 def test_endo_never_reaches_constant():
     rng = random.Random(9)
-    gens = [g for g in generator_set() if g.quad]
+    gens = windowed(12)
     for _ in range(40):
-        A = rng.choice(gens)
-        h = HOp.from_quad(A)
+        A, mat = rng.choice(gens)
         for m in range(-6, 7):
             if m:
-                assert h.apply_exponent(m).coeff(0) == 0
+                assert action(A, m).coeff(0) == 0
+                assert action(A, m) == column(mat, m)
 
 
 def test_bracket_matches_endo_commutator_on_window():
     # [tau(1), tau(-1)] = 2 tau(0) away from the window edge at W = 6
-    m1 = quad_to_endo(tau(1), 6)
-    m2 = quad_to_endo(tau(-1), 6)
-    assert m1.commutator(m2).agrees_on_interior(quad_to_endo(tau(0), 6).scale(2))
+    K = 6
+    got = oracles.mat_commutator(oracles.mat_tau(1, K), oracles.mat_tau(-1, K), K)
+    want = oracles.mat_scale(2, oracles.mat_tau(0, K))
+    assert interior_columns(got, K, 2) == interior_columns(want, K, 2)
+    assert bracket(tau(1), tau(-1)).drop_central() == tau(0).scale(2)
     rng = random.Random(10)
-    gens = [g for g in generator_set() if g.quad and not g.central]
+    K = 10
+    gens = windowed(K)
     for _ in range(25):
-        A = rng.choice(gens)
-        B = rng.choice(gens)
-        got = quad_to_endo(A, 10).commutator(quad_to_endo(B, 10))
-        want = quad_to_endo(bracket(A, B).drop_central(), 10)
-        assert got.agrees_on_interior(want)
+        (A, mA), (B, mB) = rng.choice(gens), rng.choice(gens)
+        margin = bandwidth(A) + bandwidth(B)
+        got = interior_columns(oracles.mat_commutator(mA, mB, K), K, margin)
+        C = bracket(A, B)
+        assert got == {c: action(C, c) for c in got}
 
 
 def test_bracket_action_on_modes_matches_endo():
     rng = random.Random(11)
-    gens = [g for g in generator_set() if g.quad]
+    gens = windowed(12)
     for _ in range(40):
-        A = rng.choice(gens)
+        A, mat = rng.choice(gens)
         m = rng.choice([i for i in range(-5, 6) if i])
-        assert bracket(A, b(m)).linear == HOp.from_quad(A).apply(LaurentPoly.t(m))
+        assert bracket(A, b(m)).linear == column(mat, m)
 
 
 # -- trace cocycle -----------------------------------------------------------
 
 def test_psi_examples():
     assert psi(b(1), b(-1)) == 1
-    assert psi(tau_hat(2), tau_hat(-2)) == -1
+    assert psi(tau(2), tau(-2)) == -1
     # both operators preserve the positive part: trace vanishes
     assert psi(pair(1, 2), pair(3, 4)) == 0
     assert psi(pair(-1, 2), pair(-3, 4)) == 0
@@ -173,7 +210,7 @@ def test_psi_examples():
 
 def test_psi_tau_values():
     for p in range(1, 9):
-        assert psi(tau_hat(p), tau_hat(-p)) == Fraction(-(p ** 3 - p), 6)
+        assert psi(tau(p), tau(-p)) == Fraction(-(p ** 3 - p), 6)
 
 
 def test_psi_decomposes_as_alpha_beta_gamma():
@@ -202,12 +239,23 @@ def test_cocycle_forms_reject_central_argument():
 
 
 def test_psi_on_matrices_matches_trace():
-    for A, B in [(tau_hat(2), tau_hat(-2)), (pair(1, 1), pair(-1, -1)),
-                 (pair(2, -1), pair(1, -2))]:
-        got = psi(quad_to_endo(A, 12), quad_to_endo(B, 12))
-        assert got == psi(A, B)
-    with pytest.raises(ValueError):
-        psi(quad_to_endo(tau_hat(2), 2), quad_to_endo(tau_hat(-2), 2))
+    K = 12
+    for (A, mA), (B, mB) in [
+            ((tau(2), oracles.mat_tau(2, K)), (tau(-2), oracles.mat_tau(-2, K))),
+            ((pair(1, 1), oracles.mat_pair(1, 1, K)),
+             (pair(-1, -1), oracles.mat_pair(-1, -1, K))),
+            ((pair(2, -1), oracles.mat_pair(2, -1, K)),
+             (pair(1, -2), oracles.mat_pair(1, -2, K)))]:
+        assert oracles.psi_mat(mA, mB, K) == psi(A, B)
+    # alpha against the oracle trace on random combinations
+    rng = random.Random(14)
+    gens = windowed(K)
+    for _ in range(40):
+        (A1, m1), (A2, m2), (B1, n1), (B2, n2) = (rng.choice(gens) for _ in range(4))
+        c, e = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        u, mu = A1 + A2.scale(c), oracles.mat_add(m1, oracles.mat_scale(c, m2))
+        v, mv = B1 + B2.scale(e), oracles.mat_add(n1, oracles.mat_scale(e, n2))
+        assert alpha(u, v) == oracles.psi_mat(mu, mv, K)
 
 
 def test_bracket_central_is_minus_half_psi():
@@ -229,19 +277,18 @@ def test_membership_examples():
 
 
 def test_membership_point_examples():
-    from oscalg.coinv import FPoint
     g1 = FPoint({1})
     assert is_in_sp_F(pair(-2, 5), g1, 8)
-    assert not is_in_sp_F(tau_hat(0), g1, 8)
+    assert not is_in_sp_F(tau(0), g1, 8)
     # Lagrangian case: F = H_- is its own perp
-    assert is_in_sp_F(tau_hat(0), FPoint(()), 8)
+    assert is_in_sp_F(tau(0), FPoint(()), 8)
 
 
 def test_membership_requires_pure_quadratic():
     with pytest.raises(ValueError):
         is_in_sp(b(1), 4)
     with pytest.raises(ValueError):
-        is_in_sp_F(unit(), frozenset(), 4)
+        is_in_sp_F(unit(), FPoint(()), 4)
 
 
 # -- Witt elements and lifts -------------------------------------------------
@@ -260,9 +307,9 @@ def test_witt_bracket_relations():
 
 def test_sigma_examples():
     L = WittElement.L
-    assert sigma(L(0)) == tau_hat(0)
+    assert sigma(L(0)) == tau(0)
     assert sigma(WittElement.mode(3)) == b(3)
-    assert sigma(L(2)) == tau_hat(2) + b(2).scale(Fraction(-3, 2))
+    assert sigma(L(2)) == tau(2) + b(2).scale(Fraction(-3, 2))
 
 
 def test_sigma_is_a_homomorphism():
@@ -285,8 +332,3 @@ def test_d_cocycle_values():
     assert d_cocycle(L(2), L(3)) == 0
     assert d_cocycle(L(2), mode(1)) == 0
 
-
-def test_tau_and_sigma_hats_agree_with_plain():
-    for p in range(-5, 6):
-        assert tau_hat(p) == tau(p)
-        assert sigma_hat(WittElement.L(p)) == sigma(WittElement.L(p))

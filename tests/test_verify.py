@@ -10,7 +10,7 @@ from oscalg.quadops import (
     b,
     beta,
     pair,
-    tau_hat,
+    tau,
     unit,
     WittElement,
 )
@@ -39,8 +39,8 @@ from oscalg.verify import (
 
 def test_cocycle_handles_by_name():
     h = CocycleHandle("psi")
-    assert h(tau_hat(2), tau_hat(-2)) == -1
-    assert CocycleHandle("alpha")(tau_hat(2), tau_hat(-2)) == -1
+    assert h(tau(2), tau(-2)) == -1
+    assert CocycleHandle("alpha")(tau(2), tau(-2)) == -1
     assert CocycleHandle("beta")(b(1), b(-1)) == 1
     assert CocycleHandle("gamma")(pair(1, 1), b(-2)) == 2
 
@@ -123,7 +123,7 @@ def test_fit_custom_combination():
 
 
 def test_fit_singular_probes_rejected():
-    probes = default_fit_probes()[:2] + [(tau_hat(1), b(-1))]
+    probes = default_fit_probes()[:2] + [(tau(1), b(-1))]
     with pytest.raises(ValueError, match="probe"):
         fit_cocycle_coefficients("psi", probes=probes)
 
