@@ -1,16 +1,15 @@
 """Exact computer algebra for the quadratic Weyl algebra on Q((t)), its
 oscillator and Fock representations, and coinvariants at semigroup points."""
 
-from .laurent import (LaurentPoly, Rational, derivative, format_laurent,
-                      parse_laurent, rat, residue, symplectic_form)
+from .laurent import (LaurentPoly, derivative, format_laurent, parse_laurent,
+                      rat, residue, symplectic_form)
 from .quadops import (DiagonalSeries, HOp, Poly, QuadraticElement, WittElement,
                       alpha, b, beta, bracket, d_cocycle, gamma, is_in_sp,
                       is_in_sp_plus, normal_order_lift, pair, psi, psi_trace,
                       rho_minus, sigma, tau, unit, witt_bracket)
-from .fock import (FockVector, VoaConfig, apply_mode, apply_quadratic,
-                   exp_apply, format_label, format_vector, graded_basis,
-                   measure_central_charge, parse_label, virasoro,
-                   virasoro_all)
+from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,
+                   format_label, format_vector, graded_basis,
+                   measure_central_charge, parse_label, virasoro, virasoro_all)
 from .coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
                     default_schedule, fperp_basis, is_in_sp_F, sp_f_generators,
                     stabilize)

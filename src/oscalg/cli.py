@@ -22,8 +22,7 @@ import sys
 from fractions import Fraction
 
 from .coinv import FPoint, coinvariants_A, coinvariants_X, default_schedule, stabilize
-from .fock import (FockVector, VoaConfig, apply_quadratic, format_label,
-                   format_vector, parse_label)
+from .fock import FockVector, apply_quadratic, format_label, format_vector, parse_label
 from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
                       pair, sigma, tau)
 from .verify import CocycleHandle, central_scalars, verify_all
@@ -211,10 +210,9 @@ def _cmd_fock_apply(args):
 
 def _cmd_coinv(args):
     F = FPoint(_parse_gaps(args.gaps))
-    cfg = VoaConfig(args.rank, 1)
     compute = coinvariants_X if args.side == "X" else coinvariants_A
     def run(m, w):
-        return compute(cfg, F, args.N, m, w)
+        return compute(args.rank, F, args.N, m, w)
     report = stabilize(run, default_schedule(args.N, args.M, args.W))
     if args.format == "text":
         lines = [f"gaps: {report.gaps}", f"rank: {report.rank}",
@@ -377,9 +375,6 @@ def main(argv=None) -> int:
             return 2
     try:
         code, text = args.func(args)
-    except ExpressionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

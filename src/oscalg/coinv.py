@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .fock import FockVector, VoaConfig, apply_quadratic, graded_basis, state_degree
+from .fock import FockVector, apply_quadratic, graded_basis
 from .laurent import LaurentPoly
 from .quadops import QuadraticElement, _quad_apply_laurent, b, pair
 
@@ -133,13 +133,13 @@ class _DegreeReducer:
         return False
 
 
-def _quotient_dims(generators, cfg: VoaConfig, N: int, M: int):
+def _quotient_dims(generators, rank: int, N: int, M: int):
     """Graded dimensions of V_{<=N} modulo images of the generators applied
     to basis vectors of degree <= M."""
     index = {}
     sizes = {}
     for e in range(0, N + 1):
-        basis_e = graded_basis(e, cfg.rank)
+        basis_e = graded_basis(e, rank)
         sizes[e] = len(basis_e)
         index[e] = {state: i for i, state in enumerate(basis_e)}
     reducers = {e: _DegreeReducer(sizes[e]) for e in range(0, N + 1)}
@@ -152,8 +152,8 @@ def _quotient_dims(generators, cfg: VoaConfig, N: int, M: int):
             red = reducers[e]
             if red.full():
                 continue
-            for state in graded_basis(deg_v, cfg.rank):
-                image = apply_quadratic(X, FockVector.basis(state), cfg)
+            for state in graded_basis(deg_v, rank):
+                image = apply_quadratic(X, FockVector(rank, {state: 1}))
                 if image.is_zero():
                     continue
                 row = {index[e][st]: c for st, c in image.terms.items()}
@@ -174,34 +174,38 @@ def _degree_drop(X: QuadraticElement) -> int:
 
 
 def _check_truncation(N: int, M: int, W: int):
+    if N < 0:
+        raise ValueError("top degree N must be nonnegative")
     if N > M:
         raise ValueError("top degree N must not exceed the source cap M")
     if W < M:
         raise ValueError("window W must cover the source cap M")
 
 
-def coinvariants_A(V: VoaConfig, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
     """Dimensions of V / sp_F(H') V up to degree N, truncated at (M, W).
 
     Single-run reports carry stabilized = False; see stabilize."""
     _check_truncation(N, M, W)
     gens = sp_f_generators(F, W)
-    dims = _quotient_dims(gens, V, N, M)
-    return CoinvReport(F.gaps, V.rank, N, M, W, dims, False, len(gens))
+    dims = _quotient_dims(gens, rank, N, M)
+    return CoinvReport(F.gaps, rank, N, M, W, dims, False, len(gens))
 
 
-def coinvariants_X(V: VoaConfig, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+def coinvariants_X(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
     """Same quotient with the generator list extended by F itself acting
     through the Heisenberg modes b_-s."""
     _check_truncation(N, M, W)
     gens = sp_f_generators(F, W)
     gens += [b(-s) for s in F.semigroup(W)]
-    dims = _quotient_dims(gens, V, N, M)
-    return CoinvReport(F.gaps, V.rank, N, M, W, dims, False, len(gens))
+    dims = _quotient_dims(gens, rank, N, M)
+    return CoinvReport(F.gaps, rank, N, M, W, dims, False, len(gens))
 
 
 def default_schedule(N: int, M: int, W: int):
-    """Three truncation sizes ending at (M, W), clamped to stay legal."""
+    """Three truncation sizes ending at the checked (M, W); the earlier
+    steps are clamped up to stay legal."""
+    _check_truncation(N, M, W)
     steps = []
     for k in (4, 2, 0):
         m = max(N, M - k)

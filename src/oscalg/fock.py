@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .laurent import rat
-from .quadops import QuadraticElement, tau
+from .quadops import QuadraticElement, b, tau
 
 F0 = Fraction(0)
 
@@ -37,7 +37,13 @@ def state_degree(state) -> int:
     return sum(sum(lam) for lam in state)
 
 class FockVector:
-    """Finite rational combination of partition-tuple basis states."""
+    """Finite rational combination of partition-tuple basis states.
+
+    The constructor expects canonical keys: each state is a tuple of `rank`
+    weakly decreasing partitions, as canon_state returns it.  The actions in
+    this module only emit such states; labels from outside enter through
+    basis or parse_label, which canonicalize and check them.
+    """
 
     __slots__ = ("rank", "terms")
 
@@ -49,14 +55,8 @@ class FockVector:
         if terms:
             for state, c in terms.items():
                 c = rat(c)
-                if not c:
-                    continue
-                state = canon_state(state)
-                if len(state) != self.rank:
-                    raise ValueError("state has wrong number of channels")
-                clean[state] = clean.get(state, F0) + c
-                if not clean[state]:
-                    del clean[state]
+                if c:
+                    clean[state] = c
         self.terms = clean
 
     @classmethod
@@ -102,62 +102,31 @@ class FockVector:
         return f"FockVector({format_vector(self)!r})"
 
 
-class VoaConfig:
-    """Rank of the tensor power and the distinguished channel (1-based)."""
-
-    __slots__ = ("rank", "embedding")
-
-    def __init__(self, rank: int = 1, embedding: int = 1):
-        if not 1 <= embedding <= rank:
-            raise ValueError("embedding channel out of range")
-        self.rank = int(rank)
-        self.embedding = int(embedding)
-
-
 # ---------------------------------------------------------------------------
 # mode and quadratic actions
 # ---------------------------------------------------------------------------
 
 def _mode_on_partition(n: int, lam: tuple):
-    """Images of b_n on one partition: list of (new partition, coefficient)."""
+    """Images of b_n on one partition: list of (new partition, integer
+    coefficient).  A created part is inserted in order, so images stay
+    canonical."""
     if n < 0:
-        return [(tuple(sorted(lam + (-n,), reverse=True)), F0 + 1)]
+        return [(tuple(sorted(lam + (-n,), reverse=True)), 1)]
     mult = lam.count(n)
     if not mult:
         return []
     out = list(lam)
     out.remove(n)
-    return [(tuple(out), Fraction(n * mult))]
+    return [(tuple(out), n * mult)]
 
 def apply_mode(n: int, channel: int, v: FockVector) -> FockVector:
     """Action of b_n on the given channel (1-based)."""
-    if n == 0:
-        raise ValueError("b_0 is central; it never acts as a mode")
-    if not 1 <= channel <= v.rank:
-        raise ValueError("channel out of range")
-    ch = channel - 1
-    out = {}
-    for state, c in v.terms.items():
-        for lam2, w in _mode_on_partition(n, state[ch]):
-            st2 = state[:ch] + (lam2,) + state[ch + 1:]
-            out[st2] = out.get(st2, F0) + c * w
-    return FockVector(v.rank, out)
+    return apply_quadratic(b(n), v, channel)
 
 def _pair_on_partition(a: int, bb: int, lam: tuple):
-    """Images of :b_a b_b: on one partition, a <= b, annihilators first."""
-    out = []
-    if a < 0 and bb < 0:
-        lam2 = tuple(sorted(lam + (-a, -bb), reverse=True))
-        out.append((lam2, F0 + 1))
-    elif a < 0 < bb:
-        for lam2, w in _mode_on_partition(bb, lam):
-            lam3 = tuple(sorted(lam2 + (-a,), reverse=True))
-            out.append((lam3, w))
-    else:
-        for lam2, w in _mode_on_partition(bb, lam):
-            for lam3, w2 in _mode_on_partition(a, lam2):
-                out.append((lam3, w * w2))
-    return out
+    """Images of :b_a b_b: on one partition, a <= b: b_b acts first."""
+    return [(lam3, w * w2) for lam2, w in _mode_on_partition(bb, lam)
+            for lam3, w2 in _mode_on_partition(a, lam2)]
 
 def _diagonal_on_state(series, state, ch: int):
     """Images of one diagonal series on a basis state; finite by inspection
@@ -194,13 +163,11 @@ def _diagonal_on_state(series, state, ch: int):
     return out
 
 def apply_quadratic(A: QuadraticElement, v: FockVector,
-                    cfg: VoaConfig | None = None) -> FockVector:
-    """Action of a quadratic element on the distinguished channel."""
-    if cfg is None:
-        cfg = VoaConfig(v.rank, 1)
-    if cfg.rank != v.rank:
-        raise ValueError("configuration rank does not match the vector")
-    ch = cfg.embedding - 1
+                    channel: int = 1) -> FockVector:
+    """Action of a quadratic element on one channel (1-based)."""
+    if not 1 <= channel <= v.rank:
+        raise ValueError("channel out of range")
+    ch = channel - 1
     out = {}
     if A.central:
         for state, c in v.terms.items():
@@ -216,15 +183,15 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 out[st2] = out.get(st2, F0) + c * w
     return FockVector(v.rank, out)
 
-def virasoro(p: int, v: FockVector, cfg: VoaConfig | None = None) -> FockVector:
+def virasoro(p: int, v: FockVector, channel: int = 1) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on one channel."""
-    return apply_quadratic(tau(p), v, cfg)
+    return apply_quadratic(tau(p), v, channel)
 
 def virasoro_all(p: int, v: FockVector) -> FockVector:
     """L_p summed over every channel of the tensor power."""
     out = FockVector(v.rank)
-    for e in range(1, v.rank + 1):
-        out = out + apply_quadratic(tau(p), v, VoaConfig(v.rank, e))
+    for channel in range(1, v.rank + 1):
+        out = out + apply_quadratic(tau(p), v, channel)
     return out
 
 
@@ -266,7 +233,7 @@ def measure_central_charge(p: int, vectors, apply_L=None) -> Fraction:
     return c_found
 
 def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
-              cfg: VoaConfig | None = None) -> FockVector:
+              channel: int = 1) -> FockVector:
     """exp(A) v for strictly degree-lowering A, or the eigenvalue
     exponential a^mu for a pure number-operator A and a group scalar a."""
     if A.central:
@@ -281,15 +248,10 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
         if group_scalar is None:
             raise ValueError("number-operator exponential needs a group scalar")
         a = rat(group_scalar)
-        series = A.quad[0]
-        if cfg is None:
-            cfg = VoaConfig(v.rank, 1)
-        ch = cfg.embedding - 1
         out = {}
         for state, c in v.terms.items():
-            mu = F0
-            for part in set(state[ch]):
-                mu += series.coeff(part) * part * state[ch].count(part)
+            image = apply_quadratic(A, FockVector(v.rank, {state: 1}), channel)
+            mu = image.terms.get(state, F0)
             if mu.denominator != 1:
                 raise ValueError(f"non-integral eigenvalue {mu} on "
                                  f"{format_label(state)}")
@@ -301,7 +263,7 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
     w = v
     k = 1
     while True:
-        w = apply_quadratic(A, w, cfg)
+        w = apply_quadratic(A, w, channel)
         if w.is_zero():
             return acc
         acc = acc + w.scale(Fraction(1, factorial(k)))
@@ -328,14 +290,17 @@ def graded_basis(d: int, r: int):
     first and partitions in descending lexicographic order."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    if r < 1:
+        raise ValueError("rank must be a positive integer")
     if r == 1:
         return [(lam,) for lam in _partitions(d)]
-    out = []
-    for k in range(d, -1, -1):
-        for lam in _partitions(k):
-            for rest in graded_basis(d - k, r - 1):
-                out.append((lam,) + rest)
-    return out
+    parts = [list(_partitions(k)) for k in range(d + 1)]
+    # tails[e]: the degree-e states of the trailing channels built so far
+    tails = [[(lam,) for lam in parts[e]] for e in range(d + 1)]
+    for _ in range(r - 1):
+        tails = [[(lam,) + rest for k in range(e, -1, -1) for lam in parts[k]
+                  for rest in tails[e - k]] for e in range(d + 1)]
+    return tails[d]
 
 def format_partition(lam) -> str:
     return "[" + ",".join(str(p) for p in lam) + "]"

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '1/2', and Fractions to Fraction."""

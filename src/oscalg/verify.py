@@ -278,6 +278,8 @@ def check_lift_diagram(bound: int = 5, W: int = 12) -> bool:
 
 def verify_all(probe_bound: int = 4) -> list:
     """Run the whole identity battery; returns a list of verdicts."""
+    if probe_bound < 1:
+        raise ValueError("probe bound must be at least 1")
     out = []
 
     gens = small_generator_set()

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from oscalg.cli import format_expression, main, parse_expression
 from oscalg.coinv import FPoint, coinvariants_A, default_schedule, stabilize
-from oscalg.fock import (FockVector, VoaConfig, apply_quadratic, graded_basis,
-                         virasoro)
+from oscalg.fock import FockVector, apply_quadratic, graded_basis, virasoro
 from oscalg.quadops import (QuadraticElement, WittElement, b, bracket, pair,
                             psi, tau, unit)
 from oscalg.verify import (central_scalars, check_closed_forms, check_lift_diagram,
@@ -200,21 +199,20 @@ def test_criterion_10_number_operator_eigenvalues():
 
 def test_criterion_11_coinvariants_stabilize():
     t0 = time.monotonic()
-    cfg = VoaConfig(1, 1)
 
     def run0(m, w):
-        return coinvariants_A(cfg, FPoint([]), 6, m, w)
+        return coinvariants_A(1, FPoint([]), 6, m, w)
 
     report0 = stabilize(run0, default_schedule(6, 12, 12))
     ok = report0.stabilized and report0.dims == [1, 0, 0, 0, 0, 0, 0]
 
     def run1(m, w):
-        return coinvariants_A(cfg, FPoint([1]), 4, m, w)
+        return coinvariants_A(1, FPoint([1]), 4, m, w)
 
     report1 = stabilize(run1, default_schedule(4, 12, 12))
     ok = ok and report1.stabilized and report1.dims[0] >= 1
 
-    dims_by_m = [coinvariants_A(cfg, FPoint([1]), 4, m, 12).dims
+    dims_by_m = [coinvariants_A(1, FPoint([1]), 4, m, 12).dims
                  for m in (8, 10, 12)]
     for prev, nxt in zip(dims_by_m, dims_by_m[1:]):
         ok = ok and all(a >= bb for a, bb in zip(prev, nxt))

@@ -295,6 +295,34 @@ def test_cli_parse_error_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--rank", "0"], "rank must be a positive integer"),
+    (["--N", "-2", "--M", "3", "--W", "3"], "N must be nonnegative"),
+    (["--N", "4", "--M", "2", "--W", "2"], "N must not exceed the source cap M"),
+    (["--N", "4", "--M", "8", "--W", "4"], "W must cover the source cap M"),
+])
+def test_cmd_coinv_invalid_input_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["coinv"] + argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_cmd_coinv_large_rank(capsys):
+    code, out, _ = run_cli(capsys, ["coinv", "--rank", "1100", "--N", "0",
+                                    "--M", "0", "--W", "0"])
+    assert code == 3
+    assert json.loads(out)["dims"] == [1]
+
+
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_verify_all_empty_grid_exit_2(capsys, bound):
+    code, out, err = run_cli(capsys, ["verify-all", "--probe-bound", bound])
+    assert code == 2
+    assert out == ""
+    assert "probe bound must be at least 1" in err
+
+
 def test_cli_unknown_command_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["nosuch"])

@@ -5,10 +5,7 @@ import pytest
 from oscalg.coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
                           default_schedule, fperp_basis, is_in_sp_F,
                           sp_f_generators, stabilize)
-from oscalg.fock import VoaConfig
 from oscalg.laurent import LaurentPoly, symplectic_form
-
-CFG1 = VoaConfig(1, 1)
 
 
 def exponents(fs):
@@ -67,27 +64,27 @@ def test_generators_are_in_sp_F():
 # -- quotients -------------------------------------------------------------------
 
 def test_degree_zero_dimension_trivial_case():
-    rep = coinvariants_A(CFG1, FPoint(()), 0, 4, 4)
+    rep = coinvariants_A(1, FPoint(()), 0, 4, 4)
     assert rep.dims == [1]
 
 
 def test_coinv_dims_frozen():
-    assert coinvariants_A(CFG1, FPoint(()), 4, 8, 8).dims == [1, 0, 0, 0, 0]
-    assert coinvariants_A(CFG1, FPoint({1}), 4, 8, 8).dims == [1, 1, 1, 1, 1]
-    assert coinvariants_A(CFG1, FPoint({1, 3}), 4, 8, 8).dims == [1, 1, 1, 2, 2]
+    assert coinvariants_A(1, FPoint(()), 4, 8, 8).dims == [1, 0, 0, 0, 0]
+    assert coinvariants_A(1, FPoint({1}), 4, 8, 8).dims == [1, 1, 1, 1, 1]
+    assert coinvariants_A(1, FPoint({1, 3}), 4, 8, 8).dims == [1, 1, 1, 2, 2]
 
 
 def test_x_side_bounded_by_a_side():
     for gaps in ((), (1,), (1, 3)):
         F = FPoint(gaps)
-        a = coinvariants_A(CFG1, F, 4, 8, 8)
-        x = coinvariants_X(CFG1, F, 4, 8, 8)
+        a = coinvariants_A(1, F, 4, 8, 8)
+        x = coinvariants_X(1, F, 4, 8, 8)
         assert all(dx <= da for dx, da in zip(x.dims, a.dims))
         assert x.generators > a.generators
 
 
 def test_x_side_degree_zero():
-    rep = coinvariants_X(CFG1, FPoint(()), 3, 6, 6)
+    rep = coinvariants_X(1, FPoint(()), 3, 6, 6)
     assert rep.dims[0] == 1
 
 
@@ -95,7 +92,7 @@ def test_monotone_in_M():
     F = FPoint({1, 3})
     prev = None
     for M in (4, 6, 8):
-        dims = coinvariants_A(CFG1, F, 4, M, 8).dims
+        dims = coinvariants_A(1, F, 4, M, 8).dims
         if prev is not None:
             assert all(d2 <= d1 for d1, d2 in zip(prev, dims))
         prev = dims
@@ -104,21 +101,21 @@ def test_monotone_in_M():
 def test_vacuum_persists():
     for gaps in ((), (1,), (1, 2), (2,)):
         for rank in (1, 2):
-            rep = coinvariants_A(VoaConfig(rank, 1), FPoint(gaps), 2, 5, 5)
+            rep = coinvariants_A(rank, FPoint(gaps), 2, 5, 5)
             assert rep.dims[0] >= 1
 
 
 def test_truncation_preconditions():
     with pytest.raises(ValueError):
-        coinvariants_A(CFG1, FPoint(()), 6, 4, 8)
+        coinvariants_A(1, FPoint(()), 6, 4, 8)
     with pytest.raises(ValueError):
-        coinvariants_A(CFG1, FPoint(()), 2, 6, 4)
+        coinvariants_A(1, FPoint(()), 2, 6, 4)
 
 
 # -- stabilization ---------------------------------------------------------------
 
 def test_stabilize_constant_sequence():
-    rep = stabilize(lambda m, w: coinvariants_A(CFG1, FPoint(()), 2, m, w),
+    rep = stabilize(lambda m, w: coinvariants_A(1, FPoint(()), 2, m, w),
                     [(4, 4), (6, 6), (8, 8)])
     assert rep.stabilized
     assert (rep.M, rep.W) == (6, 6)  # stops at the first agreement
@@ -134,7 +131,7 @@ def test_stabilize_exhausted():
 
 
 def test_stabilize_schedule_validation():
-    run = lambda m, w: coinvariants_A(CFG1, FPoint(()), 2, m, w)
+    run = lambda m, w: coinvariants_A(1, FPoint(()), 2, m, w)
     with pytest.raises(ValueError):
         stabilize(run, [(6, 6), (4, 4)])
     with pytest.raises(ValueError):
@@ -147,10 +144,13 @@ def test_default_schedule():
     assert default_schedule(6, 12, 12) == [(8, 8), (10, 10), (12, 12)]
     assert default_schedule(6, 6, 12) == [(6, 8), (6, 10), (6, 12)]
     assert default_schedule(4, 4, 4) == [(4, 4)]
+    for N, M, W in ((-2, 3, 3), (4, 2, 2), (4, 8, 4)):
+        with pytest.raises(ValueError):
+            default_schedule(N, M, W)
 
 
 def test_report_json_key_order():
-    rep = coinvariants_A(CFG1, FPoint({1}), 2, 4, 4)
+    rep = coinvariants_A(1, FPoint({1}), 2, 4, 4)
     text = rep.to_json()
     assert list(json.loads(text)) == ["gaps", "rank", "N", "M", "W", "dims",
                                       "stabilized", "generators"]

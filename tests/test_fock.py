@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oscalg.fock import (FockVector, VoaConfig, apply_mode, apply_quadratic,
+from oscalg.fock import (FockVector, apply_mode, apply_quadratic, canon_state,
                          exp_apply, format_label, format_vector, graded_basis,
                          measure_central_charge, parse_label, state_degree,
                          virasoro, virasoro_all)
 from oscalg.quadops import QuadraticElement, b, bracket, pair, tau, unit
+from test_quadops import generator_set
 
 HALF = Fraction(1, 2)
 
@@ -55,6 +56,44 @@ def test_modes_respect_channels():
     # modes on distinct channels commute
     w2 = apply_mode(-1, 2, apply_mode(-2, 1, v))
     assert w == w2
+
+
+# -- canonical states ----------------------------------------------------------
+
+def assert_canonical(v, rank):
+    for st in v.terms:
+        assert st == canon_state(st) and len(st) == rank
+
+
+def test_actions_emit_canonical_states():
+    gens = generator_set()
+    lowering = [pair(1, 1), pair(2, 1) + b(1), pair(1, 3).scale(HALF) + b(2)]
+    for rank in (1, 2):
+        for v in basis_upto(6, rank):
+            for channel in range(1, rank + 1):
+                for A in gens:
+                    assert_canonical(apply_quadratic(A, v, channel), rank)
+                for n in (-3, -2, -1, 1, 2, 3):
+                    assert_canonical(apply_mode(n, channel, v), rank)
+                for A in lowering:
+                    assert_canonical(exp_apply(A, v, channel=channel), rank)
+                assert_canonical(exp_apply(pair(-1, 1), v, group_scalar=2,
+                                           channel=channel), rank)
+            for p in range(-2, 3):
+                assert_canonical(virasoro_all(p, v), rank)
+
+
+def test_basis_canonicalizes_outside_labels():
+    assert FockVector.basis(((1, 2),)) == FockVector.basis(((2, 1),))
+    for bad in (((0,),), ()):
+        with pytest.raises(ValueError):
+            FockVector.basis(bad)
+
+
+def test_channel_out_of_range():
+    v = FockVector.basis(((1,), (2,)))
+    with pytest.raises(ValueError, match="channel out of range"):
+        apply_quadratic(tau(1), v, channel=3)
 
 
 # -- quadratic action ----------------------------------------------------------
@@ -220,6 +259,21 @@ def test_graded_basis_counts_and_order():
                                   ((2, 1, 1),), ((1, 1, 1, 1),)]
     with pytest.raises(ValueError):
         graded_basis(-1, 1)
+
+
+def test_graded_basis_matches_channel_recursion():
+    def reference(d, r):
+        if r == 1:
+            return graded_basis(d, 1)
+        return [(lam,) + rest for k in range(d, -1, -1)
+                for (lam,) in graded_basis(k, 1) for rest in reference(d - k, r - 1)]
+    for r in (1, 2, 3):
+        for d in range(7):
+            assert graded_basis(d, r) == reference(d, r)
+    assert graded_basis(0, 1100) == [((),) * 1100]
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="rank must be a positive integer"):
+            graded_basis(2, r)
 
 
 def test_partition_counts():
