@@ -10,9 +10,9 @@ from .quadops import (DiagonalSeries, HOp, Poly, QuadraticElement, WittElement,
 from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,
                    format_label, format_vector, graded_basis,
                    measure_central_charge, parse_label, virasoro, virasoro_all)
-from .coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
-                    default_schedule, fperp_basis, is_in_sp_F, sp_f_generators,
-                    stabilize)
+from .coinv import (CoinvReduction, CoinvReport, FPoint, check_state_space,
+                    coinvariants_A, coinvariants_X, default_schedule,
+                    fperp_basis, is_in_sp_F, sp_f_generators, stabilize)
 from .verify import (CocycleHandle, central_scalars, check_closed_forms,
                      check_jacobi, check_lift_diagram, check_pullback_sigma,
                      check_splitting, cocycle_defect, fit_cocycle_coefficients,

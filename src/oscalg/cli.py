@@ -21,7 +21,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .coinv import FPoint, coinvariants_A, coinvariants_X, default_schedule, stabilize
+from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
+                    coinvariants_X, default_schedule, stabilize)
 from .fock import FockVector, apply_quadratic, format_label, format_vector, parse_label
 from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
                       pair, sigma, tau)
@@ -211,9 +212,12 @@ def _cmd_fock_apply(args):
 def _cmd_coinv(args):
     F = FPoint(_parse_gaps(args.gaps))
     compute = coinvariants_X if args.side == "X" else coinvariants_A
+    schedule = default_schedule(args.N, args.M, args.W)
+    check_state_space(args.rank, args.M)
+    reduction = CoinvReduction()
     def run(m, w):
-        return compute(args.rank, F, args.N, m, w)
-    report = stabilize(run, default_schedule(args.N, args.M, args.W))
+        return compute(args.rank, F, args.N, m, w, reduction)
+    report = stabilize(run, schedule)
     if args.format == "text":
         lines = [f"gaps: {report.gaps}", f"rank: {report.rank}",
                  f"N/M/W: {report.N}/{report.M}/{report.W}",

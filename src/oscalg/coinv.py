@@ -10,13 +10,11 @@ stabilization flag from repeated runs at growing truncation sizes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd, lcm
 
 from .fock import FockVector, apply_quadratic, graded_basis
 from .laurent import LaurentPoly
 from .quadops import QuadraticElement, _quad_apply_laurent, b, pair
-
-F0 = Fraction(0)
 
 
 class FPoint:
@@ -60,15 +58,22 @@ def is_in_sp_F(A: QuadraticElement, F: FPoint, W: int) -> bool:
     return True
 
 
+def _generator_keys(F: FPoint, W: int, side: str):
+    """Keys (s, m) of a side's generators on the window: :b_-s b_m: for s in
+    S, 1 <= s <= W, m in [-W, W] nonzero, and on side X also b_-s as (s, 0).
+    A generator lowers the degree by m - s, and for m > 0 it kills every
+    state whose channel 1 has no part m."""
+    S = F.semigroup(W)
+    keys = [(s, m) for s in S for m in range(-W, W + 1) if m]
+    if side == "X":
+        keys += [(s, 0) for s in S]
+    return keys
+
+
 def sp_f_generators(F: FPoint, W: int):
     """The window family :b_-s b_m: with s in S, 1 <= s <= W, m in [-W, W]
     nonzero.  Spans the S^2(H') part of the stabilizer on the window."""
-    gens = []
-    ms = [m for m in range(-W, W + 1) if m != 0]
-    for s in F.semigroup(W):
-        for m in ms:
-            gens.append(pair(-s, m))
-    return gens
+    return [pair(-s, m) for s, m in _generator_keys(F, W, "A")]
 
 
 class CoinvReport:
@@ -98,8 +103,40 @@ class CoinvReport:
         return f"CoinvReport({self.to_dict()!r})"
 
 
+# Refuse a truncation whose states in degrees <= M hold more partition slots
+# (states times rank) than this; memory grows with the slots.
+MAX_STATE_SLOTS = 1_000_000
+
+
+def check_state_space(rank: int, M: int):
+    """Raise ValueError if the rank-r states of degree <= M hold more than
+    MAX_STATE_SLOTS slots.  Counts only: the number a(n) of r-tuples of
+    partitions of n, the r-fold convolution of partition counts, satisfies
+    n a(n) = r sum_k sigma(k) a(n-k); counting stops at the first degree
+    past the limit."""
+    if rank < 1:
+        raise ValueError("rank must be a positive integer")
+    sigma = [0]       # sigma[k]: sum of the divisors of k
+    counts = [1]      # counts[n]: rank-r states of degree n
+    slots = rank
+    n = 0
+    while slots <= MAX_STATE_SLOTS and n < M:
+        n += 1
+        sigma.append(sum(k for k in range(1, n + 1) if n % k == 0))
+        counts.append(rank * sum(sigma[k] * counts[n - k]
+                                 for k in range(1, n + 1)) // n)
+        slots += rank * counts[n]
+    if slots > MAX_STATE_SLOTS:
+        raise ValueError(f"state space too large: {slots} tuple slots "
+                         f"(states x rank) in degrees <= {n}, limit "
+                         f"{MAX_STATE_SLOTS}")
+
+
 class _DegreeReducer:
-    """Incremental exact row reduction for one homogeneous degree."""
+    """Incremental fraction-free row reduction for one homogeneous degree.
+
+    Rows are {column: int}; pivots are primitive integer rows with a positive
+    leading entry, and a row is eliminated as p*row - c*pivot."""
 
     __slots__ = ("dim", "rank", "pivots")
 
@@ -119,58 +156,108 @@ class _DegreeReducer:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                c = row[lead]
-                self.pivots[lead] = {k: v / c for k, v in row.items()}
+                g = gcd(*row.values())
+                if row[lead] < 0:
+                    g = -g
+                self.pivots[lead] = {k: v // g for k, v in row.items()}
                 self.rank += 1
                 return True
-            c = row[lead]
+            p, c = piv[lead], row[lead]
+            g = gcd(p, c)
+            p, c = p // g, c // g
+            if p != 1:
+                row = {k: p * v for k, v in row.items()}
             for k, v in piv.items():
-                nv = row.get(k, F0) - c * v
+                nv = row.get(k, 0) - c * v
                 if nv:
                     row[k] = nv
-                elif k in row:
+                else:
                     del row[k]
+            if p != 1 and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
         return False
 
 
-def _quotient_dims(generators, rank: int, N: int, M: int):
-    """Graded dimensions of V_{<=N} modulo images of the generators applied
-    to basis vectors of degree <= M."""
-    index = {}
-    sizes = {}
-    for e in range(0, N + 1):
-        basis_e = graded_basis(e, rank)
-        sizes[e] = len(basis_e)
-        index[e] = {state: i for i, state in enumerate(basis_e)}
-    reducers = {e: _DegreeReducer(sizes[e]) for e in range(0, N + 1)}
-    for X in generators:
-        d = _degree_drop(X)
-        lo = max(0, d)
-        hi = min(M, N + d)
-        for deg_v in range(lo, hi + 1):
-            e = deg_v - d
-            red = reducers[e]
-            if red.full():
+def _integer_row(image: FockVector, columns: dict) -> dict:
+    """An image as an integer row: coefficients times the lcm of their
+    denominators."""
+    scale = lcm(*(c.denominator for c in image.terms.values()))
+    return {columns[st]: c.numerator * (scale // c.denominator)
+            for st, c in image.terms.items()}
+
+
+class CoinvReduction:
+    """The row reduction of one coinvariant job, extended across its schedule.
+
+    Pass one instance to the coinvariants_A / coinvariants_X calls of a job
+    whose (M, W) grow: the generator windows and source caps are nested, so
+    each call applies only the generators and source degrees that earlier
+    calls did not.  Each degree's basis is built once, with an index from
+    each part to the states holding it in channel 1."""
+
+    __slots__ = ("job", "M", "W", "bases", "columns", "reducers", "applied")
+
+    def __init__(self):
+        self.job = None       # (rank, gaps, N, side) of the first call
+        self.M = self.W = -1
+        self.bases = {}       # degree -> (states, {part: states holding it})
+        self.columns = []     # target degree 0..N -> {state: column}
+        self.reducers = []    # target degree 0..N -> _DegreeReducer
+        self.applied = {}     # generator key -> highest source degree applied
+
+    def _basis(self, deg: int, rank: int):
+        basis = self.bases.get(deg)
+        if basis is None:
+            states = graded_basis(deg, rank)
+            holders = {}
+            for st in states:
+                for part in set(st[0]):
+                    holders.setdefault(part, []).append(st)
+            basis = self.bases[deg] = (states, holders)
+        return basis
+
+    def _bind(self, side: str, rank: int, F: FPoint, N: int, M: int, W: int):
+        job = (rank, F.gaps, N, side)
+        if self.job is None:
+            self.job = job
+            self.columns = [{st: i for i, st in enumerate(self._basis(e, rank)[0])}
+                            for e in range(N + 1)]
+            self.reducers = [_DegreeReducer(len(c)) for c in self.columns]
+        elif job != self.job:
+            raise ValueError("coinvariant reduction belongs to another job: "
+                             "rank, N, gaps and side must match")
+        if M < self.M or W < self.W:
+            raise ValueError("coinvariant reduction cannot shrink (M, W)")
+        self.M, self.W = M, W
+
+    def extend(self, side: str, rank: int, F: FPoint, N: int, M: int, W: int):
+        """Apply the generators and source degrees not yet applied; return
+        the number of generators on the window and the graded dims."""
+        self._bind(side, rank, F, N, M, W)
+        keys = _generator_keys(F, W, side)
+        for key in keys:
+            s, m = key
+            d = m - s
+            lo = max(0, d, self.applied.get(key, -1) + 1)
+            hi = min(M, N + d)
+            if lo > hi:
                 continue
-            for state in graded_basis(deg_v, rank):
-                image = apply_quadratic(X, FockVector(rank, {state: 1}))
-                if image.is_zero():
-                    continue
-                row = {index[e][st]: c for st, c in image.terms.items()}
-                red.add(row)
+            self.applied[key] = hi
+            X = pair(-s, m) if m else b(-s)
+            for deg in range(lo, hi + 1):
+                red = self.reducers[deg - d]
                 if red.full():
-                    break
-    return [sizes[e] - reducers[e].rank for e in range(0, N + 1)]
-
-
-def _degree_drop(X: QuadraticElement) -> int:
-    """Degree lost by applying X; relations are homogeneous, so this is a
-    single well-defined integer for the generators used here."""
-    drops = {d for d in X.quad}
-    drops |= {e for e in X.linear.coeffs}
-    if len(drops) != 1:
-        raise ValueError("generator is not homogeneous")
-    return drops.pop()
+                    continue
+                states, holders = self._basis(deg, rank)
+                columns = self.columns[deg - d]
+                for st in (holders.get(m, ()) if m > 0 else states):
+                    image = apply_quadratic(X, FockVector(rank, {st: 1}))
+                    if red.add(_integer_row(image, columns)) and red.full():
+                        break
+        dims = [red.dim - red.rank for red in self.reducers]
+        return len(keys), dims
 
 
 def _check_truncation(N: int, M: int, W: int):
@@ -182,24 +269,31 @@ def _check_truncation(N: int, M: int, W: int):
         raise ValueError("window W must cover the source cap M")
 
 
-def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int, W: int,
+                  reduction) -> CoinvReport:
+    _check_truncation(N, M, W)
+    check_state_space(rank, M)
+    if reduction is None:
+        reduction = CoinvReduction()
+    generators, dims = reduction.extend(side, rank, F, N, M, W)
+    return CoinvReport(F.gaps, rank, N, M, W, dims, False, generators)
+
+
+def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int,
+                   reduction: CoinvReduction | None = None) -> CoinvReport:
     """Dimensions of V / sp_F(H') V up to degree N, truncated at (M, W).
 
-    Single-run reports carry stabilized = False; see stabilize."""
-    _check_truncation(N, M, W)
-    gens = sp_f_generators(F, W)
-    dims = _quotient_dims(gens, rank, N, M)
-    return CoinvReport(F.gaps, rank, N, M, W, dims, False, len(gens))
+    Pass one CoinvReduction to the calls of a schedule to extend a single
+    reduction from step to step.  Single-run reports carry
+    stabilized = False; see stabilize."""
+    return _coinvariants("A", rank, F, N, M, W, reduction)
 
 
-def coinvariants_X(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+def coinvariants_X(rank: int, F: FPoint, N: int, M: int, W: int,
+                   reduction: CoinvReduction | None = None) -> CoinvReport:
     """Same quotient with the generator list extended by F itself acting
     through the Heisenberg modes b_-s."""
-    _check_truncation(N, M, W)
-    gens = sp_f_generators(F, W)
-    gens += [b(-s) for s in F.semigroup(W)]
-    dims = _quotient_dims(gens, rank, N, M)
-    return CoinvReport(F.gaps, rank, N, M, W, dims, False, len(gens))
+    return _coinvariants("X", rank, F, N, M, W, reduction)
 
 
 def default_schedule(N: int, M: int, W: int):

@@ -72,7 +72,8 @@ class FockVector:
         return not self.terms
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        assert self.rank == other.rank
+        if self.rank != other.rank:
+            raise ValueError("rank mismatch")
         out = dict(self.terms)
         for state, c in other.terms.items():
             out[state] = out.get(state, F0) + c

@@ -1,10 +1,19 @@
 import json
+import time
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscalg.coinv import (CoinvReport, FPoint, coinvariants_A, coinvariants_X,
-                          default_schedule, fperp_basis, is_in_sp_F,
-                          sp_f_generators, stabilize)
+import oracles
+from oscalg import cli, coinv
+from oscalg.coinv import (MAX_STATE_SLOTS, CoinvReduction, CoinvReport, FPoint,
+                          _DegreeReducer, check_state_space, coinvariants_A,
+                          coinvariants_X, default_schedule, fperp_basis,
+                          is_in_sp_F, sp_f_generators, stabilize)
+from oscalg.fock import graded_basis
 from oscalg.laurent import LaurentPoly, symplectic_form
 
 
@@ -155,3 +164,136 @@ def test_report_json_key_order():
     assert list(json.loads(text)) == ["gaps", "rank", "N", "M", "W", "dims",
                                       "stabilized", "generators"]
     assert text.startswith('{"gaps": [1], "rank": 1, "N": 2, "M": 4, "W": 4,')
+
+
+# -- the oracle, extended reductions and the reducer -------------------------------
+
+SIDES = {"A": coinvariants_A, "X": coinvariants_X}
+
+
+@pytest.mark.parametrize("side", "AX")
+@pytest.mark.parametrize("gaps", [(), (1,), (1, 3), (1, 2, 3)])
+def test_coinv_matches_oracle(gaps, side):
+    compute = SIDES[side]
+    F = FPoint(gaps)
+    for M in (8, 10):
+        expected = oracles.coinv_dims(set(gaps), 5, M, M, side == "X")
+        for N in range(6):
+            one_shot = compute(1, F, N, M, M)
+            assert one_shot.dims == expected[:N + 1], (N, M)
+            reduction = CoinvReduction()
+            compute(1, F, N, 6, 6, reduction)
+            extended = compute(1, F, N, M, M, reduction)
+            assert extended.to_json() == one_shot.to_json(), (N, M)
+
+
+def test_extended_reduction_matches_one_shot_at_rank_2():
+    F = FPoint({1, 3})
+    reduction = CoinvReduction()
+    for M, W in ((4, 5), (6, 6), (6, 8), (7, 8)):
+        rep = coinvariants_X(2, F, 4, M, W, reduction)
+        fresh = CoinvReduction()
+        assert rep.to_json() == coinvariants_X(2, F, 4, M, W, fresh).to_json()
+        # the same generators reached the same source degrees
+        assert reduction.applied == fresh.applied
+
+
+def test_reduction_belongs_to_one_job():
+    F = FPoint({1})
+    reduction = CoinvReduction()
+    coinvariants_A(1, F, 3, 6, 8, reduction)
+    for call in (lambda: coinvariants_A(2, F, 3, 6, 8, reduction),
+                 lambda: coinvariants_A(1, F, 4, 6, 8, reduction),
+                 lambda: coinvariants_A(1, FPoint({1, 2}), 3, 6, 8, reduction),
+                 lambda: coinvariants_X(1, F, 3, 6, 8, reduction)):
+        with pytest.raises(ValueError, match="another job"):
+            call()
+    for M, W in ((5, 8), (6, 7)):
+        with pytest.raises(ValueError, match="cannot shrink"):
+            coinvariants_A(1, F, 3, M, W, reduction)
+    again = coinvariants_A(1, F, 3, 6, 8, reduction)
+    assert again.dims == coinvariants_A(1, F, 3, 6, 8).dims
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+                max_size=7))
+def test_integer_reducer_rank_matches_fraction_elimination(matrix):
+    red = _DegreeReducer(5)
+    for row in matrix:
+        red.add({k: v for k, v in enumerate(row) if v})
+    assert red.rank == oracles.rank_of_rows(
+        [[Fraction(v) for v in row] for row in matrix])
+    for lead, piv in red.pivots.items():
+        assert min(piv) == lead and piv[lead] > 0
+        assert all(type(v) is int for v in piv.values())
+        assert gcd(*piv.values()) == 1
+
+
+# -- the state-space cap -------------------------------------------------------
+
+def test_state_space_count_matches_bases(monkeypatch):
+    for rank, M in ((1, 12), (2, 8), (3, 6), (5, 3)):
+        slots = rank * sum(len(graded_basis(d, rank)) for d in range(M + 1))
+        monkeypatch.setattr(coinv, "MAX_STATE_SLOTS", slots)
+        check_state_space(rank, M)
+        monkeypatch.setattr(coinv, "MAX_STATE_SLOTS", slots - 1)
+        with pytest.raises(ValueError, match=f"{slots} tuple slots .* "
+                           f"degrees <= {M}, limit {slots - 1}"):
+            check_state_space(rank, M)
+    monkeypatch.undo()
+    # rank 1100, degrees <= 1: (1 + 1100) states of 1100 slots
+    with pytest.raises(ValueError, match="1211100 tuple slots .* degrees <= 1, "
+                       f"limit {MAX_STATE_SLOTS}"):
+        check_state_space(1100, 2)
+    check_state_space(1100, 0)
+
+
+def test_state_space_cap_has_headroom():
+    # the largest test and benchmark case: rank 2 in degrees <= 12
+    largest = 2 * sum(len(graded_basis(d, 2)) for d in range(13))
+    assert 10 * largest <= MAX_STATE_SLOTS
+
+
+def test_cmd_coinv_over_cap_exit_2(capsys):
+    start = time.process_time()
+    code = cli.main(["coinv", "--rank", "1100", "--N", "2", "--M", "2",
+                     "--W", "2"])
+    out, err = capsys.readouterr()
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    assert "state space too large" in err and str(MAX_STATE_SLOTS) in err
+
+
+# -- no wasted work ------------------------------------------------------------
+
+@pytest.mark.parametrize("side", "AX")
+def test_cmd_coinv_wastes_no_work(monkeypatch, capsys, side):
+    basis_args = []
+    images = []
+    steps = []
+
+    def counting(fn, log, record):
+        def wrapper(*args):
+            result = fn(*args)
+            log.append(record(args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(coinv, "graded_basis",
+                        counting(graded_basis, basis_args, lambda a, r: a))
+    monkeypatch.setattr(coinv, "apply_quadratic",
+                        counting(coinv.apply_quadratic, images, lambda a, r: r))
+    for name in ("coinvariants_A", "coinvariants_X"):
+        step = lambda a, r, name=name: (name, a[3:5])
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name), steps, step))
+    code = cli.main(["coinv", "--gaps", "1,2", "--N", "8", "--M", "12",
+                     "--W", "12", "--side", side])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["dims"] == [1, 1, 2, 2, 3, 3, 4, 4, 5]
+    assert images and all(not v.is_zero() for v in images)
+    assert len(basis_args) == len(set(basis_args))
+    assert sorted(d for d, _ in basis_args) == list(range(report["M"] + 1))
+    schedule = default_schedule(8, 12, 12)
+    ran = schedule[:schedule.index((report["M"], report["W"])) + 1]
+    assert steps == [(f"coinvariants_{side}", mw) for mw in ran]

@@ -96,6 +96,13 @@ def test_channel_out_of_range():
         apply_quadratic(tau(1), v, channel=3)
 
 
+def test_add_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FockVector.vacuum(1) + FockVector.vacuum(2)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        FockVector.vacuum(2) - FockVector.vacuum(1)
+
+
 # -- quadratic action ----------------------------------------------------------
 
 def test_apply_quadratic_examples():
