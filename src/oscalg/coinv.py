@@ -2,15 +2,16 @@
 
 A point F is the span of t^-s for s outside a finite gap set.  The
 symplectic stabilizer meets S^2(H') in the span of products with one
-factor in F; truncating that family to a window and row-reducing its image
-exactly gives graded dimensions of the quotient, reported together with a
+factor in F.  Each product is a monomial in the Heisenberg modes, so it
+sends a basis state of the Fock space to a multiple of one basis state;
+truncating the family to a window and counting the basis states its image
+hits gives graded dimensions of the quotient, reported together with a
 stabilization flag from repeated runs at growing truncation sizes.
 """
 
 from __future__ import annotations
 
 import json
-from math import gcd, lcm
 
 from .fock import FockVector, apply_quadratic, graded_basis
 from .laurent import LaurentPoly
@@ -58,22 +59,10 @@ def is_in_sp_F(A: QuadraticElement, F: FPoint, W: int) -> bool:
     return True
 
 
-def _generator_keys(F: FPoint, W: int, side: str):
-    """Keys (s, m) of a side's generators on the window: :b_-s b_m: for s in
-    S, 1 <= s <= W, m in [-W, W] nonzero, and on side X also b_-s as (s, 0).
-    A generator lowers the degree by m - s, and for m > 0 it kills every
-    state whose channel 1 has no part m."""
-    S = F.semigroup(W)
-    keys = [(s, m) for s in S for m in range(-W, W + 1) if m]
-    if side == "X":
-        keys += [(s, 0) for s in S]
-    return keys
-
-
 def sp_f_generators(F: FPoint, W: int):
     """The window family :b_-s b_m: with s in S, 1 <= s <= W, m in [-W, W]
     nonzero.  Spans the S^2(H') part of the stabilizer on the window."""
-    return [pair(-s, m) for s, m in _generator_keys(F, W, "A")]
+    return [pair(-s, m) for s in F.semigroup(W) for m in range(-W, W + 1) if m]
 
 
 class CoinvReport:
@@ -132,79 +121,26 @@ def check_state_space(rank: int, M: int):
                          f"{MAX_STATE_SLOTS}")
 
 
-class _DegreeReducer:
-    """Incremental fraction-free row reduction for one homogeneous degree.
-
-    Rows are {column: int}; pivots are primitive integer rows with a positive
-    leading entry, and a row is eliminated as p*row - c*pivot."""
-
-    __slots__ = ("dim", "rank", "pivots")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rank = 0
-        self.pivots = {}
-
-    def full(self) -> bool:
-        return self.rank == self.dim
-
-    def add(self, row: dict) -> bool:
-        if self.full():
-            return False
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                g = gcd(*row.values())
-                if row[lead] < 0:
-                    g = -g
-                self.pivots[lead] = {k: v // g for k, v in row.items()}
-                self.rank += 1
-                return True
-            p, c = piv[lead], row[lead]
-            g = gcd(p, c)
-            p, c = p // g, c // g
-            if p != 1:
-                row = {k: p * v for k, v in row.items()}
-            for k, v in piv.items():
-                nv = row.get(k, 0) - c * v
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
-            if p != 1 and row:
-                g = gcd(*row.values())
-                if g != 1:
-                    row = {k: v // g for k, v in row.items()}
-        return False
-
-
-def _integer_row(image: FockVector, columns: dict) -> dict:
-    """An image as an integer row: coefficients times the lcm of their
-    denominators."""
-    scale = lcm(*(c.denominator for c in image.terms.values()))
-    return {columns[st]: c.numerator * (scale // c.denominator)
-            for st, c in image.terms.items()}
-
-
 class CoinvReduction:
-    """The row reduction of one coinvariant job, extended across its schedule.
+    """The coinvariant computation of one job, extended across its schedule.
 
-    Pass one instance to the coinvariants_A / coinvariants_X calls of a job
-    whose (M, W) grow: the generator windows and source caps are nested, so
-    each call applies only the generators and source degrees that earlier
-    calls did not.  Each degree's basis is built once, with an index from
-    each part to the states holding it in channel 1."""
+    Every generator is a monomial :b_-s b_m: or b_-s, so it sends a basis
+    state to zero or to a nonzero multiple of one basis state.  The image
+    of the generators in a degree is therefore spanned by the basis states
+    they hit, and the quotient's dimension there is the number of states
+    not hit.  Pass one instance to the coinvariants_A / coinvariants_X calls
+    of a job whose (M, W) grow: the generator windows and source caps are
+    nested, so each call applies only the generators and source degrees
+    that earlier calls did not.  Each degree's basis is built once, with an
+    index from each part to the states holding it in channel 1."""
 
-    __slots__ = ("job", "M", "W", "bases", "columns", "reducers", "applied")
+    __slots__ = ("job", "M", "W", "bases", "hits", "applied")
 
     def __init__(self):
         self.job = None       # (rank, gaps, N, side) of the first call
         self.M = self.W = -1
         self.bases = {}       # degree -> (states, {part: states holding it})
-        self.columns = []     # target degree 0..N -> {state: column}
-        self.reducers = []    # target degree 0..N -> _DegreeReducer
+        self.hits = []        # target degree 0..N -> set of states hit
         self.applied = {}     # generator key -> highest source degree applied
 
     def _basis(self, deg: int, rank: int):
@@ -222,9 +158,7 @@ class CoinvReduction:
         job = (rank, F.gaps, N, side)
         if self.job is None:
             self.job = job
-            self.columns = [{st: i for i, st in enumerate(self._basis(e, rank)[0])}
-                            for e in range(N + 1)]
-            self.reducers = [_DegreeReducer(len(c)) for c in self.columns]
+            self.hits = [set() for _ in range(N + 1)]
         elif job != self.job:
             raise ValueError("coinvariant reduction belongs to another job: "
                              "rank, N, gaps and side must match")
@@ -234,9 +168,19 @@ class CoinvReduction:
 
     def extend(self, side: str, rank: int, F: FPoint, N: int, M: int, W: int):
         """Apply the generators and source degrees not yet applied; return
-        the number of generators on the window and the graded dims."""
+        the number of generators on the window and the graded dims.
+
+        A generator keyed (s, m) creates a part s and lowers the degree by
+        m - s (m = 0 stands for side X's b_-s); for m > 0 it kills every
+        state whose channel 1 has no part m.  A target of degree <= N holds
+        no part s > N, and a source of degree <= M no part m > M, so only
+        keys with s <= N, m - s >= -N and m <= M can act, and only those
+        are visited."""
         self._bind(side, rank, F, N, M, W)
-        keys = _generator_keys(F, W, side)
+        S = F.semigroup(N)
+        keys = [(s, m) for s in S for m in range(s - N, M + 1) if m]
+        if side == "X":
+            keys += [(s, 0) for s in S]
         for key in keys:
             s, m = key
             d = m - s
@@ -247,17 +191,23 @@ class CoinvReduction:
             self.applied[key] = hi
             X = pair(-s, m) if m else b(-s)
             for deg in range(lo, hi + 1):
-                red = self.reducers[deg - d]
-                if red.full():
+                hit = self.hits[deg - d]
+                dim = len(self._basis(deg - d, rank)[0])
+                if len(hit) == dim:
                     continue
                 states, holders = self._basis(deg, rank)
-                columns = self.columns[deg - d]
                 for st in (holders.get(m, ()) if m > 0 else states):
                     image = apply_quadratic(X, FockVector(rank, {st: 1}))
-                    if red.add(_integer_row(image, columns)) and red.full():
+                    if len(image.terms) != 1:
+                        raise RuntimeError(f"image of {X} on {st} is not "
+                                           "one basis state")
+                    hit.update(image.terms)
+                    if len(hit) == dim:
                         break
-        dims = [red.dim - red.rank for red in self.reducers]
-        return len(keys), dims
+        dims = [len(self._basis(e, rank)[0]) - len(hit)
+                for e, hit in enumerate(self.hits)]
+        in_window = W - sum(1 for g in F.gaps if g <= W)
+        return in_window * (2 * W + (side == "X")), dims
 
 
 def _check_truncation(N: int, M: int, W: int):
@@ -282,6 +232,13 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int, W: int,
 def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int,
                    reduction: CoinvReduction | None = None) -> CoinvReport:
     """Dimensions of V / sp_F(H') V up to degree N, truncated at (M, W).
+
+    The generators act on channel 1 only, so at rank r the quotient is the
+    rank-1 quotient times the Fock space of the other r - 1 channels: the
+    rank-r dims are the rank-1 dims convolved r - 1 times with partition
+    counts, dims_r[n] = sum_j c(j) dims_1[n - j], where c(j) counts the
+    (r-1)-tuples of partitions of total size j and dims_1[n - j] is taken
+    at source cap M - j.
 
     Pass one CoinvReduction to the calls of a schedule to extend a single
     reduction from step to step.  Single-run reports carry

@@ -57,9 +57,6 @@ class LaurentPoly:
     def support(self):
         return sorted(self.coeffs)
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
     def without_constant(self) -> "LaurentPoly":
         if 0 not in self.coeffs:
             return self

@@ -198,9 +198,6 @@ class QuadraticElement:
     def is_zero(self) -> bool:
         return not self.central and self.linear.is_zero() and not self.quad
 
-    def diagonals(self):
-        return [self.quad[d] for d in sorted(self.quad)]
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "QuadraticElement") -> "QuadraticElement":

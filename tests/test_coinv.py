@@ -1,19 +1,15 @@
 import json
 import time
-from fractions import Fraction
-from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from oscalg import cli, coinv
 from oscalg.coinv import (MAX_STATE_SLOTS, CoinvReduction, CoinvReport, FPoint,
-                          _DegreeReducer, check_state_space, coinvariants_A,
-                          coinvariants_X, default_schedule, fperp_basis,
-                          is_in_sp_F, sp_f_generators, stabilize)
-from oscalg.fock import graded_basis
+                          check_state_space, coinvariants_A, coinvariants_X,
+                          default_schedule, fperp_basis, is_in_sp_F,
+                          sp_f_generators, stabilize)
+from oscalg.fock import FockVector, graded_basis
 from oscalg.laurent import LaurentPoly, symplectic_form
 
 
@@ -61,6 +57,14 @@ def test_fperp_is_the_symplectic_perp():
 def test_generator_counts():
     assert len(sp_f_generators(FPoint(()), 2)) == 8
     assert len(sp_f_generators(FPoint({1}), 2)) == 4
+    # reports count the window's generators without visiting them all
+    for gaps in ((), (1,), (1, 3), (2, 9)):
+        F = FPoint(gaps)
+        for W in (1, 4, 7):
+            count = len(sp_f_generators(F, W))
+            assert coinvariants_A(1, F, 0, 1, W).generators == count
+            assert (coinvariants_X(1, F, 0, 1, W).generators
+                    == count + len(F.semigroup(W)))
 
 
 def test_generators_are_in_sp_F():
@@ -166,24 +170,44 @@ def test_report_json_key_order():
     assert text.startswith('{"gaps": [1], "rank": 1, "N": 2, "M": 4, "W": 4,')
 
 
-# -- the oracle, extended reductions and the reducer -------------------------------
+# -- the oracle and extended reductions -----------------------------------------
 
 SIDES = {"A": coinvariants_A, "X": coinvariants_X}
 
 
-@pytest.mark.parametrize("side", "AX")
-@pytest.mark.parametrize("gaps", [(), (1,), (1, 3), (1, 2, 3)])
-def test_coinv_matches_oracle(gaps, side):
+def tuple_counts(channels: int, n: int):
+    """The number of channels-tuples of partitions of each total 0..n."""
+    p = [len(list(oracles.partitions(k))) for k in range(n + 1)]
+    counts = [1] + [0] * n
+    for _ in range(channels):
+        counts = [sum(counts[i] * p[k - i] for i in range(k + 1))
+                  for k in range(n + 1)]
+    return counts
+
+
+@pytest.mark.parametrize("gaps, side, rank", [
+    pytest.param(gaps, side, rank,
+                 id=f"gaps{i}-{side}" + (f"-rank{rank}" if rank > 1 else ""))
+    for rank in (1, 2, 3)
+    for i, gaps in enumerate([(), (1,), (1, 3), (1, 2, 3)])
+    for side in "AX"])
+def test_coinv_matches_oracle(gaps, side, rank):
     compute = SIDES[side]
     F = FPoint(gaps)
+    others = tuple_counts(rank - 1, 5)
     for M in (8, 10):
-        expected = oracles.coinv_dims(set(gaps), 5, M, M, side == "X")
+        # The generators act on channel 1 only: a state whose other
+        # channels have degree j contributes the rank-1 dims at cap M - j.
+        rank1 = {j: oracles.coinv_dims(set(gaps), 5 - j, M - j, M, side == "X")
+                 for j in range(6) if others[j]}
+        expected = [sum(others[j] * rank1[j][n - j] for j in rank1 if j <= n)
+                    for n in range(6)]
         for N in range(6):
-            one_shot = compute(1, F, N, M, M)
+            one_shot = compute(rank, F, N, M, M)
             assert one_shot.dims == expected[:N + 1], (N, M)
             reduction = CoinvReduction()
-            compute(1, F, N, 6, 6, reduction)
-            extended = compute(1, F, N, M, M, reduction)
+            compute(rank, F, N, 6, 6, reduction)
+            extended = compute(rank, F, N, M, M, reduction)
             assert extended.to_json() == one_shot.to_json(), (N, M)
 
 
@@ -196,6 +220,18 @@ def test_extended_reduction_matches_one_shot_at_rank_2():
         assert rep.to_json() == coinvariants_X(2, F, 4, M, W, fresh).to_json()
         # the same generators reached the same source degrees
         assert reduction.applied == fresh.applied
+
+
+def test_image_of_more_than_one_state_raises(monkeypatch):
+    apply = coinv.apply_quadratic
+
+    def two_states(X, v):
+        image = apply(X, v)
+        return FockVector(v.rank, {**image.terms, ((99,),): 1})
+
+    monkeypatch.setattr(coinv, "apply_quadratic", two_states)
+    with pytest.raises(RuntimeError, match="not one basis state"):
+        coinvariants_A(1, FPoint(()), 2, 4, 4)
 
 
 def test_reduction_belongs_to_one_job():
@@ -213,21 +249,6 @@ def test_reduction_belongs_to_one_job():
             coinvariants_A(1, F, 3, M, W, reduction)
     again = coinvariants_A(1, F, 3, 6, 8, reduction)
     assert again.dims == coinvariants_A(1, F, 3, 6, 8).dims
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5),
-                max_size=7))
-def test_integer_reducer_rank_matches_fraction_elimination(matrix):
-    red = _DegreeReducer(5)
-    for row in matrix:
-        red.add({k: v for k, v in enumerate(row) if v})
-    assert red.rank == oracles.rank_of_rows(
-        [[Fraction(v) for v in row] for row in matrix])
-    for lead, piv in red.pivots.items():
-        assert min(piv) == lead and piv[lead] > 0
-        assert all(type(v) is int for v in piv.values())
-        assert gcd(*piv.values()) == 1
 
 
 # -- the state-space cap -------------------------------------------------------
@@ -263,6 +284,17 @@ def test_cmd_coinv_over_cap_exit_2(capsys):
     assert time.process_time() - start < 1
     assert (code, out) == (2, "")
     assert "state space too large" in err and str(MAX_STATE_SLOTS) in err
+
+
+def test_cmd_coinv_wide_window_is_fast(capsys):
+    # no generator of this window can act on the degree-0 state
+    start = time.process_time()
+    code = cli.main(["coinv", "--N", "0", "--M", "0", "--W", "2000"])
+    out, _ = capsys.readouterr()
+    assert time.process_time() - start < 1
+    assert (code, out) == (0, '{"gaps": [], "rank": 1, "N": 0, "M": 0, '
+                           '"W": 1998, "dims": [1], "stabilized": true, '
+                           '"generators": 7984008}\n')
 
 
 # -- no wasted work ------------------------------------------------------------
