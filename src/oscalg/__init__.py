@@ -3,20 +3,21 @@ oscillator and Fock representations, and coinvariants at semigroup points."""
 
 from .laurent import (LaurentPoly, derivative, format_laurent, parse_laurent,
                       rat, residue, symplectic_form)
-from .quadops import (DiagonalSeries, HOp, Poly, QuadraticElement, WittElement,
-                      alpha, b, beta, bracket, d_cocycle, gamma, is_in_sp,
-                      is_in_sp_plus, normal_order_lift, pair, psi, psi_trace,
-                      rho_minus, sigma, tau, unit, witt_bracket)
+from .quadops import (DiagonalSeries, Poly, QuadraticElement, WittElement,
+                      alpha, b, beta, bracket, gamma, is_in_sp, is_in_sp_plus,
+                      normal_order_lift, pair, psi, sigma, tau, unit,
+                      witt_bracket)
 from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,
                    format_label, format_vector, graded_basis,
                    measure_central_charge, parse_label, virasoro, virasoro_all)
 from .coinv import (CoinvReduction, CoinvReport, FPoint, check_state_space,
                     coinvariants_A, coinvariants_X, default_schedule,
                     fperp_basis, is_in_sp_F, sp_f_generators, stabilize)
-from .verify import (CocycleHandle, central_scalars, check_closed_forms,
+from .verify import (CocycleHandle, HOp, central_scalars, check_closed_forms,
                      check_jacobi, check_lift_diagram, check_pullback_sigma,
-                     check_splitting, cocycle_defect, fit_cocycle_coefficients,
-                     sigma_hat_defect, verify_all)
+                     check_splitting, cocycle_defect, d_cocycle,
+                     fit_cocycle_coefficients, psi_trace, sigma_hat_defect,
+                     verify_all)
 from .cli import format_expression, parse_expression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
                     coinvariants_X, default_schedule, stabilize)
 from .fock import FockVector, apply_quadratic, format_label, format_vector, parse_label
+from .laurent import parse_int
 from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
                       pair, sigma, tau)
 from .verify import CocycleHandle, central_scalars, verify_all
@@ -175,7 +176,7 @@ def _parse_gaps(text: str):
     text = (text or "").strip()
     if not text:
         return ()
-    return tuple(int(g) for g in text.split(","))
+    return tuple(parse_int(g, "--gaps") for g in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,8 @@ def _read_config(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = (parse_int(value, f"{path}:{lineno}: key {key!r}")
+                        if _CONFIG_KEYS[key] is int else value)
     return out
 
 def _extract_config(argv):
@@ -369,7 +371,10 @@ def main(argv=None) -> int:
     if defaults:
         for sub in table.values():
             sub.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:    # usage errors and --help
+        return e.code
     # config values reach args through set_defaults, which skips choices
     for action in table[args.command]._actions:
         value = getattr(args, action.dest, None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .laurent import rat
+from .laurent import parse_int, rat
 from .quadops import QuadraticElement, b, tau
 
 F0 = Fraction(0)
@@ -320,7 +320,8 @@ def parse_partition(text: str) -> tuple:
     inner = text[1:-1].strip()
     if not inner:
         return ()
-    return _canon_partition(int(p) for p in inner.split(","))
+    return _canon_partition(parse_int(p, f"label {text!r}")
+                            for p in inner.split(","))
 
 def parse_label(text: str) -> tuple:
     text = text.strip()

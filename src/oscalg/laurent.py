@@ -17,6 +17,14 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
+def parse_int(text: str, what: str) -> int:
+    """int(text), or a ValueError that names what the text was given for."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}: {text.strip()!r} is not an integer") from None
+
+
 class LaurentPoly:
     """Finite-support Laurent polynomial; exponent -> nonzero coefficient.
 

@@ -36,10 +36,6 @@ class Poly:
             c.pop()
         self.c = tuple(c)
 
-    @classmethod
-    def const(cls, x) -> "Poly":
-        return cls((x,))
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -399,136 +395,51 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
 
 
 # ---------------------------------------------------------------------------
-# banded operators on H and the trace cocycle
+# the trace cocycle and its pieces
 # ---------------------------------------------------------------------------
 
-class HOp:
-    """Banded operator on H = Q((t)): t^m -> sum_s w_s(m) t^(m+s).
-
-    The operator picture of the trace cocycle psi_trace.  Each shift s
-    carries a weight function, a polynomial in m overridden at finitely
-    many exceptional m.  Unlike quadratic parts, an HOp may move and
-    produce t^0 (needed for multiplication operators and honest
-    derivations of H).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # terms: dict shift -> (Poly, dict m -> Fraction)
-        self.terms = terms or {}
-
-    @classmethod
-    def mult(cls, f: LaurentPoly) -> "HOp":
-        """Multiplication by f."""
-        return cls({e: (Poly.const(c), {}) for e, c in f.coeffs.items()})
-
-    @classmethod
-    def derivation(cls, f: LaurentPoly) -> "HOp":
-        """f d/dt acting on all of H, including transitions through t^0."""
-        return cls({e - 1: (Poly((F0, c)), {}) for e, c in f.coeffs.items()})
-
-    @classmethod
-    def from_quad(cls, A: QuadraticElement) -> "HOp":
-        """S^2 action of the quadratic part of A: t^m -> -m c(-m) t^(m+d).
-
-        Central and linear parts are ignored.
-        """
-        terms = {}
-        for d, series in A.quad.items():
-            wpoly = Poly((F0, -1)) * series.poly.affine(-1, 0)
-            exc = {}
-            for a in set(series.exc) | {0, d}:
-                m = -a
-                val = Fraction(a) * series.coeff(a)
-                if val != wpoly(m):
-                    exc[m] = val
-            terms[d] = (wpoly, exc)
-        return cls(terms)
-
-    def weight(self, s: int, m: int) -> Fraction:
-        entry = self.terms.get(s)
-        if entry is None:
-            return F0
-        poly, exc = entry
-        got = exc.get(m)
-        return got if got is not None else poly(m)
-
-    def __add__(self, other: "HOp") -> "HOp":
-        terms = dict(self.terms)
-        for s, (poly, exc) in other.terms.items():
-            if s not in terms:
-                terms[s] = (poly, dict(exc))
-                continue
-            p0, e0 = terms[s]
-            newp = p0 + poly
-            newe = {}
-            for m in set(e0) | set(exc):
-                newe[m] = self.weight(s, m) + other.weight(s, m)
-            terms[s] = (newp, newe)
-        return HOp(terms)
-
-    def scale(self, c) -> "HOp":
-        c = rat(c)
-        return HOp({s: (poly.scale(c), {m: c * v for m, v in exc.items()})
-                    for s, (poly, exc) in self.terms.items()})
-
-
-def psi_trace(A: HOp, B: HOp) -> Fraction:
-    """Tr(pi+ A pi- B pi+ - pi+ B pi- A pi+) over the t^j, j >= 0 basis.
-
-    Only shift pairs summing to zero contribute, and each contributes a
-    finite sum of length |shift|, so no truncation is involved.
-    """
+def _mixed_trace(quad: dict, g: LaurentPoly) -> Fraction:
+    """Trace of a quadratic part against multiplication by g:
+    sum_d g_{-d} * sum over a strictly between 0 and d of |a| c_d(a)."""
     total = F0
-    for sA in A.terms:
-        if -sA not in B.terms:
-            continue
-        if sA > 0:
-            for j in range(0, sA):
-                total += B.weight(-sA, j) * A.weight(sA, j - sA)
-        elif sA < 0:
-            for j in range(0, -sA):
-                total -= A.weight(sA, j) * B.weight(-sA, j + sA)
+    for d, series in quad.items():
+        gd = g.coeff(-d)
+        if gd:
+            lo, hi = (1, d) if d > 0 else (d + 1, 0)
+            total += gd * sum(abs(a) * series.coeff(a) for a in range(lo, hi))
     return total
 
 
-def _combined_hop(u: QuadraticElement) -> HOp:
-    return HOp.from_quad(u) + HOp.mult(u.linear)
-
-
 def psi(u: QuadraticElement, v: QuadraticElement) -> Fraction:
-    """Trace cocycle.  Quadratic parts act via the S^2 action, linear parts
-    by multiplication; central parts contribute nothing to the trace."""
-    return psi_trace(_combined_hop(u), _combined_hop(v))
+    """Trace cocycle psi = alpha + beta + gamma: quadratic parts act by the
+    S^2 action, linear parts by multiplication, central parts not at all."""
+    return (_quad_trace(u.quad, v.quad)
+            + symplectic_form(u.linear, v.linear)
+            + _mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear))
 
 
-def _require_cocycle_argument(u: QuadraticElement):
-    if u.central:
+def _require_cocycle_arguments(u: QuadraticElement, v: QuadraticElement):
+    if u.central or v.central:
         raise ValueError("cocycle arguments live in sp(H') x| H'; "
                          "central part must be zero")
 
 
 def alpha(u: QuadraticElement, v: QuadraticElement) -> Fraction:
     """psi of the quadratic parts."""
-    _require_cocycle_argument(u)
-    _require_cocycle_argument(v)
+    _require_cocycle_arguments(u, v)
     return _quad_trace(u.quad, v.quad)
 
 
 def beta(u: QuadraticElement, v: QuadraticElement) -> Fraction:
     """Symplectic pairing of the linear parts."""
-    _require_cocycle_argument(u)
-    _require_cocycle_argument(v)
+    _require_cocycle_arguments(u, v)
     return symplectic_form(u.linear, v.linear)
 
 
 def gamma(u: QuadraticElement, v: QuadraticElement) -> Fraction:
     """Cross terms: psi(X, g) - psi(Y, f) for u = X + f, v = Y + g."""
-    _require_cocycle_argument(u)
-    _require_cocycle_argument(v)
-    return (psi_trace(HOp.from_quad(u), HOp.mult(v.linear))
-            - psi_trace(HOp.from_quad(v), HOp.mult(u.linear)))
+    _require_cocycle_arguments(u, v)
+    return _mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear)
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +535,3 @@ def sigma(x: WittElement) -> QuadraticElement:
         if p != 0:
             out = out + b(p, c * Fraction(n, 2))
     return out
-
-
-def rho_minus(x: WittElement) -> HOp:
-    """f d/dt minus multiplication by g; the sign twist on translations
-    makes psi of this picture the exact defect of the sigma-lift."""
-    return HOp.derivation(x.f) + HOp.mult(x.g).scale(-1)
-
-
-def d_cocycle(u: WittElement, v: WittElement) -> Fraction:
-    """Two-cocycle on Witt x| H' measured by the trace along rho_minus.
-
-    Values on generators: (L_p, L_-p) -> -(p^3-p)/6, (b_q, b_-q) -> q,
-    (L_p, b_-p) -> -p(p+1)/2.  This is exactly the defect of the
-    normal-ordered sigma-lift, see verify.check_pullback_sigma.
-    """
-    return psi_trace(rho_minus(u), rho_minus(v))

@@ -324,15 +324,45 @@ def test_verify_all_empty_grid_exit_2(capsys, bound):
 
 
 def test_cli_unknown_command_exit_2():
-    with pytest.raises(SystemExit) as e:
-        main(["nosuch"])
-    assert e.value.code == 2
+    assert main(["nosuch"]) == 2
 
 
 def test_cli_bad_cocycle_name_exit_2():
-    with pytest.raises(SystemExit) as e:
-        main(["cocycle", "delta", "K", "K"])
-    assert e.value.code == 2
+    assert main(["cocycle", "delta", "K", "K"]) == 2
+
+
+def test_usage_errors_return_their_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")    # argparse wraps usage to the terminal
+    code, out, err = run_cli(capsys, ["bracket", "K"])
+    assert code == 2
+    assert out == ""
+    assert err == ("usage: oscalg bracket [-h] [--format {text,json}] x y\n"
+                   "oscalg bracket: error: the following arguments are "
+                   "required: y\n")
+    code, out, err = run_cli(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: oscalg") and err == ""
+
+
+def test_leading_minus_expression_after_double_dash(capsys):
+    code, out, _ = run_cli(capsys, ["bracket", "--format", "json", "--",
+                                    "-1/3*b(-1)", "b(1)"])
+    assert code == 0
+    assert json.loads(out) == {"command": "bracket",
+                               "inputs": ["-1/3*b(-1)", "b(1)"],
+                               "result": "1/3*K"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coinv", "--gaps", "a"], "--gaps: 'a' is not an integer"),
+    (["coinv", "--gaps", "1,,2"], "--gaps: '' is not an integer"),
+    (["fock-apply", "T(2)", "[1,x]"], "label '[1,x]': 'x' is not an integer"),
+])
+def test_integer_errors_name_the_field(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +410,15 @@ def test_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["--config", str(tmp_path / "nope.cfg"),
                                     "coinv"])
     assert code == 2
+
+
+def test_config_integer_error_names_path_line_and_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# ranks\nrank = x\n")
+    code, out, err = run_cli(capsys, ["--config", str(cfg), "coinv"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cfg}:2: key 'rank': 'x' is not an integer\n"
 
 
 @pytest.mark.parametrize("key, value, argv", [

@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oscalg import cli, coinv
@@ -209,6 +211,28 @@ def test_coinv_matches_oracle(gaps, side, rank):
             compute(rank, F, N, 6, 6, reduction)
             extended = compute(rank, F, N, M, M, reduction)
             assert extended.to_json() == one_shot.to_json(), (N, M)
+
+
+def gap_series(gaps, rank: int, N: int):
+    """Coefficients of q^0..q^N in prod_{g in gaps} 1/(1 - q^g) * P(q)^(rank-1),
+    P the partition generating function: the coin-change recurrence over
+    the gaps and rank - 1 copies of the parts 1..N."""
+    coeffs = [1] + [0] * N
+    for part in sorted(gaps) + list(range(1, N + 1)) * (rank - 1):
+        for n in range(part, N + 1):
+            coeffs[n] += coeffs[n - part]
+    return coeffs
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(gaps=st.sets(st.integers(1, 9), max_size=5), N=st.integers(0, 8),
+       dM=st.integers(0, 3), dW=st.integers(0, 3), side=st.sampled_from("AX"),
+       rank=st.integers(1, 2))
+def test_dims_follow_the_gap_series(gaps, N, dM, dW, side, rank):
+    # Gap sets need not be semigroups: only the states whose parts are all
+    # gaps survive, whatever the side and the truncation.
+    rep = SIDES[side](rank, FPoint(gaps), N, N + dM, N + dM + dW)
+    assert rep.dims == gap_series(gaps, rank, N)
 
 
 def test_extended_reduction_matches_one_shot_at_rank_2():

@@ -1,0 +1,93 @@
+"""Property tests for the trace cocycle and the expression language.
+
+psi = alpha + beta + gamma and the residue form of d_cocycle are checked
+against the brute-force window traces of tests/oracles.py on random
+elements.  Seeds are derandomized and example counts capped, so the runs
+are the same every time.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from oscalg.cli import format_expression, parse_expression
+from oscalg.laurent import LaurentPoly
+from oscalg.quadops import (QuadraticElement, WittElement, b, gamma, pair, psi,
+                            tau, unit)
+from oscalg.verify import d_cocycle
+
+# Shifts stay within 12, so a window of 14 holds every entry the traces see.
+K = 14
+
+INDEX = st.integers(-6, 6).filter(bool)
+COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+QUAD_ATOM = st.one_of(st.tuples(st.just("T"), st.integers(-6, 6)),
+                      st.tuples(st.just("pair"), INDEX, INDEX))
+MODE_ATOM = st.tuples(st.just("b"), INDEX)
+QUAD_TERMS = st.lists(st.tuples(COEFF, QUAD_ATOM), max_size=3)
+MODE_TERMS = st.lists(st.tuples(COEFF, MODE_ATOM), min_size=1, max_size=3)
+
+SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def element(terms):
+    """(element, window matrix of its quadratic part, window matrix of its
+    linear part) for a list of (coefficient, atom) terms."""
+    A = QuadraticElement.zero()
+    quad, lin = {}, {}
+    for c, atom in terms:
+        if atom[0] == "T":
+            A = A + tau(atom[1]).scale(c)
+            quad = oracles.mat_add(quad, oracles.mat_scale(c, oracles.mat_tau(atom[1], K)))
+        elif atom[0] == "pair":
+            A = A + pair(atom[1], atom[2], c)
+            quad = oracles.mat_add(quad, oracles.mat_scale(
+                c, oracles.mat_pair(atom[1], atom[2], K)))
+        else:
+            A = A + b(atom[1], c)
+            lin = oracles.mat_add(lin, oracles.mat_scale(c, oracles.mat_mult(atom[1], K)))
+    return A, quad, lin
+
+
+@SETTINGS
+@given(QUAD_TERMS, MODE_TERMS, QUAD_TERMS, MODE_TERMS)
+def test_psi_and_gamma_match_window_traces(qu, lu, qv, lv):
+    u, u_quad, u_lin = element(qu + lu)
+    v, v_quad, v_lin = element(qv + lv)
+    assert psi(u, v) == oracles.psi_mat(oracles.mat_add(u_quad, u_lin),
+                                        oracles.mat_add(v_quad, v_lin), K)
+    assert gamma(u, v) == (oracles.psi_mat(u_quad, v_lin, K)
+                           - oracles.psi_mat(v_quad, u_lin, K))
+
+
+LAURENT = st.dictionaries(st.integers(-5, 6), st.integers(-3, 3), max_size=3)
+
+
+def witt(f, g):
+    """(f d/dt + g, window matrix of f d/dt minus multiplication by g)."""
+    g = {e: c for e, c in g.items() if e}
+    mat = oracles.mat_add(oracles.mat_derivation(f, K),
+                          oracles.mat_scale(-1, oracles.mat_mult_poly(g, K)))
+    return WittElement(LaurentPoly(f), LaurentPoly(g)), mat
+
+
+@SETTINGS
+@given(LAURENT, LAURENT, LAURENT, LAURENT)
+def test_d_cocycle_matches_window_trace(f, g, h, k):
+    (u, mu), (v, mv) = witt(f, g), witt(h, k)
+    assert d_cocycle(u, v) == oracles.psi_mat(mu, mv, K)
+
+
+PRINTABLE = st.lists(st.tuples(COEFF, st.one_of(QUAD_ATOM, MODE_ATOM,
+                                                st.just(("K",)))),
+                     min_size=1, max_size=5)
+
+
+@SETTINGS
+@given(PRINTABLE)
+def test_parse_inverts_format(terms):
+    A = element([t for t in terms if t[1] != ("K",)])[0]
+    A = A + unit(sum(c for c, atom in terms if atom == ("K",)))
+    assert parse_expression(format_expression(A)) == A

@@ -8,9 +8,10 @@ from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _quad_apply_laurent, alpha, b, beta,
-                            bracket, d_cocycle, gamma, is_in_sp,
-                            is_in_sp_plus, normal_order_lift, pair, psi,
-                            sigma, tau, unit, witt_bracket)
+                            bracket, gamma, is_in_sp, is_in_sp_plus,
+                            normal_order_lift, pair, psi, sigma, tau, unit,
+                            witt_bracket)
+from oscalg.verify import d_cocycle
 
 HALF = Fraction(1, 2)
 
