@@ -142,15 +142,16 @@ def _diagonal_on_state(series, state, ch: int):
             if 2 * a == d:
                 c = c / 2
             moves.append((a, d - a, c))
-    # both indices annihilating: a in [1, d//2]
-    for a in range(1, d // 2 + 1):
-        c = series.coeff(a)
-        if c and (a in lam) and (d - a in lam):
+    parts = sorted(set(lam))
+    # both indices annihilating: parts a <= d - a with d - a also a part
+    for a in parts:
+        c = series.coeff(a) if 2 * a <= d and d - a in lam else F0
+        if c:
             if 2 * a == d:
                 c = c / 2
             moves.append((a, d - a, c))
     # one of each: the annihilation index must be a part
-    for bb in sorted(set(lam)):
+    for bb in parts:
         if bb <= d:
             continue
         c = series.coeff(d - bb)
@@ -320,8 +321,11 @@ def parse_partition(text: str) -> tuple:
     inner = text[1:-1].strip()
     if not inner:
         return ()
-    return _canon_partition(parse_int(p, f"label {text!r}")
-                            for p in inner.split(","))
+    parts = [parse_int(p, f"label {text!r}") for p in inner.split(",")]
+    for p in parts:
+        if p < 1:
+            raise ValueError(f"label {text!r}: part {p} is not positive")
+    return _canon_partition(parts)
 
 def parse_label(text: str) -> tuple:
     text = text.strip()

@@ -14,6 +14,7 @@ every diagonal at a = 0 and a = d keep quadratic operators off t^0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .laurent import LaurentPoly, rat, symplectic_form
 
@@ -98,6 +99,17 @@ class Poly:
 
 POLY_ZERO = Poly()
 POLY_ONE = Poly((F1,))
+
+
+def _power_sum(q: Poly, n: int) -> Fraction:
+    """q(1) + ... + q(n), exactly and in O(deg(q)^2) for any n: by Newton's
+    forward formula and the hockey-stick identity, sum_i D^i q(1) C(n, i+1)."""
+    diffs = [q(j) for j in range(1, len(q.c) + 1)] if n > 0 else []
+    total = F0
+    for i in range(len(diffs)):
+        total += diffs[0] * comb(n, i + 1)
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +333,20 @@ def tau(p: int) -> QuadraticElement:
 # ---------------------------------------------------------------------------
 
 def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Fraction:
-    """Trace cocycle of two diagonals with opposite offsets."""
+    """Trace cocycle of two diagonals with opposite offsets d and -d: for
+    d > 0, minus the sum over j in [1, d-1] of j(d-j) c1(d-j) c2(-j).  In
+    closed form, the power sum of the generic polynomial j(d-j) P1(d-j)
+    P2(-j) plus (actual - generic) at each exceptional j in that range."""
     d = s1.d
     if d == 0:
         return F0
     if d < 0:
         return -_psi_diag_pair(s2, s1)
-    total = F0
-    for j in range(1, d):
-        total += j * (d - j) * s1.coeff(d - j) * s2.coeff(-j)
+    p1, p2 = s1.poly.affine(-1, d), s2.poly.affine(-1, 0)
+    total = _power_sum(Poly((0, d, -1)) * p1 * p2, d - 1)
+    for j in {d - a for a in s1.exc} | {-a for a in s2.exc}:
+        if 0 < j < d:
+            total += j * (d - j) * (s1.coeff(d - j) * s2.coeff(-j) - p1(j) * p2(j))
     return -total
 
 
@@ -400,13 +417,19 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
 
 def _mixed_trace(quad: dict, g: LaurentPoly) -> Fraction:
     """Trace of a quadratic part against multiplication by g:
-    sum_d g_{-d} * sum over a strictly between 0 and d of |a| c_d(a)."""
+    sum_d g_{-d} * sum over a strictly between 0 and d of |a| c_d(a).  With
+    a = s*j, s the sign of d, that is the power sum of j P(s*j) over j in
+    [1, |d|-1] plus |a| (actual - generic) at each exceptional a in range."""
     total = F0
     for d, series in quad.items():
         gd = g.coeff(-d)
         if gd:
-            lo, hi = (1, d) if d > 0 else (d + 1, 0)
-            total += gd * sum(abs(a) * series.coeff(a) for a in range(lo, hi))
+            s = 1 if d > 0 else -1
+            part = _power_sum(Poly((0, 1)) * series.poly.affine(s, 0), abs(d) - 1)
+            for a, v in series.exc.items():
+                if 0 < s * a < abs(d):
+                    part += abs(a) * (v - series.poly(a))
+            total += gd * part
     return total
 
 

@@ -122,6 +122,25 @@ def psi_mat(A, B, K):
 
 
 # ---------------------------------------------------------------------------
+# trace sums on one anti-diagonal a + b = d, term by term.  A diagonal is
+# given by its coefficient function a -> c(a).
+# ---------------------------------------------------------------------------
+
+def diag_psi_sum(d, c1, c2):
+    """Trace cocycle of the diagonals with offsets d and -d: minus the sum
+    over j in [1, d-1] of j(d-j) c1(d-j) c2(-j), antisymmetric in d."""
+    if d < 0:
+        return -diag_psi_sum(-d, c2, c1)
+    return -sum((j * (d - j) * c1(d - j) * c2(-j) for j in range(1, d)), F0)
+
+
+def diag_mixed_sum(d, c):
+    """Sum of |a| c(a) over a strictly between 0 and d."""
+    lo, hi = (1, d) if d > 0 else (d + 1, 0)
+    return sum((abs(a) * c(a) for a in range(lo, hi)), F0)
+
+
+# ---------------------------------------------------------------------------
 # Fock states: dict[tuple-of-parts-desc, Fraction], rank one.
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +217,18 @@ def test_cmd_fock_apply(capsys):
     assert data["result"] == [{"label": "[1,1]", "coeff": "1/2"}]
 
 
+def test_cmd_fock_apply_large_offset_is_fast(capsys):
+    # only pairs of parts present in the state can both be annihilated
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, ["fock-apply", "T(2000000)", "[3,2,1]"])
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run_cli(capsys, ["fock-apply", "T(2000000)",
+                                    "[1999999,1000000,1000000,1]"])
+    assert (code, out) == (0, "1000000000000*[1999999,1] "
+                              "+ 1999999*[1000000,1000000]\n")
+    assert time.process_time() - start < 0.2
+
+
 def test_cmd_coinv_json(capsys):
     code, out, _ = run_cli(capsys, ["coinv"])
     assert code == 0
@@ -360,6 +373,18 @@ def test_leading_minus_expression_after_double_dash(capsys):
 ])
 def test_integer_errors_name_the_field(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("label, message", [
+    ("[1,0]", "label '[1,0]': part 0 is not positive"),
+    ("[1,-2]", "label '[1,-2]': part -2 is not positive"),
+    ("([1]|[0])", "label '[0]': part 0 is not positive"),
+])
+def test_nonpositive_parts_name_the_label(capsys, label, message):
+    code, out, err = run_cli(capsys, ["fock-apply", "T(2)", label])
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"

@@ -2,8 +2,9 @@
 
 psi = alpha + beta + gamma and the residue form of d_cocycle are checked
 against the brute-force window traces of tests/oracles.py on random
-elements.  Seeds are derandomized and example counts capped, so the runs
-are the same every time.
+elements, and the closed-form diagonal trace sums against the term-by-term
+loops there on random diagonals with exceptions.  Seeds are derandomized
+and example counts capped, so the runs are the same every time.
 """
 
 from fractions import Fraction
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 import oracles
 from oscalg.cli import format_expression, parse_expression
 from oscalg.laurent import LaurentPoly
-from oscalg.quadops import (QuadraticElement, WittElement, b, gamma, pair, psi,
-                            tau, unit)
+from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
+                            WittElement, _mixed_trace, _psi_diag_pair, b,
+                            gamma, pair, psi, tau, unit)
 from oscalg.verify import d_cocycle
 
 # Shifts stay within 12, so a window of 14 holds every entry the traces see.
@@ -60,6 +62,32 @@ def test_psi_and_gamma_match_window_traces(qu, lu, qv, lv):
                                         oracles.mat_add(v_quad, v_lin), K)
     assert gamma(u, v) == (oracles.psi_mat(u_quad, v_lin, K)
                            - oracles.psi_mat(v_quad, u_lin, K))
+
+
+# Diagonals with |d| <= 60, a polynomial of degree <= 3 and exceptions on
+# both sides of the summation range, some of them zero where the polynomial
+# is not.
+OFFSET = st.integers(-60, 60)
+POLY = st.lists(COEFF, max_size=4).map(Poly)
+EXCEPTIONS = st.dictionaries(st.integers(-65, 65),
+                             st.one_of(st.just(Fraction(0)), COEFF), max_size=5)
+
+
+@SETTINGS
+@given(OFFSET, POLY, EXCEPTIONS, POLY, EXCEPTIONS)
+def test_psi_diag_pair_matches_loop(d, p1, e1, p2, e2):
+    s1, s2 = DiagonalSeries(d, p1, e1), DiagonalSeries(-d, p2, e2)
+    assert _psi_diag_pair(s1, s2) == oracles.diag_psi_sum(d, s1.coeff, s2.coeff)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(OFFSET, POLY, EXCEPTIONS, COEFF), min_size=1,
+                max_size=2, unique_by=lambda t: t[0]))
+def test_mixed_trace_matches_loop(diagonals):
+    quad = {d: DiagonalSeries(d, p, e) for d, p, e, _ in diagonals}
+    g = LaurentPoly({-d: c for d, _, _, c in diagonals if d})
+    assert _mixed_trace(quad, g) == sum(
+        g.coeff(-d) * oracles.diag_mixed_sum(d, s.coeff) for d, s in quad.items())
 
 
 LAURENT = st.dictionaries(st.integers(-5, 6), st.integers(-3, 3), max_size=3)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,18 @@ def test_psi_decomposes_as_alpha_beta_gamma():
         v = rng.choice(gens) + rng.choice(gens).scale(rng.randint(-3, 3))
         assert psi(u, v) == alpha(u, v) + beta(u, v) + gamma(u, v)
         assert psi(u, v) == -psi(v, u)
+
+
+def test_traces_at_large_offset_are_exact_and_fast():
+    # closed-form trace sums: the cost does not grow with the offset
+    p = 10 ** 6
+    start = time.process_time()
+    assert psi(tau(p), tau(-p)) == Fraction(-(p ** 3 - p), 6)
+    assert alpha(tau(p), tau(-p)) == Fraction(-(p ** 3 - p), 6)
+    assert bracket(tau(p), tau(-p)) == (tau(0).scale(2 * p)
+                                        + unit(Fraction(p ** 3 - p, 12)))
+    assert gamma(tau(p), b(-p)) == p * (p - 1) // 2
+    assert time.process_time() - start < 0.2
 
 
 def test_gamma_frozen_values():
