@@ -1,8 +1,8 @@
 """Exact computer algebra for the quadratic Weyl algebra on Q((t)), its
 oscillator and Fock representations, and coinvariants at semigroup points."""
 
-from .laurent import (LaurentPoly, derivative, format_laurent, parse_laurent,
-                      rat, residue, symplectic_form)
+from .laurent import (LaurentPoly, derivative, format_laurent, rat, residue,
+                      symplectic_form)
 from .quadops import (DiagonalSeries, Poly, QuadraticElement, WittElement,
                       alpha, b, beta, bracket, gamma, is_in_sp, is_in_sp_plus,
                       normal_order_lift, pair, psi, sigma, tau, unit,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .laurent import parse_int, rat
+from .laurent import format_signed_sum, parse_int, rat
 from .quadops import QuadraticElement, b, tau
 
 F0 = Fraction(0)
@@ -334,15 +334,5 @@ def parse_label(text: str) -> tuple:
     return (parse_partition(text),)
 
 def format_vector(v: FockVector) -> str:
-    if v.is_zero():
-        return "0"
-    chunks = []
-    for state, c in v.terms_sorted():
-        label = format_label(state)
-        mag = abs(c)
-        body = label if mag == 1 else f"{mag}*{label}"
-        if not chunks:
-            chunks.append(body if c > 0 else "-" + body)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
+    terms = ((c, format_label(st)) for st, c in v.terms_sorted())
+    return format_signed_sum(terms, "0")

@@ -62,9 +62,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> Fraction:
         return self.coeffs.get(exp, Fraction(0))
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def without_constant(self) -> "LaurentPoly":
         if 0 not in self.coeffs:
             return self
@@ -137,65 +134,21 @@ def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Fraction:
     return -residue(f * derivative(g))
 
 
+def format_signed_sum(terms, zero: str) -> str:
+    """Text of a sum of (coefficient, atom) pairs with nonzero coefficients:
+    the first term takes a bare '-', later ones are joined by '+ '/'- ', a
+    unit coefficient is left out, an empty atom prints the bare magnitude,
+    and the empty sum prints as `zero`."""
+    parts = []
+    for c, atom in terms:
+        mag = abs(c)
+        body = str(mag) if not atom else (atom if mag == 1 else f"{mag}*{atom}")
+        sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else zero
+
+
 def format_laurent(f: LaurentPoly) -> str:
     """Textual form: sum of 'c*t^n' terms, exponents ascending."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e in f.support():
-        c = f.coeffs[e]
-        if e == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the textual form emitted by format_laurent, e.g. '3*t^-1 + 1/2*t^2'."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty Laurent polynomial")
-    if s == "0":
-        return LaurentPoly.zero()
-    # split into signed chunks
-    chunks = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "^+-*/":
-            chunks.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    chunks.append(cur)
-    coeffs = {}
-    for chunk in chunks:
-        if not chunk or chunk in "+-":
-            raise ValueError(f"malformed term in {text!r}")
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        if "t" in chunk:
-            head, _, tail = chunk.partition("t")
-            if head not in ("", "*") and not head.endswith("*"):
-                raise ValueError(f"malformed term in {text!r}")
-            coeff = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-            if tail.startswith("^"):
-                exp = int(tail[1:])
-            elif tail == "":
-                exp = 1
-            else:
-                raise ValueError(f"malformed exponent in {text!r}")
-        else:
-            coeff = Fraction(chunk)
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
-    return LaurentPoly(coeffs)
+    return format_signed_sum(((c, f"t^{e}" if e else "")
+                              for e, c in sorted(f.coeffs.items())), "0")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .laurent import LaurentPoly, rat, symplectic_form
+from .laurent import LaurentPoly, format_signed_sum, rat, symplectic_form
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -101,14 +101,21 @@ POLY_ZERO = Poly()
 POLY_ONE = Poly((F1,))
 
 
-def _power_sum(q: Poly, n: int) -> Fraction:
-    """q(1) + ... + q(n), exactly and in O(deg(q)^2) for any n: by Newton's
-    forward formula and the hockey-stick identity, sum_i D^i q(1) C(n, i+1)."""
-    diffs = [q(j) for j in range(1, len(q.c) + 1)] if n > 0 else []
+def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Fraction:
+    """actual(1) + ... + actual(n), where actual = generic, a polynomial of
+    degree <= deg, off the distinct indices js.  Exact in O(deg^2 + len(js))
+    for any n: Newton's forward formula and the hockey-stick identity give
+    sum_i D^i generic(1) C(n, i+1), plus actual - generic at each j in js."""
+    if n < 1:
+        return F0
+    diffs = [generic(j) for j in range(1, deg + 2)]
     total = F0
-    for i in range(len(diffs)):
+    for i in range(deg + 1):
         total += diffs[0] * comb(n, i + 1)
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    for j in js:
+        if 1 <= j <= n:
+            total += actual(j) - generic(j)
     return total
 
 
@@ -271,18 +278,7 @@ def _term_chunks(A: QuadraticElement):
 
 def format_expression(A: QuadraticElement) -> str:
     """Canonical text of A in the expression language of oscalg.cli."""
-    chunks = _term_chunks(A)
-    if not chunks:
-        return "0*K"
-    parts = []
-    for coeff, atom in chunks:
-        mag = abs(coeff)
-        body = atom if mag == 1 else f"{mag}*{atom}"
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
+    return format_signed_sum(_term_chunks(A), "0*K")
 
 
 # -- named elements ----------------------------------------------------------
@@ -342,12 +338,12 @@ def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Fraction:
         return F0
     if d < 0:
         return -_psi_diag_pair(s2, s1)
-    p1, p2 = s1.poly.affine(-1, d), s2.poly.affine(-1, 0)
-    total = _power_sum(Poly((0, d, -1)) * p1 * p2, d - 1)
-    for j in {d - a for a in s1.exc} | {-a for a in s2.exc}:
-        if 0 < j < d:
-            total += j * (d - j) * (s1.coeff(d - j) * s2.coeff(-j) - p1(j) * p2(j))
-    return -total
+    p1, p2 = s1.poly, s2.poly
+    return -_diagonal_sum(
+        d - 1, len(p1.c) + len(p2.c),
+        lambda j: j * (d - j) * p1(d - j) * p2(-j),
+        lambda j: j * (d - j) * s1.coeff(d - j) * s2.coeff(-j),
+        {d - a for a in s1.exc} | {-a for a in s2.exc})
 
 
 def _quad_trace(qa: dict, qb: dict) -> Fraction:
@@ -425,11 +421,11 @@ def _mixed_trace(quad: dict, g: LaurentPoly) -> Fraction:
         gd = g.coeff(-d)
         if gd:
             s = 1 if d > 0 else -1
-            part = _power_sum(Poly((0, 1)) * series.poly.affine(s, 0), abs(d) - 1)
-            for a, v in series.exc.items():
-                if 0 < s * a < abs(d):
-                    part += abs(a) * (v - series.poly(a))
-            total += gd * part
+            total += gd * _diagonal_sum(
+                abs(d) - 1, len(series.poly.c),
+                lambda j: j * series.poly(s * j),
+                lambda j: j * series.coeff(s * j),
+                {s * a for a in series.exc})
     return total
 
 

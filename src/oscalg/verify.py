@@ -94,7 +94,7 @@ def witt_probe_elements(bound: int):
 def check_pullback_sigma(probes=None, bound: int = 5) -> bool:
     """-1/2 alpha(sigma u, sigma v) + beta(sigma u, sigma v) = the trace
     cocycle of Witt x| H' on every probe pair, and both equal the central
-    defect of the normal-ordered lift."""
+    defect of the normal-ordered lift; a non-central defect fails."""
     if probes is None:
         elements = witt_probe_elements(bound)
         probes = [(u, v) for u in elements for v in elements]
@@ -102,7 +102,11 @@ def check_pullback_sigma(probes=None, bound: int = 5) -> bool:
         su, sv = sigma(u), sigma(v)
         lhs = -HALF * alpha(su, sv) + beta(su, sv)
         value = d_cocycle(u, v)
-        if lhs != value or sigma_hat_defect(u, v) != value:
+        try:
+            defect = sigma_hat_defect(u, v)
+        except ValueError:      # the lift defect is not central
+            return False
+        if lhs != value or defect != value:
             return False
     return True
 

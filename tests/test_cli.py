@@ -474,6 +474,17 @@ def test_only_entry_points_import_cli():
             assert not any(n in ("cli", "oscalg.cli") for n in names), path.name
 
 
+def test_only_laurent_joins_signed_terms():
+    # the signed-sum separators belong to laurent.format_signed_sum alone
+    pkg = Path(oscalg.__file__).parent
+    holders = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in ("+ ", "- "):
+                holders.add(path.name)
+    assert holders == {"laurent.py"}
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

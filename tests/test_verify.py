@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from oscalg import verify
+from oscalg.cli import main
 from oscalg.coinv import FPoint
 from oscalg.quadops import (
     alpha,
@@ -194,3 +196,19 @@ def test_verify_all_passes():
     ]
     for v in verdicts:
         assert v["pass"] is True, v
+
+
+def test_broken_lift_is_a_fail_verdict(monkeypatch, capsys):
+    # a lift with a non-central defect fails the checks; it must not abort
+    # verify-all with an error before any verdict is printed
+    sigma = verify.sigma
+    monkeypatch.setattr(verify, "sigma", lambda x: sigma(x) + b(1))
+    code = main(["verify-all"])
+    captured = capsys.readouterr()
+    verdicts = [line for line in captured.out.splitlines()
+                if not line.startswith(" ")]
+    assert code == 1
+    assert captured.err == ""
+    assert len(verdicts) == 8
+    assert "FAIL pullback-sigma (bound=4)" in verdicts
+    assert "FAIL lift-diagram (bound=4)" in verdicts
