@@ -13,7 +13,8 @@ from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,
 from .coinv import (CoinvReduction, CoinvReport, FPoint, check_state_space,
                     coinvariants_A, coinvariants_X, default_schedule,
                     fperp_basis, is_in_sp_F, sp_f_generators, stabilize)
-from .verify import (CocycleHandle, HOp, central_scalars, check_closed_forms,
+from .verify import (CocycleHandle, HOp, central_scalars, check_central_scalars,
+                     check_closed_forms, check_cocycle_defects, check_fit_psi,
                      check_jacobi, check_lift_diagram, check_pullback_sigma,
                      check_splitting, cocycle_defect, d_cocycle,
                      fit_cocycle_coefficients, psi_trace, sigma_hat_defect,

@@ -173,7 +173,6 @@ class DiagonalSeries:
 
 
 def _series_add(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
-    assert s1.d == s2.d
     poly = s1.poly + s2.poly
     exc = {}
     for a in set(s1.exc) | set(s2.exc):
@@ -185,7 +184,8 @@ class QuadraticElement:
     """central * K + sum of b_m modes + (1/2) sum c(a,b) :b_a b_b:.
 
     The quadratic part is a map offset -> DiagonalSeries with zero series
-    dropped, so equality is structural equality of canonical data.
+    dropped, so equality is structural equality of canonical data.  Each
+    series sits at its own offset d; any other key is a ValueError.
     """
 
     __slots__ = ("central", "linear", "quad")
@@ -200,6 +200,8 @@ class QuadraticElement:
         clean = {}
         if quad:
             for d, series in quad.items():
+                if series.d != int(d):
+                    raise ValueError(f"series of offset {series.d} at key {d}")
                 if not series.is_zero():
                     clean[int(d)] = series
         self.quad = clean

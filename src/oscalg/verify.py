@@ -1,22 +1,43 @@
 """Identity checks: cocycle defects, splitting, pullbacks, coefficient
 fitting, closed residue forms, and the central-scalar table.
 
-Every check is exact.  Checks return booleans or values; verdict builders
-wrap them in {check, parameters, pass, witnesses} records for the CLI.
+Every check is exact and returns its witnesses: one line per failing probe,
+naming the probe in the CLI's expression language with the expected and the
+actual value, so an empty list means pass.  verify_all wraps them in
+{check, parameters, pass, witnesses} records for the CLI.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .coinv import FPoint, sp_f_generators
+from .fock import FockVector, graded_basis, measure_central_charge, virasoro_all
 from .laurent import LaurentPoly, residue, symplectic_form
 from .quadops import (Poly, QuadraticElement, WittElement, _quad_apply_laurent,
-                      alpha, b, beta, bracket, gamma, pair, psi, sigma, tau,
-                      unit, witt_bracket)
+                      alpha, b, beta, bracket, format_expression, gamma, pair,
+                      psi, sigma, tau, unit, witt_bracket)
 
 F0 = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+def _show(x) -> str:
+    """x as the CLI prints it: a tuple as (a, b, ...), a quadratic element as
+    its expression."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_show, x)) + ")"
+    if isinstance(x, QuadraticElement):
+        return format_expression(x)
+    return str(x)
+
+def _check(what: str, probe, expected, actual) -> list:
+    """No witness if actual == expected, else the one line naming the probe."""
+    if actual == expected:
+        return []
+    return [f"{what} {_show(probe)}: expected {_show(expected)}, "
+            f"got {_show(actual)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -27,21 +48,16 @@ _NAMED = {"psi": psi, "alpha": alpha, "beta": beta, "gamma": gamma}
 
 
 class CocycleHandle:
-    """A bilinear antisymmetric form on central-free quadratic elements,
-    either one of the named forms or a user-supplied evaluator."""
+    """One of the named forms psi, alpha, beta, gamma on central-free
+    quadratic elements; any other form is passed as a plain callable."""
 
     __slots__ = ("name", "evaluate")
 
-    def __init__(self, name: str, evaluate=None):
-        if name in _NAMED:
-            self.evaluate = _NAMED[name]
-        elif name == "custom":
-            if evaluate is None:
-                raise ValueError("custom cocycle needs an evaluator")
-            self.evaluate = evaluate
-        else:
+    def __init__(self, name: str):
+        if name not in _NAMED:
             raise ValueError(f"unknown cocycle {name!r}")
         self.name = name
+        self.evaluate = _NAMED[name]
 
     def __call__(self, u: QuadraticElement, v: QuadraticElement) -> Fraction:
         return self.evaluate(u, v)
@@ -60,25 +76,38 @@ def cocycle_defect(c, x: QuadraticElement, y: QuadraticElement,
             + c(y, bracket(z, x).drop_central())
             + c(z, bracket(x, y).drop_central()))
 
+def check_cocycle_defects(elements) -> list:
+    """alpha and beta have zero defect on every triple of the central-free
+    elements; gamma has defect 2 on (:b(1)b(1):, :b(-2)b(1):, b(-1))."""
+    bad = []
+    for name in ("alpha", "beta"):
+        handle = CocycleHandle(name)
+        for triple in combinations(elements, 3):
+            bad += _check(f"{name} defect at", triple, 0,
+                          cocycle_defect(handle, *triple))
+    triple = (pair(1, 1), pair(1, -2), b(-1))
+    return bad + _check("gamma defect at", triple, 2,
+                        cocycle_defect("gamma", *triple))
+
 
 # ---------------------------------------------------------------------------
 # splitting over the point stabilizer
 # ---------------------------------------------------------------------------
 
-def check_splitting(F: FPoint, W: int) -> bool:
+def check_splitting(F: FPoint, W: int) -> list:
     """alpha vanishes on all stabilizer generator pairs and beta on all
     pairs from F itself, so the central extension splits over sp_F x| F."""
+    bad = []
     gens = sp_f_generators(F, W)
     for i, X in enumerate(gens):
         for Y in gens[i:]:
-            if alpha(X, Y):
-                return False
-    fmodes = [LaurentPoly.t(-s) for s in F.semigroup(W)]
+            bad += _check("alpha at", (X, Y), 0, alpha(X, Y))
+    fmodes = [b(-s) for s in F.semigroup(W)]
     for f in fmodes:
         for g in fmodes:
-            if symplectic_form(f, g):
-                return False
-    return True
+            bad += _check("beta at", (f, g), 0,
+                          symplectic_form(f.linear, g.linear))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -86,72 +115,71 @@ def check_splitting(F: FPoint, W: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def witt_probe_elements(bound: int):
-    """The generators L_p, b_q with |p|, |q| <= bound."""
-    out = [WittElement.L(p) for p in range(-bound, bound + 1)]
-    out += [WittElement.mode(q) for q in range(-bound, bound + 1) if q != 0]
+    """The generators L_p, b_q with |p|, |q| <= bound, as (label, element)."""
+    out = [(f"L({p})", WittElement.L(p)) for p in range(-bound, bound + 1)]
+    out += [(f"b({q})", WittElement.mode(q))
+            for q in range(-bound, bound + 1) if q != 0]
     return out
 
-def check_pullback_sigma(probes=None, bound: int = 5) -> bool:
+def check_pullback_sigma(bound: int = 5) -> list:
     """-1/2 alpha(sigma u, sigma v) + beta(sigma u, sigma v) = the trace
     cocycle of Witt x| H' on every probe pair, and both equal the central
-    defect of the normal-ordered lift; a non-central defect fails."""
-    if probes is None:
-        elements = witt_probe_elements(bound)
-        probes = [(u, v) for u in elements for v in elements]
-    for u, v in probes:
-        su, sv = sigma(u), sigma(v)
-        lhs = -HALF * alpha(su, sv) + beta(su, sv)
-        value = d_cocycle(u, v)
-        try:
-            defect = sigma_hat_defect(u, v)
-        except ValueError:      # the lift defect is not central
-            return False
-        if lhs != value or defect != value:
-            return False
-    return True
+    defect [sigma u, sigma v] - sigma([u, v]) of the normal-ordered lift."""
+    bad = []
+    elements = witt_probe_elements(bound)
+    for nu, u in elements:
+        for nv, v in elements:
+            su, sv = sigma(u), sigma(v)
+            value = d_cocycle(u, v)
+            bad += _check("-1/2 alpha + beta of the lifts at", (nu, nv), value,
+                          -HALF * alpha(su, sv) + beta(su, sv))
+            bad += _check("lift defect at", (nu, nv), unit(value),
+                          sigma_hat_defect(u, v))
+    return bad
 
-def sigma_hat_defect(u: WittElement, v: WittElement) -> Fraction:
-    """Central defect of the normal-ordered lift:
-    [sigma u, sigma v] - sigma([u, v]) as a multiple of K."""
-    diff = bracket(sigma(u), sigma(v)) - sigma(witt_bracket(u, v))
-    if not diff.drop_central().is_zero():
-        raise ValueError("lift defect is not central")
-    return diff.central
+def sigma_hat_defect(u: WittElement, v: WittElement) -> QuadraticElement:
+    """[sigma u, sigma v] - sigma([u, v]): the defect of the lift, a
+    multiple of K for the normal-ordered sigma."""
+    return bracket(sigma(u), sigma(v)) - sigma(witt_bracket(u, v))
 
 
 # ---------------------------------------------------------------------------
 # coefficient fitting in the fixed probe gauge
 # ---------------------------------------------------------------------------
 
-def default_fit_probes():
-    """Probes on which (alpha, beta, gamma) is an invertible diagonal."""
-    return [(tau(2), tau(-2)), (b(1), b(-1)), (tau(2), b(-2))]
+FIT_PROBES = (("alpha", tau(2), tau(-2)), ("beta", b(1), b(-1)),
+              ("gamma", tau(2), b(-2)))
 
-def fit_cocycle_coefficients(c, probes=None):
-    """Solve c = A alpha + B beta + C gamma on the probe pairs.
+def fit_cocycle_coefficients(c) -> tuple:
+    """Solve c = A alpha + B beta + C gamma on FIT_PROBES.
 
-    Coefficients are gauge-dependent: a coboundary shift of c moves the
-    probe values, so the result is reported in this fixed probe gauge."""
+    alpha reads only quadratic parts, beta only linear parts and gamma only
+    the two mixed ones, so each piece vanishes off its own probe and the fit
+    is three quotients; a piece that vanishes on its own probe too leaves
+    its coefficient undetermined, a ValueError.  Coefficients are
+    gauge-dependent: a coboundary shift of c moves the probe values, so the
+    result is reported in this fixed probe gauge."""
     if isinstance(c, str):
         c = CocycleHandle(c)
-    if probes is None:
-        probes = default_fit_probes()
-    if len(probes) != 3:
-        raise ValueError("need exactly three probe pairs")
-    rows = [[alpha(u, v), beta(u, v), gamma(u, v), c(u, v)] for u, v in probes]
-    # exact Gaussian elimination on the 3x4 system
-    for col in range(3):
-        piv = next((r for r in range(col, 3) if rows[r][col]), None)
-        if piv is None:
-            raise ValueError("singular probe matrix: rejected probe set")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
-        rows[col] = [x / lead for x in rows[col]]
-        for r in range(3):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return (rows[0][3], rows[1][3], rows[2][3])
+    fit = []
+    for piece, (name, u, v) in zip((alpha, beta, gamma), FIT_PROBES):
+        value = piece(u, v)
+        if not value:
+            raise ValueError(f"{name} at {_show((u, v))}: expected nonzero, "
+                             f"got {value}")
+        fit.append(c(u, v) / value)
+    return tuple(fit)
+
+def check_fit_psi() -> list:
+    """psi = alpha + beta + gamma in the fixed probe gauge."""
+    try:
+        fit = fit_cocycle_coefficients("psi")
+    except ValueError as e:     # a piece vanishes on its own probe
+        return [str(e)]
+    bad = []
+    for (name, u, v), k in zip(FIT_PROBES, fit):
+        bad += _check(f"{name} coefficient at", (u, v), 1, k)
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +244,31 @@ def psi_trace(A: HOp, B: HOp) -> Fraction:
     return total
 
 
-def check_closed_forms(bound: int = 5) -> bool:
-    """The trace psi_trace of honest derivations and multiplications
-    agrees with the closed residue forms on the L_p, b_q grid."""
+def check_closed_forms(bound: int = 5) -> list:
+    """The closed residue forms, and alpha on the quadratic lifts T(p),
+    agree with the trace psi_trace of honest derivations and
+    multiplications (the expected values) on the L_p, b_q grid."""
+    bad = []
     for p in range(-bound, bound + 1):
         Lp = WittElement.L(p)
         Dp = HOp.derivation(Lp.f)
         for q in range(-bound, bound + 1):
             Lq = WittElement.L(q)
-            if psi_trace(Dp, HOp.derivation(Lq.f)) != alpha_closed(Lp, Lq):
-                return False
+            trace = psi_trace(Dp, HOp.derivation(Lq.f))
+            bad += _check("alpha_closed at", f"(L({p}), L({q}))", trace,
+                          alpha_closed(Lp, Lq))
             # the quadratic-lift trace computes the same alpha
-            if alpha(tau(p), tau(q)) != alpha_closed(Lp, Lq):
-                return False
+            bad += _check("alpha at", f"(T({p}), T({q}))", trace,
+                          alpha(tau(p), tau(q)))
             if q == 0:
                 continue
             bq = WittElement.mode(q)
             trace = psi_trace(Dp, HOp.mult(bq.g))
-            if trace != gamma_closed(Lp, bq) or -trace != gamma_closed(bq, Lp):
-                return False
-    return True
+            bad += _check("gamma_closed at", f"(L({p}), b({q}))", trace,
+                          gamma_closed(Lp, bq))
+            bad += _check("gamma_closed at", f"(b({q}), L({p}))", -trace,
+                          gamma_closed(bq, Lp))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +278,45 @@ def check_closed_forms(bound: int = 5) -> bool:
 LAMBDA_FIBER = Fraction(2)
 THETA_FIBER = Fraction(-1)
 
-def central_scalars(charges=(0, 1, 2, 26)) -> dict:
+def central_scalars() -> dict:
     """Scalar bookkeeping: defining cocycles, fiber scalars for the unit,
-    and the per-charge multiples c/2 and -c, cross-checked so that
-    multiple * fiber = c on both sides."""
-    mp_value = -HALF * psi(tau(2), tau(-2))
-    rows = []
-    for c in charges:
-        c = Fraction(c)
-        a_mult = c / 2
-        x_mult = -c
-        if a_mult * LAMBDA_FIBER != c or x_mult * THETA_FIBER != c:
-            raise AssertionError("fiber consistency violated")
-        rows.append({"c": c, "A_multiple": a_mult, "X_multiple": x_mult})
+    and for each charge c in 0, 1, 2, 26 the multiples c / fiber on the two
+    sides, c/2 and -c."""
     return {
         "mp_cocycle": "-1/2*alpha",
-        "mp_cocycle_on_tau2": mp_value,
+        "mp_cocycle_on_tau2": -HALF * psi(tau(2), tau(-2)),
         "u2_cocycle": "-1/2*alpha + beta",
         "lambda_fiber": LAMBDA_FIBER,
         "theta_fiber": THETA_FIBER,
-        "atiyah": rows,
+        "atiyah": [{"c": Fraction(c), "A_multiple": c / LAMBDA_FIBER,
+                    "X_multiple": c / THETA_FIBER} for c in (0, 1, 2, 26)],
     }
+
+def check_central_scalars() -> list:
+    """The values the table stands on: -1/2 psi(T(2), T(-2)) is the Virasoro
+    central term (p^3 - p)/12 at p = 2, and the diagonal Virasoro action on
+    the rank-r Fock states of degree <= 2 has central charge r, r = 1, 2."""
+    bad = _check("-1/2 psi at", (tau(2), tau(-2)), Fraction(2 ** 3 - 2, 12),
+                 -HALF * psi(tau(2), tau(-2)))
+    for r in (1, 2):
+        states = [FockVector.basis(s)
+                  for d in range(3) for s in graded_basis(d, r)]
+        try:
+            c = measure_central_charge(2, states, virasoro_all)
+        except ValueError as e:     # no single central charge: show why
+            c = e
+        bad += _check("central charge on", f"rank-{r} states of degree <= 2",
+                      r, c)
+    return bad
 
 
 # ---------------------------------------------------------------------------
 # aggregate verdicts
 # ---------------------------------------------------------------------------
 
-def verdict(check: str, parameters: dict, passed: bool, witnesses=None) -> dict:
-    return {"check": check, "parameters": parameters, "pass": bool(passed),
-            "witnesses": list(witnesses or [])}
+def verdict(check: str, parameters: dict, witnesses: list) -> dict:
+    return {"check": check, "parameters": parameters, "pass": not witnesses,
+            "witnesses": witnesses}
 
 def small_generator_set():
     """1, b modes, pairs and taus with indices <= 2."""
@@ -306,79 +348,43 @@ def check_jacobi(gens) -> list:
                     bad.append(f"triple ({i},{j},{k})")
     return bad
 
-def check_lift_diagram(bound: int = 5, W: int = 12) -> bool:
-    """tau(p) acts on the window modes t^m as the endomorphism
-    t^m -> -m t^(m+p), and forgetting the central coordinate makes the
-    sigma square commute with brackets."""
+def check_lift_diagram(bound: int = 5) -> list:
+    """tau(p) acts on the window modes t^m, 0 < |m| <= 12, as the
+    endomorphism t^m -> -m t^(m+p), and forgetting the central coordinate
+    makes the sigma square commute with brackets."""
+    bad = []
     for p in range(-bound, bound + 1):
         X = tau(p).quad
-        for m in range(-W, W + 1):
+        for m in range(-12, 13):
             if m == 0:
                 continue
             direct = LaurentPoly.zero() if m + p == 0 else LaurentPoly.term(-m, m + p)
-            if _quad_apply_laurent(X, LaurentPoly.t(m)) != direct:
-                return False
+            bad += _check(f"T({p}) on", f"t^{m}", direct,
+                          _quad_apply_laurent(X, LaurentPoly.t(m)))
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
-            u, v = WittElement.L(p), WittElement.L(q)
-            lhs = bracket(sigma(u), sigma(v)).drop_central()
-            if lhs != sigma(witt_bracket(u, v)):
-                return False
-    return True
+            defect = sigma_hat_defect(WittElement.L(p), WittElement.L(q))
+            bad += _check("lift defect mod K at", f"(L({p}), L({q}))",
+                          QuadraticElement(), defect.drop_central())
+    return bad
 
 def verify_all(probe_bound: int = 4) -> list:
     """Run the whole identity battery; returns a list of verdicts."""
     if probe_bound < 1:
         raise ValueError("probe bound must be at least 1")
-    out = []
-
     gens = small_generator_set()
-    bad = check_jacobi(gens)
-    out.append(verdict("jacobi", {"generators": len(gens)}, not bad, bad))
-
     central_free = [g for g in gens if not g.central]
-    bad = []
-    for name in ("alpha", "beta"):
-        handle = CocycleHandle(name)
-        for i in range(len(central_free)):
-            for j in range(i + 1, len(central_free)):
-                for k in range(j + 1, len(central_free)):
-                    d = cocycle_defect(handle, central_free[i],
-                                       central_free[j], central_free[k])
-                    if d:
-                        bad.append(f"{name} ({i},{j},{k}) -> {d}")
-    gamma_val = cocycle_defect("gamma", pair(1, 1), pair(1, -2), b(-1))
-    if gamma_val != 2:
-        bad.append(f"gamma pair/mode triple -> {gamma_val}")
-    out.append(verdict("cocycle-defects",
-                       {"generators": len(central_free)}, not bad, bad))
-
-    bad = []
-    for gaps in ((), (1,), (1, 2), (1, 3)):
-        if not check_splitting(FPoint(gaps), 6):
-            bad.append(f"gaps {list(gaps)}")
-    out.append(verdict("splitting", {"W": 6}, not bad, bad))
-
-    ok = check_pullback_sigma(bound=probe_bound)
-    out.append(verdict("pullback-sigma", {"bound": probe_bound}, ok,
-                       [] if ok else ["grid"]))
-
-    fit = fit_cocycle_coefficients("psi")
-    ok = fit == (1, 1, 1)
-    out.append(verdict("fit-psi", {"probes": "fixed gauge"}, ok,
-                       [] if ok else [f"got {fit}"]))
-
-    ok = check_closed_forms(probe_bound)
-    out.append(verdict("closed-forms", {"bound": probe_bound}, ok,
-                       [] if ok else ["grid"]))
-
-    try:
-        central_scalars()
-        out.append(verdict("central-scalars", {}, True))
-    except AssertionError as e:
-        out.append(verdict("central-scalars", {}, False, [str(e)]))
-
-    ok = check_lift_diagram(probe_bound)
-    out.append(verdict("lift-diagram", {"bound": probe_bound}, ok,
-                       [] if ok else ["grid"]))
-    return out
+    bound = {"bound": probe_bound}
+    return [
+        verdict("jacobi", {"generators": len(gens)}, check_jacobi(gens)),
+        verdict("cocycle-defects", {"generators": len(central_free)},
+                check_cocycle_defects(central_free)),
+        verdict("splitting", {"W": 6},
+                [f"gaps {list(gaps)}: {w}" for gaps in ((), (1,), (1, 2), (1, 3))
+                 for w in check_splitting(FPoint(gaps), 6)]),
+        verdict("pullback-sigma", bound, check_pullback_sigma(probe_bound)),
+        verdict("fit-psi", {"probes": "fixed gauge"}, check_fit_psi()),
+        verdict("closed-forms", bound, check_closed_forms(probe_bound)),
+        verdict("central-scalars", {}, check_central_scalars()),
+        verdict("lift-diagram", bound, check_lift_diagram(probe_bound)),
+    ]

@@ -485,6 +485,15 @@ def test_only_laurent_joins_signed_terms():
     assert holders == {"laurent.py"}
 
 
+def test_package_holds_no_assert():
+    # python -O strips assert statements, so a guard must raise instead
+    pkg = Path(oscalg.__file__).parent
+    holders = [f"{path.name}:{node.lineno}" for path in sorted(pkg.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert holders == []
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -88,6 +88,14 @@ def test_diagonal_series_canonical():
     assert s.exc == {1: 3} and s.coeff(1) == 3 and s.coeff(-4) == 1
 
 
+def test_series_must_sit_at_its_own_offset():
+    # a d = 5 series keyed 3 would print as T(3) but bracket as T(5)
+    with pytest.raises(ValueError, match="series of offset 5 at key 3"):
+        QuadraticElement(quad={3: DiagonalSeries(5, Poly((1,)))})
+    assert QuadraticElement(quad={5: DiagonalSeries(5, Poly((1,)))}) == tau(5)
+    assert tau(3) + tau(3) == tau(3).scale(2)
+
+
 def test_mirror_symmetry_preserved_by_bracket():
     rng = random.Random(7)
     gens = generator_set()

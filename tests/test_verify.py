@@ -7,6 +7,7 @@ import pytest
 from oscalg import verify
 from oscalg.cli import main
 from oscalg.coinv import FPoint
+from oscalg.fock import virasoro
 from oscalg.quadops import (
     alpha,
     b,
@@ -22,13 +23,15 @@ from oscalg.verify import (
     THETA_FIBER,
     alpha_closed,
     central_scalars,
+    check_central_scalars,
     check_closed_forms,
+    check_cocycle_defects,
+    check_fit_psi,
     check_lift_diagram,
     check_jacobi,
     check_pullback_sigma,
     check_splitting,
     cocycle_defect,
-    default_fit_probes,
     fit_cocycle_coefficients,
     gamma_closed,
     sigma_hat_defect,
@@ -52,8 +55,8 @@ def test_cocycle_handle_errors():
         CocycleHandle("nosuch")
     with pytest.raises(ValueError):
         CocycleHandle("custom")
-    h = CocycleHandle("custom", evaluate=lambda u, v: Fraction(7))
-    assert h(b(1), b(-1)) == 7
+    # any other form is a plain callable
+    assert cocycle_defect(lambda u, v: Fraction(7), b(1), b(2), b(3)) == 21
 
 
 def test_defect_examples():
@@ -68,10 +71,9 @@ def test_defect_examples():
 
 def test_extension_cocycle_has_zero_defect():
     # the cocycle the bracket actually realizes is -1/2 alpha + beta
-    h = CocycleHandle(
-        "custom",
-        evaluate=lambda u, v: Fraction(-1, 2) * alpha(u, v) + beta(u, v),
-    )
+    def h(u, v):
+        return Fraction(-1, 2) * alpha(u, v) + beta(u, v)
+
     x, y, z = pair(1, 1), pair(1, -2), b(-1)
     assert cocycle_defect(h, x, y, z) == 0
     assert cocycle_defect(h, pair(2, -1), b(1), b(-2)) == 0
@@ -90,44 +92,31 @@ def test_defect_is_alternating():
 
 
 def test_splitting_examples():
-    assert check_splitting(FPoint([1]), 6) is True
-    assert check_splitting(FPoint([]), 6) is True
-    assert check_splitting(FPoint([1, 3]), 8) is True
+    assert check_splitting(FPoint([1]), 6) == []
+    assert check_splitting(FPoint([]), 6) == []
+    assert check_splitting(FPoint([1, 3]), 8) == []
 
 
 def test_pullback_examples():
     L = WittElement.L
     mode = WittElement.mode
-    assert sigma_hat_defect(L(2), L(-2)) == -1
-    assert sigma_hat_defect(mode(1), mode(-1)) == 1
-    assert sigma_hat_defect(L(2), mode(-2)) == -3
-    assert check_pullback_sigma(bound=3) is True
-
-
-def test_pullback_single_probes():
-    L = WittElement.L
-    mode = WittElement.mode
-    probes = [(L(2), L(-2)), (mode(1), mode(-1)), (L(2), mode(-2))]
-    assert check_pullback_sigma(probes=probes) is True
+    assert sigma_hat_defect(L(2), L(-2)) == unit(-1)
+    assert sigma_hat_defect(mode(1), mode(-1)) == unit(1)
+    assert sigma_hat_defect(L(2), mode(-2)) == unit(-3)
+    assert check_pullback_sigma(bound=3) == []
 
 
 def test_fit_psi():
     assert fit_cocycle_coefficients("psi") == (1, 1, 1)
+    assert check_fit_psi() == []
 
 
 def test_fit_custom_combination():
-    h = CocycleHandle(
-        "custom",
-        evaluate=lambda u, v: Fraction(-1, 2) * alpha(u, v) + beta(u, v),
-    )
+    def h(u, v):
+        return Fraction(-1, 2) * alpha(u, v) + beta(u, v)
+
     assert fit_cocycle_coefficients(h) == (Fraction(-1, 2), 1, 0)
     assert fit_cocycle_coefficients("alpha") == (1, 0, 0)
-
-
-def test_fit_singular_probes_rejected():
-    probes = default_fit_probes()[:2] + [(tau(1), b(-1))]
-    with pytest.raises(ValueError, match="probe"):
-        fit_cocycle_coefficients("psi", probes=probes)
 
 
 def test_closed_form_values():
@@ -138,7 +127,7 @@ def test_closed_form_values():
     assert gamma_closed(L(1), mode(-1)) == 1
     assert gamma_closed(L(2), mode(-2)) == 3
     assert gamma_closed(L(2), mode(3)) == 0
-    assert check_closed_forms(bound=4) is True
+    assert check_closed_forms(bound=4) == []
 
 
 def test_central_scalars_table():
@@ -170,11 +159,11 @@ def test_witt_probe_elements():
 
 
 def test_lift_diagram():
-    assert check_lift_diagram(bound=3) is True
+    assert check_lift_diagram(bound=3) == []
 
 
 def test_verdict_key_order():
-    v = verdict("demo", {"n": 3}, True)
+    v = verdict("demo", {"n": 3}, [])
     assert list(v.keys()) == ["check", "parameters", "pass", "witnesses"]
     assert v["pass"] is True
     assert v["witnesses"] == []
@@ -196,6 +185,7 @@ def test_verify_all_passes():
     ]
     for v in verdicts:
         assert v["pass"] is True, v
+        assert v["witnesses"] == [], v
 
 
 def test_broken_lift_is_a_fail_verdict(monkeypatch, capsys):
@@ -212,3 +202,102 @@ def test_broken_lift_is_a_fail_verdict(monkeypatch, capsys):
     assert len(verdicts) == 8
     assert "FAIL pullback-sigma (bound=4)" in verdicts
     assert "FAIL lift-diagram (bound=4)" in verdicts
+    # each failing probe is named with its expected and actual values
+    lines = captured.out.splitlines()
+    assert ("    witness: lift defect at (L(2), L(-2)): expected -K, "
+            "got b(-1) - b(1) - b(3) - K") in lines
+    assert ("    witness: lift defect mod K at (L(2), L(-2)): expected 0*K, "
+            "got b(-1) - b(1) - b(3)") in lines
+
+
+# ---------------------------------------------------------------------------
+# one patched value, one named witness
+# ---------------------------------------------------------------------------
+
+def _patch_at(monkeypatch, name, probe, value):
+    """Make verify.<name> return value on the probe pair, else the truth."""
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda u, v: Fraction(value)
+                        if (u, v) == probe else original(u, v))
+
+
+def test_cocycle_defect_witness(monkeypatch):
+    assert check_cocycle_defects([b(1), b(2), pair(1, -2)]) == []
+    monkeypatch.setattr(verify, "cocycle_defect", lambda c, x, y, z: 5)
+    assert check_cocycle_defects([b(1), b(2), pair(1, -2)]) == [
+        "alpha defect at (b(1), b(2), :b(-2)b(1):): expected 0, got 5",
+        "beta defect at (b(1), b(2), :b(-2)b(1):): expected 0, got 5",
+        "gamma defect at (:b(1)b(1):, :b(-2)b(1):, b(-1)): expected 2, got 5",
+    ]
+
+
+def test_splitting_witness(monkeypatch):
+    _patch_at(monkeypatch, "alpha", (pair(-1, 2), pair(-1, 3)), 7)
+    assert check_splitting(FPoint([]), 6) == [
+        "alpha at (:b(-1)b(2):, :b(-1)b(3):): expected 0, got 7"]
+
+
+def test_pullback_witnesses(monkeypatch):
+    sigma = verify.sigma
+    monkeypatch.setattr(verify, "sigma", lambda x: sigma(x) + b(1))
+    bad = check_pullback_sigma(bound=2)
+    assert ("-1/2 alpha + beta of the lifts at (L(1), b(-1)): expected -1, "
+            "got 0") in bad
+    assert ("lift defect at (L(2), L(-2)): expected -K, "
+            "got b(-1) - b(1) - b(3) - K") in bad
+
+
+def test_fit_witnesses(monkeypatch):
+    beta = verify.beta
+    monkeypatch.setattr(verify, "beta", lambda u, v: 2 * beta(u, v))
+    assert check_fit_psi() == [
+        "beta coefficient at (b(1), b(-1)): expected 1, got 1/2"]
+
+
+def test_piece_vanishing_on_its_probe_fails_fit(monkeypatch, capsys):
+    # the fit divides by each piece on its own probe: a zero there is a
+    # FAIL verdict, not a ZeroDivisionError
+    monkeypatch.setattr(verify, "gamma", lambda u, v: Fraction(0))
+    with pytest.raises(ValueError, match="gamma at"):
+        fit_cocycle_coefficients("psi")
+    code = main(["verify-all"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "FAIL fit-psi (probes=fixed gauge)" in captured.out.splitlines()
+    assert check_fit_psi() == [
+        "gamma at (T(2), b(-2)): expected nonzero, got 0"]
+
+
+def test_closed_forms_witness(monkeypatch):
+    _patch_at(monkeypatch, "alpha_closed",
+              (WittElement.L(2), WittElement.L(-2)), 5)
+    assert check_closed_forms(bound=2) == [
+        "alpha_closed at (L(2), L(-2)): expected -1, got 5"]
+
+
+def test_central_scalars_witnesses(monkeypatch):
+    assert check_central_scalars() == []
+    monkeypatch.setattr(verify, "psi", lambda u, v: Fraction(3))
+    monkeypatch.setattr(verify, "measure_central_charge",
+                        lambda p, vectors, apply_L: Fraction(3))
+    assert check_central_scalars() == [
+        "-1/2 psi at (T(2), T(-2)): expected 1/2, got -3/2",
+        "central charge on rank-1 states of degree <= 2: expected 1, got 3",
+        "central charge on rank-2 states of degree <= 2: expected 2, got 3",
+    ]
+
+
+def test_central_charge_failure_is_a_witness(monkeypatch):
+    # one channel's Virasoro action on rank-2 states measures c = 1, not 2
+    monkeypatch.setattr(verify, "virasoro_all", virasoro)
+    assert check_central_scalars() == [
+        "central charge on rank-2 states of degree <= 2: expected 2, got 1"]
+
+
+def test_lift_diagram_witnesses(monkeypatch):
+    sigma = verify.sigma
+    monkeypatch.setattr(verify, "sigma", lambda x: sigma(x) + b(1))
+    bad = check_lift_diagram(bound=1)
+    assert len(bad) == 8
+    assert "lift defect mod K at (L(1), L(0)): expected 0*K, got -b(2)" in bad
