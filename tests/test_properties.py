@@ -1,10 +1,14 @@
-"""Property tests for the trace cocycle and the expression language.
+"""Property tests for the trace cocycle, the bracket and the expression
+language.
 
 psi = alpha + beta + gamma and the residue form of d_cocycle are checked
 against the brute-force window traces of tests/oracles.py on random
 elements, and the closed-form diagonal trace sums against the term-by-term
-loops there on random diagonals with exceptions.  Seeds are derandomized
-and example counts capped, so the runs are the same every time.
+loops there on random diagonals with exceptions.  The bracket is
+antisymmetric and satisfies Jacobi on random elements with central parts,
+and alpha and beta have zero defect on random central-free triples.  Seeds
+are derandomized and example counts capped, so the runs are the same every
+time.
 """
 
 from fractions import Fraction
@@ -17,8 +21,9 @@ from oscalg.cli import format_expression, parse_expression
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _mixed_trace, _psi_diag_pair, b,
-                            gamma, pair, psi, tau, unit)
-from oscalg.verify import d_cocycle
+                            bracket, gamma, pair, psi, tau, unit)
+from oscalg.verify import (check_cocycle_defects, check_jacobi,
+                           cocycle_defect, d_cocycle)
 
 # Shifts stay within 12, so a window of 14 holds every entry the traces see.
 K = 14
@@ -108,14 +113,48 @@ def test_d_cocycle_matches_window_trace(f, g, h, k):
     assert d_cocycle(u, v) == oracles.psi_mat(mu, mv, K)
 
 
-PRINTABLE = st.lists(st.tuples(COEFF, st.one_of(QUAD_ATOM, MODE_ATOM,
-                                                st.just(("K",)))),
-                     min_size=1, max_size=5)
+ATOM = st.one_of(QUAD_ATOM, MODE_ATOM, st.just(("K",)))
+PRINTABLE = st.lists(st.tuples(COEFF, ATOM), min_size=1, max_size=5)
+
+
+def with_central(terms):
+    """The element of (coefficient, atom) terms whose atoms may include K."""
+    A = element([t for t in terms if t[1] != ("K",)])[0]
+    return A + unit(sum(c for c, atom in terms if atom == ("K",)))
 
 
 @SETTINGS
 @given(PRINTABLE)
 def test_parse_inverts_format(terms):
-    A = element([t for t in terms if t[1] != ("K",)])[0]
-    A = A + unit(sum(c for c, atom in terms if atom == ("K",)))
+    A = with_central(terms)
     assert parse_expression(format_expression(A)) == A
+
+
+# Bounded random elements: up to three terms, K included.
+BOUNDED = st.lists(st.tuples(COEFF, ATOM), max_size=3).map(with_central)
+CENTRAL_FREE = st.lists(st.tuples(COEFF, st.one_of(QUAD_ATOM, MODE_ATOM)),
+                        max_size=3).map(lambda terms: element(terms)[0])
+
+
+@SETTINGS
+@given(BOUNDED, BOUNDED)
+def test_bracket_is_antisymmetric(x, y):
+    assert bracket(x, y) == -bracket(y, x)
+
+
+@SETTINGS
+@given(BOUNDED, BOUNDED, BOUNDED)
+def test_jacobi_on_random_triples(x, y, z):
+    total = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+             + bracket(z, bracket(x, y)))
+    assert total.is_zero()
+    assert check_jacobi([x, y, z]) == []
+
+
+@SETTINGS
+@given(CENTRAL_FREE, CENTRAL_FREE, CENTRAL_FREE)
+def test_alpha_and_beta_have_zero_defect(x, y, z):
+    assert cocycle_defect("alpha", x, y, z) == 0
+    assert cocycle_defect("beta", x, y, z) == 0
+    # the sweep, which reads its brackets from one table, agrees
+    assert check_cocycle_defects([x, y, z]) == []

@@ -1,6 +1,9 @@
 """Tests for the verification helpers: defects, splitting, pullback, fits."""
 
+import ast
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -223,12 +226,22 @@ def _patch_at(monkeypatch, name, probe, value):
 
 def test_cocycle_defect_witness(monkeypatch):
     assert check_cocycle_defects([b(1), b(2), pair(1, -2)]) == []
-    monkeypatch.setattr(verify, "cocycle_defect", lambda c, x, y, z: 5)
+    monkeypatch.setattr(verify, "_defect_sum", lambda c, triple, brackets: 5)
     assert check_cocycle_defects([b(1), b(2), pair(1, -2)]) == [
         "alpha defect at (b(1), b(2), :b(-2)b(1):): expected 0, got 5",
         "beta defect at (b(1), b(2), :b(-2)b(1):): expected 0, got 5",
         "gamma defect at (:b(1)b(1):, :b(-2)b(1):, b(-1)): expected 2, got 5",
     ]
+
+
+def test_jacobi_witness(monkeypatch):
+    gens = [b(1), b(-2), tau(0)]
+    assert check_jacobi(gens) == []
+    bracket = verify.bracket
+    monkeypatch.setattr(verify, "bracket", lambda u, v: bracket(u, v) + b(3)
+                        if (u, v) == (b(1), b(-2)) else bracket(u, v))
+    assert check_jacobi(gens) == [
+        "Jacobi sum at (b(1), b(-2), T(0)): expected 0*K, got -3*b(3)"]
 
 
 def test_splitting_witness(monkeypatch):
@@ -301,3 +314,52 @@ def test_lift_diagram_witnesses(monkeypatch):
     bad = check_lift_diagram(bound=1)
     assert len(bad) == 8
     assert "lift defect mod K at (L(1), L(0)): expected 0*K, got -b(2)" in bad
+
+
+# ---------------------------------------------------------------------------
+# one bracket table for every triple sweep
+# ---------------------------------------------------------------------------
+
+def _count_brackets(monkeypatch):
+    calls = []
+    bracket = verify.bracket
+
+    def counted(u, v):
+        calls.append((u, v))
+        return bracket(u, v)
+
+    monkeypatch.setattr(verify, "bracket", counted)
+    return calls
+
+
+def test_cocycle_defects_read_one_bracket_table(monkeypatch):
+    # n(n-1) table brackets for the alpha and beta sweeps together, and
+    # three for the fixed gamma triple
+    central_free = [g for g in small_generator_set() if not g.central]
+    assert len(central_free) == 19
+    calls = _count_brackets(monkeypatch)
+    assert check_cocycle_defects(central_free) == []
+    assert len(calls) == 19 * 18 + 3
+
+
+def test_jacobi_brackets_per_triple(monkeypatch):
+    # n(n-1) table brackets, then three outer brackets per triple
+    gens = small_generator_set()
+    calls = _count_brackets(monkeypatch)
+    assert check_jacobi(gens) == []
+    assert len(calls) == 20 * 19 + 3 * comb(20, 3)
+
+
+def test_only_the_triple_generator_calls_combinations():
+    # every triple sweep in verify reads the brackets of _cyclic_triples
+    tree = ast.parse(Path(verify.__file__).read_text())
+
+    def combination_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and "combinations" in (getattr(n.func, "id", None),
+                                       getattr(n.func, "attr", None))]
+
+    generator, = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                  and n.name == "_cyclic_triples"]
+    assert len(combination_calls(tree)) == 1
+    assert len(combination_calls(generator)) == 1
