@@ -4,7 +4,7 @@ oscillator and Fock representations, and coinvariants at semigroup points."""
 from .laurent import (LaurentPoly, derivative, format_laurent, rat, residue,
                       symplectic_form)
 from .quadops import (DiagonalSeries, Poly, QuadraticElement, WittElement,
-                      alpha, b, beta, bracket, gamma, is_in_sp, is_in_sp_plus,
+                      alpha, b, beta, bracket, gamma, is_in_sp_plus, maps_into,
                       normal_order_lift, pair, psi, sigma, tau, unit,
                       witt_bracket)
 from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,

@@ -84,7 +84,7 @@ class _Parser:
         return tok
 
     def parse(self) -> QuadraticElement:
-        out = QuadraticElement.zero()
+        out = QuadraticElement()
         sign = 1
         if self.peek() in "+-":
             sign = -1 if self.take(self.peek())[0] == "-" else 1

@@ -15,7 +15,7 @@ import json
 
 from .fock import FockVector, apply_quadratic, graded_basis
 from .laurent import LaurentPoly
-from .quadops import QuadraticElement, _quad_apply_laurent, b, pair
+from .quadops import QuadraticElement, b, maps_into, pair
 
 
 class FPoint:
@@ -50,13 +50,7 @@ def fperp_basis(F: FPoint, W: int):
 
 def is_in_sp_F(A: QuadraticElement, F: FPoint, W: int) -> bool:
     """Checks X(F-perp) inside F on the window."""
-    if A.central or not A.linear.is_zero():
-        raise ValueError("is_in_sp_F expects zero central and linear parts")
-    for u in fperp_basis(F, W):
-        for e in _quad_apply_laurent(A.quad, u).coeffs:
-            if e >= 0 or -e in F.gaps:
-                return False
-    return True
+    return maps_into(A, fperp_basis(F, W), lambda e: e < 0 and -e not in F.gaps)
 
 
 def sp_f_generators(F: FPoint, W: int):

@@ -128,25 +128,36 @@ class DiagonalSeries:
 
     ctilde(a) = 0 if a in {0, d}, else exceptions.get(a, poly(a)).
     The stored data is canonical: exception keys avoid {0, d} and values
-    that merely repeat poly(a).  The function is kept symmetric,
-    ctilde(a) == ctilde(d - a), by every constructor in this module.
+    that merely repeat poly(a).  The constructor raises ValueError unless
+    ctilde(a) == ctilde(d - a), so every series lies in sp(H').
     """
 
     __slots__ = ("d", "poly", "exc")
 
     def __init__(self, d: int, poly: Poly = POLY_ZERO, exc=None):
-        self.d = int(d)
+        self.d = d = int(d)
         self.poly = poly
         clean = {}
         if exc:
             for a, v in exc.items():
                 a = int(a)
-                if a == 0 or a == self.d:
+                if a == 0 or a == d:
                     continue
                 v = rat(v)
                 if v != poly(a):
                     clean[a] = v
         self.exc = clean
+        # poly(a) - poly(d - a) has degree <= deg, so agreeing at a = 0..deg
+        # proves the polynomial symmetric; then the mirror of an exception
+        # must be an exception of the same value
+        for a in (() if poly.is_constant() else range(len(poly.c))):
+            if poly(a) != poly(d - a):
+                raise ValueError(f"diagonal series at offset {d} is not "
+                                 f"symmetric: poly({a}) != poly({d - a})")
+        for a, v in clean.items():
+            if clean.get(d - a) != v:
+                raise ValueError(f"diagonal series at offset {d} is not "
+                                 f"symmetric: c({a}) != c({d - a})")
 
     def coeff(self, a: int) -> Fraction:
         if a == 0 or a == self.d:
@@ -205,12 +216,6 @@ class QuadraticElement:
                 if not series.is_zero():
                     clean[int(d)] = series
         self.quad = clean
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "QuadraticElement":
-        return cls()
 
     def is_zero(self) -> bool:
         return not self.central and self.linear.is_zero() and not self.quad
@@ -467,33 +472,19 @@ def gamma(u: QuadraticElement, v: QuadraticElement) -> Fraction:
 # membership predicates
 # ---------------------------------------------------------------------------
 
-def is_in_sp(A: QuadraticElement, W: int) -> bool:
-    """Checks <Xa, b> + <a, Xb> = 0 on all window basis pairs.
-
-    Images are computed exactly, so the check cannot be fooled by band
-    truncation."""
+def maps_into(A: QuadraticElement, sources, allowed) -> bool:
+    """True when the S^2 action of A sends each window mode sum in sources
+    into the span of the t^e with allowed(e).  Images are exact."""
     if A.central or not A.linear.is_zero():
-        raise ValueError("is_in_sp expects zero central and linear parts")
-    images = {m: _quad_apply_laurent(A.quad, LaurentPoly.t(m))
-              for m in range(-W, W + 1) if m != 0}
-    for a in images:
-        for bb in images:
-            lhs = symplectic_form(images[a], LaurentPoly.t(bb))
-            rhs = symplectic_form(LaurentPoly.t(a), images[bb])
-            if lhs + rhs != 0:
-                return False
-    return True
+        raise ValueError("membership tests expect zero central and linear parts")
+    return all(allowed(e) for u in sources
+               for e in _quad_apply_laurent(A.quad, u).coeffs)
 
 
 def is_in_sp_plus(A: QuadraticElement, W: int) -> bool:
-    """is_in_sp and additionally X(H'_+) stays inside H'_+ on the window."""
-    if not is_in_sp(A, W):
-        return False
-    for m in range(1, W + 1):
-        image = _quad_apply_laurent(A.quad, LaurentPoly.t(m))
-        if any(e < 1 for e in image.coeffs):
-            return False
-    return True
+    """X(H'_+) stays inside H'_+ on the window; X is in sp by construction."""
+    return maps_into(A, [LaurentPoly.t(m) for m in range(1, W + 1)],
+                     lambda e: e >= 1)
 
 
 # ---------------------------------------------------------------------------

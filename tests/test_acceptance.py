@@ -251,7 +251,7 @@ def _cli_corpus():
     texts = set()
     idx = [m for m in range(-4, 5) if m]
     while len(texts) < 50:
-        A = QuadraticElement.zero()
+        A = QuadraticElement()
         for _ in range(rng.randrange(1, 5)):
             coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
             kind = rng.randrange(4)

@@ -119,7 +119,7 @@ CANONICAL = [
 
 
 def test_format_zero():
-    assert format_expression(QuadraticElement.zero()) == "0*K"
+    assert format_expression(QuadraticElement()) == "0*K"
 
 
 def test_canonical_strings_round_trip():
@@ -130,7 +130,7 @@ def test_canonical_strings_round_trip():
 
 
 def _random_element(rng):
-    A = QuadraticElement.zero()
+    A = QuadraticElement()
     for _ in range(rng.randrange(1, 5)):
         coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         kind = rng.randrange(4)
@@ -160,7 +160,8 @@ def test_random_round_trips():
 
 
 def test_format_rejects_nonconstant_diagonal():
-    A = QuadraticElement(quad={2: DiagonalSeries(2, Poly((0, 1)))})
+    # a(2 - a) is symmetric on the d = 2 diagonal but not constant
+    A = QuadraticElement(quad={2: DiagonalSeries(2, Poly((0, 2, -1)))})
     with pytest.raises(ValueError, match="canonical"):
         format_expression(A)
 

@@ -211,7 +211,7 @@ def test_exp_examples():
     assert exp_apply(pair(1, 1), v0) == v0
     v11 = FockVector.basis(((1, 1),))
     assert exp_apply(pair(1, 1), v11) == v11 + v0.scale(2)
-    assert exp_apply(QuadraticElement.zero(), v11) == v11
+    assert exp_apply(QuadraticElement(), v11) == v11
 
 
 def test_exp_matches_series_for_nilpotent():

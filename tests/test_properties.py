@@ -13,15 +13,17 @@ time.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oscalg.cli import format_expression, parse_expression
+from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _mixed_trace, _psi_diag_pair, b,
-                            bracket, gamma, pair, psi, tau, unit)
+                            bracket, gamma, is_in_sp_plus, pair, psi, tau,
+                            unit)
 from oscalg.verify import (check_cocycle_defects, check_jacobi,
                            cocycle_defect, d_cocycle)
 
@@ -39,22 +41,25 @@ MODE_TERMS = st.lists(st.tuples(COEFF, MODE_ATOM), min_size=1, max_size=3)
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
 
-def element(terms):
+def element(terms, window=K):
     """(element, window matrix of its quadratic part, window matrix of its
-    linear part) for a list of (coefficient, atom) terms."""
-    A = QuadraticElement.zero()
+    linear part) for a list of (coefficient, atom) terms; the matrices run
+    over exponents in [-window, window]."""
+    A = QuadraticElement()
     quad, lin = {}, {}
     for c, atom in terms:
         if atom[0] == "T":
             A = A + tau(atom[1]).scale(c)
-            quad = oracles.mat_add(quad, oracles.mat_scale(c, oracles.mat_tau(atom[1], K)))
+            quad = oracles.mat_add(quad, oracles.mat_scale(
+                c, oracles.mat_tau(atom[1], window)))
         elif atom[0] == "pair":
             A = A + pair(atom[1], atom[2], c)
             quad = oracles.mat_add(quad, oracles.mat_scale(
-                c, oracles.mat_pair(atom[1], atom[2], K)))
+                c, oracles.mat_pair(atom[1], atom[2], window)))
         else:
             A = A + b(atom[1], c)
-            lin = oracles.mat_add(lin, oracles.mat_scale(c, oracles.mat_mult(atom[1], K)))
+            lin = oracles.mat_add(lin, oracles.mat_scale(
+                c, oracles.mat_mult(atom[1], window)))
     return A, quad, lin
 
 
@@ -69,30 +74,65 @@ def test_psi_and_gamma_match_window_traces(qu, lu, qv, lv):
                            - oracles.psi_mat(v_quad, u_lin, K))
 
 
-# Diagonals with |d| <= 60, a polynomial of degree <= 3 and exceptions on
-# both sides of the summation range, some of them zero where the polynomial
-# is not.
+# Symmetric diagonals with |d| <= 60: a polynomial of degree <= 2 in
+# x = a(d - a) and exceptions placed on both a and d - a, on both sides of
+# the summation range, some of them zero where the polynomial is not.
 OFFSET = st.integers(-60, 60)
-POLY = st.lists(COEFF, max_size=4).map(Poly)
+SYMMETRIC_POLY = st.lists(COEFF, max_size=3)
 EXCEPTIONS = st.dictionaries(st.integers(-65, 65),
                              st.one_of(st.just(Fraction(0)), COEFF), max_size=5)
 
 
+def symmetric(d, coeffs, exceptions):
+    """The series at offset d with polynomial sum_k coeffs[k] x^k in
+    x = a(d - a) and each exception (a, v) placed at a and d - a."""
+    x, power, poly = Poly((0, d, -1)), Poly((1,)), Poly()
+    for c in coeffs:
+        poly, power = poly + power.scale(c), power * x
+    exc = {}
+    for a, v in exceptions.items():
+        exc[a] = exc[d - a] = v
+    return DiagonalSeries(d, poly, exc)
+
+
 @SETTINGS
-@given(OFFSET, POLY, EXCEPTIONS, POLY, EXCEPTIONS)
+@given(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, SYMMETRIC_POLY, EXCEPTIONS)
 def test_psi_diag_pair_matches_loop(d, p1, e1, p2, e2):
-    s1, s2 = DiagonalSeries(d, p1, e1), DiagonalSeries(-d, p2, e2)
+    s1, s2 = symmetric(d, p1, e1), symmetric(-d, p2, e2)
     assert _psi_diag_pair(s1, s2) == oracles.diag_psi_sum(d, s1.coeff, s2.coeff)
 
 
 @SETTINGS
-@given(st.lists(st.tuples(OFFSET, POLY, EXCEPTIONS, COEFF), min_size=1,
-                max_size=2, unique_by=lambda t: t[0]))
+@given(st.lists(st.tuples(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, COEFF),
+                min_size=1, max_size=2, unique_by=lambda t: t[0]))
 def test_mixed_trace_matches_loop(diagonals):
-    quad = {d: DiagonalSeries(d, p, e) for d, p, e, _ in diagonals}
+    quad = {d: symmetric(d, p, e) for d, p, e, _ in diagonals}
     g = LaurentPoly({-d: c for d, _, _, c in diagonals if d})
     assert _mixed_trace(quad, g) == sum(
         g.coeff(-d) * oracles.diag_mixed_sum(d, s.coeff) for d, s in quad.items())
+
+
+# Sources reach |m| <= 4 and shifts |d| <= 12, so a window of 16 holds
+# every image the membership tests see.
+IMAGES = 16
+
+
+@SETTINGS
+@example([(Fraction(1), ("T", 0))], {1}, 4)
+@example([(Fraction(1), ("pair", -2, -3))], set(), 4)
+@given(QUAD_TERMS, st.sets(st.integers(1, 6)), st.integers(1, 4))
+def test_membership_matches_window_matrices(terms, gaps, W):
+    A, mat, _ = element(terms, IMAGES)
+
+    def rows(columns):
+        return {r for (r, c) in mat if c in columns}
+
+    # H'_+ into H'_+, and F-perp (H_- and the gap modes) into F
+    plus = all(r >= 1 for r in rows(range(1, W + 1)))
+    perp = set(range(-W, 0)) | {g for g in gaps if g <= W}
+    into_F = all(r < 0 and -r not in gaps for r in rows(perp))
+    assert is_in_sp_plus(A, W) == plus
+    assert is_in_sp_F(A, FPoint(gaps), W) == into_F
 
 
 LAURENT = st.dictionaries(st.integers(-5, 6), st.integers(-3, 3), max_size=3)

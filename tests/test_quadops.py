@@ -7,11 +7,10 @@ import pytest
 import oracles
 from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
-from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
+from oscalg.quadops import (POLY_ZERO, DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _quad_apply_laurent, alpha, b, beta,
-                            bracket, gamma, is_in_sp, is_in_sp_plus,
-                            normal_order_lift, pair, psi, sigma, tau, unit,
-                            witt_bracket)
+                            bracket, gamma, is_in_sp_plus, normal_order_lift,
+                            pair, psi, sigma, tau, unit, witt_bracket)
 from oscalg.verify import d_cocycle
 
 HALF = Fraction(1, 2)
@@ -94,6 +93,18 @@ def test_series_must_sit_at_its_own_offset():
         QuadraticElement(quad={3: DiagonalSeries(5, Poly((1,)))})
     assert QuadraticElement(quad={5: DiagonalSeries(5, Poly((1,)))}) == tau(5)
     assert tau(3) + tau(3) == tau(3).scale(2)
+
+
+def test_series_must_be_symmetric():
+    # c(1) = 1 but c(2) = 0 would print as :b(1)b(2): yet bracket b(-2) to 0
+    with pytest.raises(ValueError, match=r"offset 3 .*: c\(1\) != c\(2\)"):
+        DiagonalSeries(3, POLY_ZERO, {1: 1})
+    with pytest.raises(ValueError, match=r"offset 2 .*: poly\(0\) != poly\(2\)"):
+        DiagonalSeries(2, Poly((0, 1)))
+    assert DiagonalSeries(3, POLY_ZERO, {1: 1, 2: 1}) == pair(1, 2).quad[3]
+    # a(2 - a) is symmetric on the d = 2 diagonal
+    s = DiagonalSeries(2, Poly((0, 2, -1)))
+    assert [s.coeff(a) for a in range(-2, 5)] == [-8, -3, 0, 1, 0, -3, -8]
 
 
 def test_mirror_symmetry_preserved_by_bracket():
@@ -292,9 +303,7 @@ def test_bracket_central_is_minus_half_psi():
 # -- membership --------------------------------------------------------------
 
 def test_membership_examples():
-    assert is_in_sp(pair(2, 3), 6)
     assert is_in_sp_plus(pair(2, 3), 6)
-    assert is_in_sp(pair(-2, -3), 6)
     assert not is_in_sp_plus(pair(-2, -3), 6)
 
 
@@ -308,7 +317,7 @@ def test_membership_point_examples():
 
 def test_membership_requires_pure_quadratic():
     with pytest.raises(ValueError):
-        is_in_sp(b(1), 4)
+        is_in_sp_plus(b(1), 4)
     with pytest.raises(ValueError):
         is_in_sp_F(unit(), FPoint(()), 4)
 
