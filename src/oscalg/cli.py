@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
                     coinvariants_X, default_schedule, stabilize)
@@ -358,6 +359,33 @@ def build_parser():
 
     return parser, table
 
+# A '-' before one of these opens a negated term, as in -1/3*K or -T(1).
+_TERM_START = frozenset("0123456789KbTS:")
+
+def _dashed_expressions_last(argv, table):
+    """argv with the options of an expression subcommand moved before a
+    `--` when one of its positionals starts with '-', which argparse would
+    read as an option: `bracket T(1) -T(-1) --format json` runs as
+    `bracket --format json -- T(1) -T(-1)`.  Other argv come back as is."""
+    if not argv or argv[0] not in ("bracket", "cocycle", "fock-apply"):
+        return argv
+    takes_value = {s for action in table[argv[0]]._actions if action.nargs != 0
+                   for s in action.option_strings}
+    options, positionals = [], []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            positionals += rest
+        elif arg.startswith("-") and arg[1:].lstrip()[:1] not in _TERM_START:
+            options.append(arg)
+            if arg in takes_value:
+                options += islice(rest, 1)
+        else:
+            positionals.append(arg)
+    if not any(arg.startswith("-") for arg in positionals):
+        return argv
+    return [argv[0], *options, "--", *positionals]
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -372,7 +400,7 @@ def main(argv=None) -> int:
         for sub in table.values():
             sub.set_defaults(**defaults)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_dashed_expressions_last(argv, table))
     except SystemExit as e:    # usage errors and --help
         return e.code
     # config values reach args through set_defaults, which skips choices

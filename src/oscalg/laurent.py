@@ -131,6 +131,8 @@ def derivative(f: LaurentPoly) -> LaurentPoly:
 
 def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Fraction:
     """<f, g> = -Res f dg.  Satisfies <t^a, t^b> = a * delta_{a+b,0}."""
+    if not f.coeffs or not g.coeffs:
+        return Fraction(0)
     return -residue(f * derivative(g))
 
 

@@ -204,7 +204,7 @@ class QuadraticElement:
     def __init__(self, central=0, linear: LaurentPoly | None = None, quad=None):
         self.central = rat(central)
         linear = linear if linear is not None else LaurentPoly.zero()
-        if linear.coeff(0):
+        if 0 in linear.coeffs:
             raise ValueError("linear part must not contain the constant mode; "
                              "use the central coordinate instead")
         self.linear = linear
@@ -366,8 +366,8 @@ def _quad_trace(qa: dict, qb: dict) -> Fraction:
 def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
     """Action of a quadratic part on a finite mode sum: t^m -> -m c(-m) t^(m+d)."""
     out = {}
-    for d, series in quad.items():
-        for m, cm in f.coeffs.items():
+    for m, cm in f.coeffs.items():
+        for d, series in quad.items():
             w = -m * series.coeff(-m)
             if w:
                 e = m + d
@@ -376,20 +376,29 @@ def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
 
 
 def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
-    """Diagonal part of the endomorphism commutator of two diagonals."""
+    """Diagonal part of the endomorphism commutator of two diagonals.  Both
+    terms of c(a) = c1(a) (d1 - a) c2(a - d1) + c1(a - d2) (a - d2) c2(a)
+    carry c1 and c2, so a side s with a zero polynomial makes the generic
+    polynomial zero and c vanishes off exc(s) and exc(s) + d_other; the
+    series keeps only the candidates where c differs from the generic part."""
     d1, d2 = s1.d, s2.d
     p1, p2 = s1.poly, s2.poly
-    generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
-               + p1.affine(1, -d2) * Poly((-d2, F1)) * p2)
-    e1 = set(s1.exc) | {0, d1}
-    e2 = set(s2.exc) | {0, d2}
-    cands = e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}
+    if p1.is_zero() or p2.is_zero():
+        s, shift = (s1, d2) if p1.is_zero() else (s2, d1)
+        generic, cands = POLY_ZERO, set(s.exc) | {a + shift for a in s.exc}
+    else:
+        generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
+                   + p1.affine(1, -d2) * Poly((-d2, F1)) * p2)
+        e1 = set(s1.exc) | {0, d1}
+        e2 = set(s2.exc) | {0, d2}
+        cands = e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}
     exc = {}
     for a in cands:
-        val = (s1.coeff(a) * (d1 - a) * s2.coeff(a - d1)
-               + s1.coeff(a - d2) * (a - d2) * s2.coeff(a))
-        if val != generic(a):
-            exc[a] = val
+        val = F0
+        for i, j, k in ((a, a - d1, d1 - a), (a - d2, a, a - d2)):
+            if (x := s1.coeff(i)) and (y := s2.coeff(j)):
+                val += x * y * k
+        exc[a] = val
     return DiagonalSeries(d1 + d2, generic, exc)
 
 

@@ -367,6 +367,31 @@ def test_leading_minus_expression_after_double_dash(capsys):
                                "result": "1/3*K"}
 
 
+@pytest.mark.parametrize("argv, dashed", [
+    (["bracket", "-1/3*K", "K"], ["bracket", "--", "-1/3*K", "K"]),
+    (["bracket", "T(1)", "-T(-1)", "--format", "json"],
+     ["bracket", "--format", "json", "--", "T(1)", "-T(-1)"]),
+    (["cocycle", "psi", "-T(2)", "T(-2)"],
+     ["cocycle", "--", "psi", "-T(2)", "T(-2)"]),
+    (["fock-apply", "-1/2*T(-2)", "[1]", "--format", "json"],
+     ["fock-apply", "--format", "json", "--", "-1/2*T(-2)", "[1]"]),
+])
+def test_leading_minus_expression_without_double_dash(capsys, argv, dashed):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, dashed)
+
+
+def test_options_keep_their_meaning_next_to_leading_minus(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _, err = run_cli(capsys, ["bracket", "--bogus", "-K", "K"])
+    assert code == 2 and "unrecognized arguments: --bogus" in err
+    code, _, err = run_cli(capsys, ["bracket", "-K", "K", "--format", "yaml"])
+    assert code == 2 and "invalid choice: 'yaml'" in err
+    code, out, _ = run_cli(capsys, ["cocycle", "psi", "-K", "-h"])
+    assert code == 0 and out.startswith("usage: oscalg cocycle")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["coinv", "--gaps", "a"], "--gaps: 'a' is not an integer"),
     (["coinv", "--gaps", "1,,2"], "--gaps: '' is not an integer"),

@@ -3,7 +3,8 @@ language.
 
 psi = alpha + beta + gamma and the residue form of d_cocycle are checked
 against the brute-force window traces of tests/oracles.py on random
-elements, and the closed-form diagonal trace sums against the term-by-term
+elements, the bracket of finite elements against the window commutator
+there, and the closed-form diagonal trace sums against the term-by-term
 loops there on random diagonals with exceptions.  The bracket is
 antisymmetric and satisfies Jacobi on random elements with central parts,
 and alpha and beta have zero defect on random central-free triples.  Seeds
@@ -21,9 +22,9 @@ from oscalg.cli import format_expression, parse_expression
 from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
-                            WittElement, _mixed_trace, _psi_diag_pair, b,
-                            bracket, gamma, is_in_sp_plus, pair, psi, tau,
-                            unit)
+                            WittElement, _mixed_trace, _psi_diag_pair,
+                            _quad_apply_laurent, b, bracket, gamma,
+                            is_in_sp_plus, pair, psi, tau, unit)
 from oscalg.verify import (check_cocycle_defects, check_jacobi,
                            cocycle_defect, d_cocycle)
 
@@ -72,6 +73,39 @@ def test_psi_and_gamma_match_window_traces(qu, lu, qv, lv):
                                         oracles.mat_add(v_quad, v_lin), K)
     assert gamma(u, v) == (oracles.psi_mat(u_quad, v_lin, K)
                            - oracles.psi_mat(v_quad, u_lin, K))
+
+
+# Finite elements (pair and mode sums) and banded ones (T(p) sums).  Each
+# side shifts by at most 12, so on a window of 30 the columns |c| <= 6 of
+# the commutator are exact.
+BRACKET_WINDOW = 30
+FINITE = st.lists(st.tuples(COEFF, st.one_of(
+    st.tuples(st.just("pair"), INDEX, INDEX), MODE_ATOM)), min_size=1, max_size=3)
+BANDED = st.lists(st.tuples(COEFF, st.tuples(st.just("T"), st.integers(-6, 6))),
+                  min_size=1, max_size=3)
+
+
+def window_image(mat, f):
+    """The window matrix mat applied to the mode sum f."""
+    out = {}
+    for (r, c), v in mat.items():
+        out[r] = out.get(r, 0) + v * f.coeff(c)
+    return LaurentPoly(out)
+
+
+@SETTINGS
+@given(FINITE, st.one_of(FINITE, BANDED))
+def test_bracket_of_finite_elements_matches_window_commutator(x, y):
+    A, a_quad, _ = element(x, BRACKET_WINDOW)
+    B, b_quad, _ = element(y, BRACKET_WINDOW)
+    C = bracket(A, B)
+    commutator = oracles.mat_commutator(a_quad, b_quad, BRACKET_WINDOW)
+    for c in range(-6, 7):
+        if c:
+            assert _quad_apply_laurent(C.quad, LaurentPoly.t(c)) == LaurentPoly(
+                {r: v for (r, col), v in commutator.items() if col == c})
+    assert C.linear == (window_image(a_quad, B.linear)
+                        - window_image(b_quad, A.linear))
 
 
 # Symmetric diagonals with |d| <= 60: a polynomial of degree <= 2 in

@@ -8,9 +8,10 @@ import oracles
 from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (POLY_ZERO, DiagonalSeries, Poly, QuadraticElement,
-                            WittElement, _quad_apply_laurent, alpha, b, beta,
-                            bracket, gamma, is_in_sp_plus, normal_order_lift,
-                            pair, psi, sigma, tau, unit, witt_bracket)
+                            WittElement, _bracket_diag, _quad_apply_laurent,
+                            alpha, b, beta, bracket, gamma, is_in_sp_plus,
+                            normal_order_lift, pair, psi, sigma, tau, unit,
+                            witt_bracket)
 from oscalg.verify import d_cocycle
 
 HALF = Fraction(1, 2)
@@ -208,6 +209,24 @@ def test_bracket_matches_endo_commutator_on_window():
         got = interior_columns(oracles.mat_commutator(mA, mB, K), K, margin)
         C = bracket(A, B)
         assert got == {c: action(C, c) for c in got}
+
+
+def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
+    # a pair diagonal s1 confines the bracket to exc(s1) and exc(s1) + d2:
+    # at most 2|exc| candidates, each reading at most 4 coefficients
+    ids = [m for m in range(-3, 4) if m]
+    diagonals = [d for i, a in enumerate(ids) for bb in ids[i:]
+                 for d in pair(a, bb).quad.values()]
+    calls = []
+    coeff = DiagonalSeries.coeff
+    monkeypatch.setattr(DiagonalSeries, "coeff",
+                        lambda s, a: calls.append(a) or coeff(s, a))
+    for s1 in diagonals:
+        for s2 in diagonals:
+            del calls[:]
+            _bracket_diag(s1, s2)
+            assert len(calls) <= 8 * len(s1.exc), (s1, s2)
+    assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
 
 
 def test_bracket_action_on_modes_matches_endo():
