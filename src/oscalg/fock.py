@@ -10,6 +10,7 @@ computation finite and exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
@@ -130,18 +131,32 @@ def _pair_on_partition(a: int, bb: int, lam: tuple):
             for lam3, w2 in _mode_on_partition(a, lam2)]
 
 def _diagonal_on_state(series, state, ch: int):
-    """Images of one diagonal series on a basis state; finite by inspection
-    of the parts present in the channel."""
+    """Images of one diagonal series on a basis state, as (state,
+    coefficient) pairs; finite by inspection of the parts present in the
+    channel.  The cost is one pass over the floor(|d|/2) pairs the diagonal
+    creates, with no per-index polynomial evaluation when the generic part
+    is constant, plus one step per part present in the state."""
     d = series.d
     lam = state[ch]
-    moves = []
-    # both indices creating: a in [d+1, d//2]
+    head, tail = state[:ch], state[ch + 1:]
+    out = []
+    # both indices creating: a in [d+1, d//2] puts in the parts -a >= a - d
+    # with weight 1; neg, the negated parts, is ascending for bisect
+    poly, exc = series.poly, series.exc
+    const = poly.constant_value() if poly.is_constant() else None
+    neg = [-p for p in lam]
     for a in range(d + 1, d // 2 + 1):
-        c = series.coeff(a)
+        c = exc.get(a)
+        if c is None:
+            c = poly(a) if const is None else const
         if c:
             if 2 * a == d:
                 c = c / 2
-            moves.append((a, d - a, c))
+            i = bisect_left(neg, a)
+            j = bisect_left(neg, d - a, i)
+            lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
+            out.append((head + (lam2,) + tail, c))
+    moves = []
     parts = sorted(set(lam))
     # both indices annihilating: parts a <= d - a with d - a also a part
     for a in parts:
@@ -157,11 +172,9 @@ def _diagonal_on_state(series, state, ch: int):
         c = series.coeff(d - bb)
         if c:
             moves.append((d - bb, bb, c))
-    out = []
     for a, bb, c in moves:
         for lam2, w in _pair_on_partition(a, bb, lam):
-            st2 = state[:ch] + (lam2,) + state[ch + 1:]
-            out.append((st2, c * w))
+            out.append((head + (lam2,) + tail, c * w))
     return out
 
 def apply_quadratic(A: QuadraticElement, v: FockVector,
@@ -181,8 +194,12 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 out[st2] = out.get(st2, F0) + ce * c * w
     for series in A.quad.values():
         for state, c in v.terms.items():
-            for st2, w in _diagonal_on_state(series, state, ch):
-                out[st2] = out.get(st2, F0) + c * w
+            images = _diagonal_on_state(series, state, ch)
+            if c != 1:
+                images = [(st2, c * w) for st2, w in images]
+            for st2, w in images:
+                got = out.get(st2)
+                out[st2] = w if got is None else got + w
     return FockVector(v.rank, out)
 
 def virasoro(p: int, v: FockVector, channel: int = 1) -> FockVector:
@@ -305,7 +322,7 @@ def graded_basis(d: int, r: int):
     return tails[d]
 
 def format_partition(lam) -> str:
-    return "[" + ",".join(str(p) for p in lam) + "]"
+    return "[" + ",".join(map(str, lam)) + "]"
 
 def format_label(state) -> str:
     if len(state) == 1:

@@ -143,9 +143,12 @@ def format_signed_sum(terms, zero: str) -> str:
     and the empty sum prints as `zero`."""
     parts = []
     for c, atom in terms:
-        mag = abs(c)
-        body = str(mag) if not atom else (atom if mag == 1 else f"{mag}*{atom}")
-        sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+        if c > 0:
+            sign = "+ " if parts else ""
+        else:
+            sign = "- " if parts else "-"
+            c = -c
+        body = str(c) if not atom else (atom if c == 1 else f"{c}*{atom}")
         parts.append(sign + body)
     return " ".join(parts) if parts else zero
 

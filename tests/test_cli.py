@@ -230,6 +230,29 @@ def test_cmd_fock_apply_large_offset_is_fast(capsys):
     assert time.process_time() - start < 0.2
 
 
+def fock_apply_closed_form(p):
+    """(label, coefficient) terms of T(-p) on [1]: [p+1], then [p-i,i,1] for
+    i = 1..p//2, with coefficient 1/2 at i = p/2 and 1 elsewhere."""
+    terms = [(f"[{p + 1}]", "1")]
+    for i in range(1, p // 2 + 1):
+        terms.append((f"[{p - i},{i},1]", "1/2" if 2 * i == p else "1"))
+    return terms
+
+
+@pytest.mark.parametrize("p", [7, 8, 1000])
+def test_cmd_fock_apply_closed_form(capsys, p):
+    terms = fock_apply_closed_form(p)
+    code, out, _ = run_cli(capsys, ["fock-apply", f"T({-p})", "[1]"])
+    text = " + ".join(label if c == "1" else f"{c}*{label}" for label, c in terms)
+    assert (code, out) == (0, text + "\n")
+    code, out, _ = run_cli(capsys, ["fock-apply", f"T({-p})", "[1]",
+                                    "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "fock-apply", "expr": f"T({-p})", "state": "[1]",
+        "result": [{"label": label, "coeff": c} for label, c in terms]}
+
+
 def test_cmd_coinv_json(capsys):
     code, out, _ = run_cli(capsys, ["coinv"])
     assert code == 0

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oscalg.fock import (FockVector, apply_mode, apply_quadratic, canon_state,
                          exp_apply, format_label, format_vector, graded_basis,
                          measure_central_charge, parse_label, state_degree,
                          virasoro, virasoro_all)
-from oscalg.quadops import QuadraticElement, b, bracket, pair, tau, unit
+from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
+                            pair, tau, unit)
+from test_properties import BOUNDED, COEFF
 from test_quadops import generator_set
 
 HALF = Fraction(1, 2)
@@ -163,6 +168,61 @@ def test_bracket_action_compatibility_sample():
         rhs = (apply_quadratic(A, apply_quadratic(B, v))
                - apply_quadratic(B, apply_quadratic(A, v)))
         assert lhs == rhs
+
+
+# Degree-raising diagonals d <= -2 of either parity: c0 + c1 a(d - a) with
+# exceptions mirrored onto d - a, so some sit in the both-creating range,
+# some on the midpoint d/2 and some on mixed pairs.  Vectors hold up to
+# three states with repeated parts and any coefficients; at rank 2 the
+# action is on channel 2.
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+PARTITION = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+VECTORS = st.integers(1, 2).flatmap(lambda rank: st.dictionaries(
+    st.tuples(*[PARTITION] * rank), COEFF.filter(bool), min_size=1,
+    max_size=3).map(lambda terms: FockVector(rank, terms)))
+
+
+def oracle_diagonal_action(series, v):
+    """The diagonal applied to v term by term: c(a) :b_a b_(d-a): over the
+    pairs a <= d - a that can act on v's states, c(a)/2 at the midpoint,
+    with oracles.o_pair on the last channel."""
+    d, out = series.d, {}
+    for state, coeff in v.terms.items():
+        degree = sum(state[-1])
+        for a in range(d - degree, d // 2 + 1):
+            c = series.coeff(a)
+            if 2 * a == d:
+                c = c / 2
+            image = oracles.o_pair(a, d - a, {state[-1]: coeff * c})
+            for lam, w in image.items():
+                key = state[:-1] + (lam,)
+                out[key] = out.get(key, Fraction(0)) + w
+    return FockVector(v.rank, out)
+
+
+@SETTINGS
+@example(-6, Fraction(1), Fraction(0), {-3: Fraction(5), -5: Fraction(2)},
+         FockVector(1, {((1,),): 1}))
+@example(-7, Fraction(1), Fraction(0), {-4: Fraction(0), -8: Fraction(3)},
+         FockVector(2, {((2, 1), (1, 1)): Fraction(-2, 3)}))
+@given(st.integers(-12, -2), COEFF, COEFF,
+       st.dictionaries(st.integers(-16, -1), COEFF, max_size=3), VECTORS)
+def test_diagonal_action_matches_oracle_pairs(d, c0, c1, exceptions, v):
+    exc = {}
+    for a, value in exceptions.items():
+        exc[a] = exc[d - a] = value
+    series = DiagonalSeries(d, Poly((c0, c1 * d, -c1)), exc)
+    got = apply_quadratic(QuadraticElement(quad={d: series}), v, v.rank)
+    assert got == oracle_diagonal_action(series, v)
+
+
+@SETTINGS
+@given(BOUNDED, BOUNDED, st.sampled_from(basis_upto(5)))
+def test_action_intertwines_brackets(x, y, v):
+    assert apply_quadratic(bracket(x, y), v) == (
+        apply_quadratic(x, apply_quadratic(y, v))
+        - apply_quadratic(y, apply_quadratic(x, v)))
 
 
 def test_number_operator_eigenvalues():
