@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import islice
 
 from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
                     coinvariants_X, default_schedule, stabilize)
 from .fock import FockVector, apply_quadratic, format_label, format_vector, parse_label
-from .laurent import parse_int
+from .laurent import parse_int, ratio
 from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
                       pair, sigma, tau)
 from .verify import CocycleHandle, central_scalars, verify_all
@@ -100,7 +99,7 @@ class _Parser:
         return out
 
     def term(self) -> QuadraticElement:
-        coeff = Fraction(1)
+        coeff = 1
         if self.peek() == "INT":
             num = self.take("INT")[1]
             den = 1
@@ -109,7 +108,7 @@ class _Parser:
                 den = self.take("INT")[1]
                 if den == 0:
                     raise ExpressionError("zero denominator", self.toks[self.i - 1][2])
-            coeff = Fraction(num, den)
+            coeff = ratio(num, den)
             self.take("*")
         return self.atom().scale(coeff)
 
@@ -161,17 +160,18 @@ def parse_expression(text: str) -> QuadraticElement:
 # reporting helpers
 # ---------------------------------------------------------------------------
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
+def _as_text(x):
+    """x with every leaf as its text, through dicts and lists: an exact
+    value goes into JSON as the string the text output prints, not as a
+    number, whether it is an int or a Fraction."""
     if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+        return {k: _as_text(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_as_text(v) for v in x]
+    return str(x)
 
 def _dump(data) -> str:
-    return json.dumps(_jsonable(data))
+    return json.dumps(data)
 
 def _parse_gaps(text: str):
     text = (text or "").strip()
@@ -197,7 +197,7 @@ def _cmd_cocycle(args):
     value = handle(parse_expression(args.x), parse_expression(args.y))
     if args.format == "json":
         return 0, _dump({"command": "cocycle", "name": args.name,
-                         "inputs": [args.x, args.y], "value": value})
+                         "inputs": [args.x, args.y], "value": str(value)})
     return 0, str(value)
 
 def _cmd_fock_apply(args):
@@ -205,7 +205,7 @@ def _cmd_fock_apply(args):
     state = parse_label(args.state)
     result = apply_quadratic(A, FockVector.basis(state))
     if args.format == "json":
-        terms = [{"label": format_label(st), "coeff": c}
+        terms = [{"label": format_label(st), "coeff": str(c)}
                  for st, c in result.terms_sorted()]
         return 0, _dump({"command": "fock-apply", "expr": args.expr,
                          "state": args.state, "result": terms})
@@ -248,7 +248,7 @@ def _cmd_verify_all(args):
 def _cmd_central_scalars(args):
     table = central_scalars()
     if args.format == "json":
-        return 0, _dump(table)
+        return 0, _dump(_as_text(table))
     lines = [f"mp cocycle: {table['mp_cocycle']} "
              f"(on tau-hat pair at p=2: {table['mp_cocycle_on_tau2']})",
              f"U2 cocycle: {table['u2_cocycle']}",
@@ -366,7 +366,8 @@ def _dashed_expressions_last(argv, table):
     """argv with the options of an expression subcommand moved before a
     `--` when one of its positionals starts with '-', which argparse would
     read as an option: `bracket T(1) -T(-1) --format json` runs as
-    `bracket --format json -- T(1) -T(-1)`.  Other argv come back as is."""
+    `bracket --format json -- T(1) -T(-1)`.  A bare '-' is the label of an
+    empty channel, so it too is a positional.  Other argv come back as is."""
     if not argv or argv[0] not in ("bracket", "cocycle", "fock-apply"):
         return argv
     takes_value = {s for action in table[argv[0]]._actions if action.nargs != 0
@@ -376,7 +377,8 @@ def _dashed_expressions_last(argv, table):
     for arg in rest:
         if arg == "--":
             positionals += rest
-        elif arg.startswith("-") and arg[1:].lstrip()[:1] not in _TERM_START:
+        elif (arg.startswith("-") and arg != "-"
+              and arg[1:].lstrip()[:1] not in _TERM_START):
             options.append(arg)
             if arg in takes_value:
                 options += islice(rest, 1)

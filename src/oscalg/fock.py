@@ -13,11 +13,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
+from numbers import Rational
 
-from .laurent import format_signed_sum, parse_int, rat
+from .laurent import format_signed_sum, parse_int, rat, ratio
 from .quadops import QuadraticElement, b, tau
-
-F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,8 @@ def state_degree(state) -> int:
     return sum(sum(lam) for lam in state)
 
 class FockVector:
-    """Finite rational combination of partition-tuple basis states.
+    """Finite rational combination of partition-tuple basis states, with
+    coefficients canonical as laurent.rat makes them.
 
     The constructor expects canonical keys: each state is a tuple of `rank`
     weakly decreasing partitions, as canon_state returns it.  The actions in
@@ -77,7 +77,7 @@ class FockVector:
             raise ValueError("rank mismatch")
         out = dict(self.terms)
         for state, c in other.terms.items():
-            out[state] = out.get(state, F0) + c
+            out[state] = out.get(state, 0) + c
         return FockVector(self.rank, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
@@ -151,7 +151,7 @@ def _diagonal_on_state(series, state, ch: int):
             c = poly(a) if const is None else const
         if c:
             if 2 * a == d:
-                c = c / 2
+                c = ratio(c, 2)
             i = bisect_left(neg, a)
             j = bisect_left(neg, d - a, i)
             lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
@@ -160,10 +160,10 @@ def _diagonal_on_state(series, state, ch: int):
     parts = sorted(set(lam))
     # both indices annihilating: parts a <= d - a with d - a also a part
     for a in parts:
-        c = series.coeff(a) if 2 * a <= d and d - a in lam else F0
+        c = series.coeff(a) if 2 * a <= d and d - a in lam else 0
         if c:
             if 2 * a == d:
-                c = c / 2
+                c = ratio(c, 2)
             moves.append((a, d - a, c))
     # one of each: the annihilation index must be a part
     for bb in parts:
@@ -186,12 +186,12 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
     out = {}
     if A.central:
         for state, c in v.terms.items():
-            out[state] = out.get(state, F0) + A.central * c
+            out[state] = out.get(state, 0) + A.central * c
     for e, ce in A.linear.coeffs.items():
         for state, c in v.terms.items():
             for lam2, w in _mode_on_partition(e, state[ch]):
                 st2 = state[:ch] + (lam2,) + state[ch + 1:]
-                out[st2] = out.get(st2, F0) + ce * c * w
+                out[st2] = out.get(st2, 0) + ce * c * w
     for series in A.quad.values():
         for state, c in v.terms.items():
             images = _diagonal_on_state(series, state, ch)
@@ -218,7 +218,7 @@ def virasoro_all(p: int, v: FockVector) -> FockVector:
 # central charge and exponentials
 # ---------------------------------------------------------------------------
 
-def measure_central_charge(p: int, vectors, apply_L=None) -> Fraction:
+def measure_central_charge(p: int, vectors, apply_L=None) -> Rational:
     """Solve ([L_p, L_-p] - 2p L_0) v = (c/12)(p^3 - p) v for c.
 
     apply_L(q, v) defaults to the distinguished-channel virasoro; pass
@@ -229,7 +229,7 @@ def measure_central_charge(p: int, vectors, apply_L=None) -> Fraction:
         raise ValueError("p must satisfy p^3 - p != 0")
     if apply_L is None:
         apply_L = virasoro
-    denom = Fraction(p ** 3 - p, 12)
+    denom = ratio(p ** 3 - p, 12)
     c_found = None
     for v in vectors:
         if v.is_zero():
@@ -237,11 +237,11 @@ def measure_central_charge(p: int, vectors, apply_L=None) -> Fraction:
         w = (apply_L(p, apply_L(-p, v)) - apply_L(-p, apply_L(p, v))
              - apply_L(0, v).scale(2 * p))
         state, coeff = v.terms_sorted()[0]
-        mu = w.terms.get(state, F0) / coeff
+        mu = ratio(w.terms.get(state, 0), coeff)
         if w != v.scale(mu):
             raise ValueError(f"not an eigenvector of [L_p, L_-p] - 2p L_0: "
                              f"{format_vector(v)}")
-        c = mu / denom
+        c = ratio(mu, denom)
         if c_found is None:
             c_found = c
         elif c != c_found:
@@ -270,11 +270,11 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
         out = {}
         for state, c in v.terms.items():
             image = apply_quadratic(A, FockVector(v.rank, {state: 1}), channel)
-            mu = image.terms.get(state, F0)
+            mu = image.terms.get(state, 0)
             if mu.denominator != 1:
                 raise ValueError(f"non-integral eigenvalue {mu} on "
                                  f"{format_label(state)}")
-            out[state] = c * a ** int(mu)
+            out[state] = c * Fraction(a) ** mu
         return FockVector(v.rank, out)
     if any(e < 0 for e in A.linear.coeffs):
         raise ValueError("creation mode: exp is not locally nilpotent")

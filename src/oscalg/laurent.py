@@ -3,18 +3,37 @@
 Elements of H = Q((t)) that the rest of the library touches directly are
 finite sums c * t^e; completed objects (infinite mode sums) live in
 ``quadops`` as symbolic diagonal families, never here.
+
+Every exact value in the package is an int when it is integral and a
+Fraction only when it has a denominator: rat is the one rule, applied by
+every constructor, and ratio the one true division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 
-def rat(x) -> Fraction:
-    """Coerce ints, strings like '1/2', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def rat(x) -> Rational:
+    """The canonical exact value of x: an int stays an int, a Fraction with
+    denominator 1 becomes its numerator, and a string like '1/2' is parsed
+    exactly.  A float, or anything else inexact, is a TypeError."""
+    if type(x) is not int:
+        if type(x) is not Fraction:
+            if not isinstance(x, (str, Rational)):
+                raise TypeError(f"{x!r} is not an exact rational: pass an "
+                                f"int, a Fraction or a string like '1/2'")
+            x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    return x
+
+
+def ratio(a, b) -> Rational:
+    """a / b for exact a and b, canonical as rat makes it.  This is the one
+    division in the package: / on two ints would give a float."""
+    return rat(Fraction(a, b))
 
 
 def parse_int(text: str, what: str) -> int:
@@ -59,8 +78,8 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, exp: int) -> Fraction:
-        return self.coeffs.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> Rational:
+        return self.coeffs.get(exp, 0)
 
     def without_constant(self) -> "LaurentPoly":
         if 0 not in self.coeffs:
@@ -72,13 +91,13 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -94,7 +113,7 @@ class LaurentPoly:
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
                     e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                    out[e] = out.get(e, 0) + c1 * c2
             return LaurentPoly(out)
         return self.scale(other)
 
@@ -109,8 +128,8 @@ class LaurentPoly:
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly({e - 1: e * c for e, c in self.coeffs.items() if e != 0})
 
-    def residue(self) -> Fraction:
-        return self.coeffs.get(-1, Fraction(0))
+    def residue(self) -> Rational:
+        return self.coeffs.get(-1, 0)
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"
@@ -119,7 +138,7 @@ class LaurentPoly:
         return format_laurent(self)
 
 
-def residue(f: LaurentPoly) -> Fraction:
+def residue(f: LaurentPoly) -> Rational:
     """Coefficient of t^-1."""
     return f.residue()
 
@@ -129,10 +148,10 @@ def derivative(f: LaurentPoly) -> LaurentPoly:
     return f.derivative()
 
 
-def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Fraction:
+def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Rational:
     """<f, g> = -Res f dg.  Satisfies <t^a, t^b> = a * delta_{a+b,0}."""
     if not f.coeffs or not g.coeffs:
-        return Fraction(0)
+        return 0
     return -residue(f * derivative(g))
 
 

@@ -13,13 +13,10 @@ every diagonal at a = 0 and a = d keep quadratic operators off t^0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from numbers import Rational
 
-from .laurent import LaurentPoly, format_signed_sum, rat, symplectic_form
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .laurent import LaurentPoly, format_signed_sum, rat, ratio, symplectic_form
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +24,8 @@ F1 = Fraction(1)
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense polynomial in one integer variable, Fraction coefficients."""
+    """Dense polynomial in one integer variable with exact coefficients,
+    each canonical as laurent.rat makes it."""
 
     __slots__ = ("c",)
 
@@ -43,19 +41,19 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.c) <= 1
 
-    def constant_value(self) -> Fraction:
-        return self.c[0] if self.c else F0
+    def constant_value(self) -> Rational:
+        return self.c[0] if self.c else 0
 
-    def __call__(self, a: int) -> Fraction:
-        acc = F0
+    def __call__(self, a: int) -> Rational:
+        acc = 0
         for coeff in reversed(self.c):
             acc = acc * a + coeff
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.c), len(other.c))
-        return Poly([(self.c[i] if i < len(self.c) else F0)
-                     + (other.c[i] if i < len(other.c) else F0)
+        return Poly([(self.c[i] if i < len(self.c) else 0)
+                     + (other.c[i] if i < len(other.c) else 0)
                      for i in range(n)])
 
     def __neg__(self) -> "Poly":
@@ -67,7 +65,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.c or not other.c:
             return Poly()
-        out = [F0] * (len(self.c) + len(other.c) - 1)
+        out = [0] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
             for j, b in enumerate(other.c):
                 out[i + j] += a * b
@@ -80,7 +78,7 @@ class Poly:
     def affine(self, s: int, h: int) -> "Poly":
         """P(s*a + h) as a polynomial in a."""
         out = Poly()
-        power = Poly((F1,))
+        power = Poly((1,))
         base = Poly((h, s))
         for coeff in self.c:
             out = out + power.scale(coeff)
@@ -98,18 +96,18 @@ class Poly:
 
 
 POLY_ZERO = Poly()
-POLY_ONE = Poly((F1,))
+POLY_ONE = Poly((1,))
 
 
-def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Fraction:
+def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Rational:
     """actual(1) + ... + actual(n), where actual = generic, a polynomial of
     degree <= deg, off the distinct indices js.  Exact in O(deg^2 + len(js))
     for any n: Newton's forward formula and the hockey-stick identity give
     sum_i D^i generic(1) C(n, i+1), plus actual - generic at each j in js."""
     if n < 1:
-        return F0
+        return 0
     diffs = [generic(j) for j in range(1, deg + 2)]
-    total = F0
+    total = 0
     for i in range(deg + 1):
         total += diffs[0] * comb(n, i + 1)
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
@@ -159,9 +157,9 @@ class DiagonalSeries:
                 raise ValueError(f"diagonal series at offset {d} is not "
                                  f"symmetric: c({a}) != c({d - a})")
 
-    def coeff(self, a: int) -> Fraction:
+    def coeff(self, a: int) -> Rational:
         if a == 0 or a == self.d:
-            return F0
+            return 0
         got = self.exc.get(a)
         return got if got is not None else self.poly(a)
 
@@ -274,7 +272,7 @@ def _term_chunks(A: QuadraticElement):
         c = series.poly.constant_value()
         for a in sorted(x for x in series.exc if 2 * x <= d):
             v = series.exc[a]
-            coeff = (v - c) / 2 if 2 * a == d else v - c
+            coeff = ratio(v - c, 2) if 2 * a == d else v - c
             chunks.append((coeff, f":b({a})b({d - a}):"))
     for m in sorted(A.linear.coeffs):
         chunks.append((A.linear.coeffs[m], f"b({m})"))
@@ -320,8 +318,8 @@ def normal_order_lift(f: LaurentPoly, g: LaurentPoly) -> QuadraticElement:
         for e2, c2 in g.coeffs.items():
             d = e1 + e2
             diag = acc.setdefault(d, {})
-            diag[e1] = diag.get(e1, F0) + c1 * c2
-            diag[e2] = diag.get(e2, F0) + c1 * c2
+            diag[e1] = diag.get(e1, 0) + c1 * c2
+            diag[e2] = diag.get(e2, 0) + c1 * c2
     quad = {d: DiagonalSeries(d, POLY_ZERO, exc) for d, exc in acc.items()}
     return QuadraticElement(quad=quad)
 
@@ -335,14 +333,14 @@ def tau(p: int) -> QuadraticElement:
 # the commutator
 # ---------------------------------------------------------------------------
 
-def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Fraction:
+def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Rational:
     """Trace cocycle of two diagonals with opposite offsets d and -d: for
     d > 0, minus the sum over j in [1, d-1] of j(d-j) c1(d-j) c2(-j).  In
     closed form, the power sum of the generic polynomial j(d-j) P1(d-j)
     P2(-j) plus (actual - generic) at each exceptional j in that range."""
     d = s1.d
     if d == 0:
-        return F0
+        return 0
     if d < 0:
         return -_psi_diag_pair(s2, s1)
     p1, p2 = s1.poly, s2.poly
@@ -353,9 +351,9 @@ def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Fraction:
         {d - a for a in s1.exc} | {-a for a in s2.exc})
 
 
-def _quad_trace(qa: dict, qb: dict) -> Fraction:
+def _quad_trace(qa: dict, qb: dict) -> Rational:
     """psi of two quadratic parts: the trace pairs opposite offsets only."""
-    total = F0
+    total = 0
     for d, s1 in qa.items():
         s2 = qb.get(-d)
         if s2 is not None:
@@ -371,7 +369,7 @@ def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
             w = -m * series.coeff(-m)
             if w:
                 e = m + d
-                out[e] = out.get(e, F0) + cm * w
+                out[e] = out.get(e, 0) + cm * w
     return LaurentPoly(out)
 
 
@@ -388,13 +386,13 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
         generic, cands = POLY_ZERO, set(s.exc) | {a + shift for a in s.exc}
     else:
         generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
-                   + p1.affine(1, -d2) * Poly((-d2, F1)) * p2)
+                   + p1.affine(1, -d2) * Poly((-d2, 1)) * p2)
         e1 = set(s1.exc) | {0, d1}
         e2 = set(s2.exc) | {0, d2}
         cands = e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}
     exc = {}
     for a in cands:
-        val = F0
+        val = 0
         for i, j, k in ((a, a - d1, d1 - a), (a - d2, a, a - d2)):
             if (x := s1.coeff(i)) and (y := s2.coeff(j)):
                 val += x * y * k
@@ -411,7 +409,7 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
     central = symplectic_form(A.linear, B.linear)
     trace = _quad_trace(A.quad, B.quad)
     if trace:
-        central -= trace / 2
+        central -= ratio(trace, 2)
     linear = (_quad_apply_laurent(A.quad, B.linear)
               - _quad_apply_laurent(B.quad, A.linear))
     quad = {}
@@ -427,12 +425,12 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
 # the trace cocycle and its pieces
 # ---------------------------------------------------------------------------
 
-def _mixed_trace(quad: dict, g: LaurentPoly) -> Fraction:
+def _mixed_trace(quad: dict, g: LaurentPoly) -> Rational:
     """Trace of a quadratic part against multiplication by g:
     sum_d g_{-d} * sum over a strictly between 0 and d of |a| c_d(a).  With
     a = s*j, s the sign of d, that is the power sum of j P(s*j) over j in
     [1, |d|-1] plus |a| (actual - generic) at each exceptional a in range."""
-    total = F0
+    total = 0
     for d, series in quad.items():
         gd = g.coeff(-d)
         if gd:
@@ -445,12 +443,12 @@ def _mixed_trace(quad: dict, g: LaurentPoly) -> Fraction:
     return total
 
 
-def psi(u: QuadraticElement, v: QuadraticElement) -> Fraction:
+def psi(u: QuadraticElement, v: QuadraticElement) -> Rational:
     """Trace cocycle psi = alpha + beta + gamma: quadratic parts act by the
     S^2 action, linear parts by multiplication, central parts not at all."""
-    return (_quad_trace(u.quad, v.quad)
-            + symplectic_form(u.linear, v.linear)
-            + _mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear))
+    return rat(_quad_trace(u.quad, v.quad)
+               + symplectic_form(u.linear, v.linear)
+               + _mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear))
 
 
 def _require_cocycle_arguments(u: QuadraticElement, v: QuadraticElement):
@@ -459,22 +457,22 @@ def _require_cocycle_arguments(u: QuadraticElement, v: QuadraticElement):
                          "central part must be zero")
 
 
-def alpha(u: QuadraticElement, v: QuadraticElement) -> Fraction:
+def alpha(u: QuadraticElement, v: QuadraticElement) -> Rational:
     """psi of the quadratic parts."""
     _require_cocycle_arguments(u, v)
-    return _quad_trace(u.quad, v.quad)
+    return rat(_quad_trace(u.quad, v.quad))
 
 
-def beta(u: QuadraticElement, v: QuadraticElement) -> Fraction:
+def beta(u: QuadraticElement, v: QuadraticElement) -> Rational:
     """Symplectic pairing of the linear parts."""
     _require_cocycle_arguments(u, v)
     return symplectic_form(u.linear, v.linear)
 
 
-def gamma(u: QuadraticElement, v: QuadraticElement) -> Fraction:
+def gamma(u: QuadraticElement, v: QuadraticElement) -> Rational:
     """Cross terms: psi(X, g) - psi(Y, f) for u = X + f, v = Y + g."""
     _require_cocycle_arguments(u, v)
-    return _mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear)
+    return rat(_mixed_trace(u.quad, v.linear) - _mixed_trace(v.quad, u.linear))
 
 
 # ---------------------------------------------------------------------------
@@ -554,5 +552,5 @@ def sigma(x: WittElement) -> QuadraticElement:
         p = n - 1
         out = out + tau(p).scale(-c)
         if p != 0:
-            out = out + b(p, c * Fraction(n, 2))
+            out = out + b(p, ratio(c * n, 2))
     return out

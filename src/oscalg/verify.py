@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
 
 from .coinv import FPoint, sp_f_generators
 from .fock import FockVector, graded_basis, measure_central_charge, virasoro_all
-from .laurent import LaurentPoly, residue, symplectic_form
+from .laurent import LaurentPoly, ratio, residue, symplectic_form
 from .quadops import (Poly, QuadraticElement, WittElement, _quad_apply_laurent,
                       alpha, b, beta, bracket, format_expression, gamma, pair,
                       psi, sigma, tau, unit, witt_bracket)
 
-F0 = Fraction(0)
 HALF = Fraction(1, 2)
 
 
@@ -59,7 +59,7 @@ class CocycleHandle:
         self.name = name
         self.evaluate = _NAMED[name]
 
-    def __call__(self, u: QuadraticElement, v: QuadraticElement) -> Fraction:
+    def __call__(self, u: QuadraticElement, v: QuadraticElement) -> Rational:
         return self.evaluate(u, v)
 
 
@@ -71,12 +71,12 @@ def _cyclic_triples(elements):
     for (i, x), (j, y), (k, z) in combinations(enumerate(elements), 3):
         yield (x, y, z), (table[j, k], table[k, i], table[i, j])
 
-def _defect_sum(c, triple, brackets) -> Fraction:
+def _defect_sum(c, triple, brackets) -> Rational:
     """The defect sum of c(u, [v, w] mod K) over the cycle of the triple."""
     return sum(c(u, w.drop_central()) for u, w in zip(triple, brackets))
 
 def cocycle_defect(c, x: QuadraticElement, y: QuadraticElement,
-                   z: QuadraticElement) -> Fraction:
+                   z: QuadraticElement) -> Rational:
     """c(x,[y,z]) + c(y,[z,x]) + c(z,[x,y]) with brackets taken in
     sp(H') x| H': central parts of bracket outputs are discarded."""
     if isinstance(c, str):
@@ -194,7 +194,7 @@ def fit_cocycle_coefficients(c) -> tuple:
         if not value:
             raise ValueError(f"{name} at {_show((u, v))}: expected nonzero, "
                              f"got {value}")
-        fit.append(c(u, v) / value)
+        fit.append(ratio(c(u, v), value))
     return tuple(fit)
 
 def check_fit_psi() -> list:
@@ -213,18 +213,18 @@ def check_fit_psi() -> list:
 # closed residue forms on Witt x| H'
 # ---------------------------------------------------------------------------
 
-def alpha_closed(u: WittElement, v: WittElement) -> Fraction:
+def alpha_closed(u: WittElement, v: WittElement) -> Rational:
     """(1/6) Res f d(h'') for the vector-field parts f, h."""
     h3 = v.f.derivative().derivative().derivative()
     return Fraction(1, 6) * residue(u.f * h3)
 
-def gamma_closed(u: WittElement, v: WittElement) -> Fraction:
+def gamma_closed(u: WittElement, v: WittElement) -> Rational:
     """-1/2 Res(f d(k') - h d(g')) for (f d/dt + g, h d/dt + k)."""
     k2 = v.g.derivative().derivative()
     g2 = u.g.derivative().derivative()
     return -HALF * (residue(u.f * k2) - residue(v.f * g2))
 
-def d_cocycle(u: WittElement, v: WittElement) -> Fraction:
+def d_cocycle(u: WittElement, v: WittElement) -> Rational:
     """Trace cocycle of f d/dt - g on H in residue form, d = alpha_closed -
     gamma_closed + <g, k>: (L_p, L_-p) -> -(p^3-p)/6, (b_q, b_-q) -> q,
     (L_p, b_-p) -> -p(p+1)/2.  This is exactly the defect of the
@@ -248,16 +248,16 @@ class HOp:
     @classmethod
     def derivation(cls, f: LaurentPoly) -> "HOp":
         """f d/dt acting on all of H, including transitions through t^0."""
-        return cls({e - 1: Poly((F0, c)) for e, c in f.coeffs.items()})
+        return cls({e - 1: Poly((0, c)) for e, c in f.coeffs.items()})
 
 
-def psi_trace(A: HOp, B: HOp) -> Fraction:
+def psi_trace(A: HOp, B: HOp) -> Rational:
     """Tr(pi+ A pi- B pi+ - pi+ B pi- A pi+) over the t^j, j >= 0 basis.
 
     Only shift pairs summing to zero contribute, and each contributes a
     finite sum of length |shift|, so no truncation is involved.
     """
-    total = F0
+    total = 0
     for sA, wA in A.terms.items():
         wB = B.terms.get(-sA)
         if wB is None:
@@ -302,8 +302,8 @@ def check_closed_forms(bound: int = 5) -> list:
 # the central-scalar table
 # ---------------------------------------------------------------------------
 
-LAMBDA_FIBER = Fraction(2)
-THETA_FIBER = Fraction(-1)
+LAMBDA_FIBER = 2
+THETA_FIBER = -1
 
 def central_scalars() -> dict:
     """Scalar bookkeeping: defining cocycles, fiber scalars for the unit,
@@ -315,8 +315,8 @@ def central_scalars() -> dict:
         "u2_cocycle": "-1/2*alpha + beta",
         "lambda_fiber": LAMBDA_FIBER,
         "theta_fiber": THETA_FIBER,
-        "atiyah": [{"c": Fraction(c), "A_multiple": c / LAMBDA_FIBER,
-                    "X_multiple": c / THETA_FIBER} for c in (0, 1, 2, 26)],
+        "atiyah": [{"c": c, "A_multiple": ratio(c, LAMBDA_FIBER),
+                    "X_multiple": ratio(c, THETA_FIBER)} for c in (0, 1, 2, 26)],
     }
 
 def check_central_scalars() -> list:

@@ -216,6 +216,10 @@ def test_cmd_fock_apply(capsys):
                                     "--format", "json"])
     data = json.loads(out)
     assert data["result"] == [{"label": "[1,1]", "coeff": "1/2"}]
+    # an integral coefficient is a string too
+    code, out, _ = run_cli(capsys, ["fock-apply", ":b(-2)b(2):", "[2]",
+                                    "--format", "json"])
+    assert json.loads(out)["result"] == [{"label": "[2]", "coeff": "2"}]
 
 
 def test_cmd_fock_apply_large_offset_is_fast(capsys):
@@ -316,6 +320,7 @@ def test_cmd_central_scalars(capsys):
     assert table["u2_cocycle"] == "-1/2*alpha + beta"
     assert table["atiyah"][3] == {"c": "26", "A_multiple": "13",
                                   "X_multiple": "-26"}
+    assert (table["lambda_fiber"], table["theta_fiber"]) == ("2", "-1")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +403,8 @@ def test_leading_minus_expression_after_double_dash(capsys):
      ["cocycle", "--", "psi", "-T(2)", "T(-2)"]),
     (["fock-apply", "-1/2*T(-2)", "[1]", "--format", "json"],
      ["fock-apply", "--format", "json", "--", "-1/2*T(-2)", "[1]"]),
+    # a bare '-' is the empty-channel label, a positional
+    (["fock-apply", "-1/2*T(-2)", "-"], ["fock-apply", "--", "-1/2*T(-2)", "-"]),
 ])
 def test_leading_minus_expression_without_double_dash(capsys, argv, dashed):
     code, out, err = run_cli(capsys, argv)
@@ -532,6 +539,24 @@ def test_only_laurent_joins_signed_terms():
             if isinstance(node, ast.Constant) and node.value in ("+ ", "- "):
                 holders.add(path.name)
     assert holders == {"laurent.py"}
+
+
+def _divisions(node, where):
+    """The enclosing function or class of each true division under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Div):
+            yield where
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                 else where)
+        yield from _divisions(child, inner)
+
+
+def test_only_laurent_ratio_divides():
+    # int / int is a float, so every true division goes through laurent.ratio
+    pkg = Path(oscalg.__file__).parent
+    holders = {f"{path.name}:{where}" for path in sorted(pkg.glob("*.py"))
+               for where in _divisions(ast.parse(path.read_text()), "<module>")}
+    assert holders <= {"laurent.py:ratio"}
 
 
 def test_package_holds_no_assert():

@@ -193,7 +193,7 @@ def oracle_diagonal_action(series, v):
         for a in range(d - degree, d // 2 + 1):
             c = series.coeff(a)
             if 2 * a == d:
-                c = c / 2
+                c = Fraction(c, 2)
             image = oracles.o_pair(a, d - a, {state[-1]: coeff * c})
             for lam, w in image.items():
                 key = state[:-1] + (lam,)
@@ -299,6 +299,13 @@ def test_exp_number_operator():
     with pytest.raises(ValueError, match="non-integral"):
         exp_apply(pair(-1, 1).scale(HALF), FockVector.basis(((1,),)),
                   group_scalar=2)
+
+
+def test_exp_negative_eigenvalue_is_exact():
+    # an int group scalar to a negative power: a ** mu would be a float
+    got = exp_apply(tau(0).scale(-1), FockVector.basis(((1,),)), 3)
+    assert got.terms == {((1,),): Fraction(1, 3)}
+    assert format_vector(got) == "1/3*[1]"
 
 
 def test_exp_rejections():

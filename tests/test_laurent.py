@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
-from oscalg.laurent import (LaurentPoly, derivative, format_laurent, residue,
-                            symplectic_form)
+import pytest
+
+from oscalg.fock import FockVector
+from oscalg.laurent import (LaurentPoly, derivative, format_laurent, rat,
+                            ratio, residue, symplectic_form)
+from oscalg.quadops import DiagonalSeries, b
 
 
 def t(e, c=1):
@@ -118,3 +122,25 @@ def test_format_frozen_strings():
     ]
     for coeffs, text in cases:
         assert format_laurent(LaurentPoly(coeffs)) == text
+
+
+# -- exact numbers -----------------------------------------------------------
+
+def test_integral_values_are_ints():
+    for got, want in ((rat(3), 3), (rat(Fraction(6, 2)), 3), (rat("-4"), -4),
+                      (rat("4/6"), Fraction(2, 3)), (rat(True), 1),
+                      (ratio(6, 3), 2), (ratio(-3, 6), Fraction(-1, 2)),
+                      (ratio(Fraction(1, 2), Fraction(1, 4)), 2)):
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: b(1, 0.5), 0.5),
+    (lambda: LaurentPoly({1: 0.1}), 0.1),
+    (lambda: FockVector(1, {((1,),): 0.25}), 0.25),
+    (lambda: DiagonalSeries(2, exc={1: 0.75}), 0.75),
+])
+def test_floats_are_rejected(make, value):
+    # a float coefficient would be stored as its binary expansion
+    with pytest.raises(TypeError, match=f"^{value!r} is not an exact rational"):
+        make()

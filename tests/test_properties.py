@@ -7,9 +7,10 @@ elements, the bracket of finite elements against the window commutator
 there, and the closed-form diagonal trace sums against the term-by-term
 loops there on random diagonals with exceptions.  The bracket is
 antisymmetric and satisfies Jacobi on random elements with central parts,
-and alpha and beta have zero defect on random central-free triples.  Seeds
-are derandomized and example counts capped, so the runs are the same every
-time.
+and alpha and beta have zero defect on random central-free triples.  Every
+value the library stores or returns is an int or a Fraction with a
+denominator, never a float.  Seeds are derandomized and example counts
+capped, so the runs are the same every time.
 """
 
 from fractions import Fraction
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 import oracles
 from oscalg.cli import format_expression, parse_expression
 from oscalg.coinv import FPoint, is_in_sp_F
+from oscalg.fock import FockVector, apply_quadratic
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _mixed_trace, _psi_diag_pair,
-                            _quad_apply_laurent, b, bracket, gamma,
-                            is_in_sp_plus, pair, psi, tau, unit)
+                            _quad_apply_laurent, alpha, b, beta, bracket,
+                            gamma, is_in_sp_plus, pair, psi, sigma, tau, unit)
 from oscalg.verify import (check_cocycle_defects, check_jacobi,
                            cocycle_defect, d_cocycle)
 
@@ -232,3 +234,36 @@ def test_alpha_and_beta_have_zero_defect(x, y, z):
     assert cocycle_defect("beta", x, y, z) == 0
     # the sweep, which reads its brackets from one table, agrees
     assert check_cocycle_defects([x, y, z]) == []
+
+
+def canonical(x) -> bool:
+    """x is an int, or a Fraction whose denominator is not 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def coefficients(A):
+    """Every coefficient a quadratic element stores."""
+    yield A.central
+    yield from A.linear.coeffs.values()
+    for series in A.quad.values():
+        yield from series.poly.c
+        yield from series.exc.values()
+
+
+RATIONAL_LAURENT = st.dictionaries(st.integers(-5, 6), COEFF, max_size=3)
+STATES = st.dictionaries(
+    st.lists(st.integers(1, 4), max_size=4).map(
+        lambda parts: (tuple(sorted(parts, reverse=True)),)),
+    COEFF.filter(bool), min_size=1, max_size=3).map(
+        lambda terms: FockVector(1, terms))
+
+
+@SETTINGS
+@given(BOUNDED, BOUNDED, RATIONAL_LAURENT, RATIONAL_LAURENT, STATES)
+def test_values_are_ints_or_fractions_with_a_denominator(x, y, f, g, v):
+    assert all(map(canonical, coefficients(bracket(x, y))))
+    u = WittElement(LaurentPoly(f), LaurentPoly({e: c for e, c in g.items() if e}))
+    assert all(map(canonical, coefficients(sigma(u))))
+    assert all(map(canonical, apply_quadratic(x, v).terms.values()))
+    x, y = x.drop_central(), y.drop_central()
+    assert all(canonical(c(x, y)) for c in (psi, alpha, beta, gamma))
