@@ -174,8 +174,7 @@ def _dump(data) -> str:
     return json.dumps(data)
 
 def _parse_gaps(text: str):
-    text = (text or "").strip()
-    if not text:
+    if not text.strip():
         return ()
     return tuple(parse_int(g, "--gaps") for g in text.split(","))
 
@@ -264,11 +263,34 @@ def _cmd_central_scalars(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"gaps": str, "rank": int, "N": int, "M": int, "W": int,
-                "probe_bound": int, "format": str, "side": str}
+def _with_config(argv) -> list:
+    """argv with `--config PATH`, before or after the subcommand, replaced
+    by the config file's flags.  They go right after argv[0], the
+    subcommand name in any argv that runs, so argv's own flags win."""
+    rest, paths = [], []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--config":
+            paths.append(next(args, ""))
+        elif arg.startswith("--config="):
+            paths.append(arg.split("=", 1)[1])
+        else:
+            rest.append(arg)
+    if "" in paths:
+        raise ValueError("--config needs a path")
+    if len(paths) > 1:
+        raise ValueError("--config may be given only once")
+    if not paths:
+        return rest
+    sub = _SUBPARSERS.get(rest[0]) if rest else None
+    return rest[:1] + _config_flags(paths[0], sub) + rest[1:]
 
-def _read_config(path: str) -> dict:
-    out = {}
+def _config_flags(path: str, sub) -> list:
+    """`--key=value` for each `key = value` line of the config file whose
+    flag the subparser sub declares, in file order.  Every line is checked
+    by the action of its flag, used or not: an unknown key, a malformed
+    integer or a value outside the choices is an error naming path, line and key."""
+    flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -278,29 +300,17 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_ACTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = (parse_int(value, f"{path}:{lineno}: key {key!r}")
-                        if _CONFIG_KEYS[key] is int else value)
-    return out
-
-def _extract_config(argv):
-    """Pull --config PATH out of argv so it may precede the subcommand."""
-    argv = list(argv)
-    path = None
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            path = argv[i + 1]
-            del argv[i:i + 2]
-        elif argv[i].startswith("--config="):
-            path = argv[i].split("=", 1)[1]
-            del argv[i]
-        else:
-            i += 1
-    return argv, path
+            action, where = _CONFIG_ACTIONS[key], f"{path}:{lineno}: key {key!r}"
+            if action.type is int:
+                parse_int(value, where)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{where}: invalid choice {value!r}")
+            flag = action.option_strings[0]
+            if sub is not None and flag in sub._option_string_actions:
+                flags.append(f"{flag}={value}")
+    return flags
 
 def _add_format(sub, default: str):
     sub.add_argument("--format", choices=("text", "json"), default=default)
@@ -311,14 +321,12 @@ def build_parser():
         description="Exact computations in the quadratic Weyl algebra, its "
                     "Fock representations, and coinvariants at semigroup points")
     subs = parser.add_subparsers(dest="command", required=True)
-    table = {}
 
     sub = subs.add_parser("bracket", help="commutator of two expressions")
     sub.add_argument("x")
     sub.add_argument("y")
     _add_format(sub, "text")
     sub.set_defaults(func=_cmd_bracket)
-    table["bracket"] = sub
 
     sub = subs.add_parser("cocycle", help="evaluate a named two-cocycle")
     sub.add_argument("name", choices=("psi", "alpha", "beta", "gamma"))
@@ -326,14 +334,12 @@ def build_parser():
     sub.add_argument("y")
     _add_format(sub, "text")
     sub.set_defaults(func=_cmd_cocycle)
-    table["cocycle"] = sub
 
     sub = subs.add_parser("fock-apply", help="apply an expression to a basis state")
     sub.add_argument("expr")
     sub.add_argument("state")
     _add_format(sub, "text")
     sub.set_defaults(func=_cmd_fock_apply)
-    table["fock-apply"] = sub
 
     sub = subs.add_parser("coinv", help="stabilized coinvariant dimensions")
     sub.add_argument("--gaps", default="")
@@ -344,20 +350,25 @@ def build_parser():
     sub.add_argument("--side", choices=("A", "X"), default="A")
     _add_format(sub, "json")
     sub.set_defaults(func=_cmd_coinv)
-    table["coinv"] = sub
 
     sub = subs.add_parser("verify-all", help="run the identity battery")
     sub.add_argument("--probe-bound", dest="probe_bound", type=int, default=4)
     _add_format(sub, "text")
     sub.set_defaults(func=_cmd_verify_all)
-    table["verify-all"] = sub
 
     sub = subs.add_parser("central-scalars", help="central-scalar table")
     _add_format(sub, "text")
     sub.set_defaults(func=_cmd_central_scalars)
-    table["central-scalars"] = sub
 
-    return parser, table
+    return parser
+
+# Built once per process; nothing changes it afterwards.
+_PARSER = build_parser()
+_SUBPARSERS = next(a.choices for a in _PARSER._actions if a.dest == "command")
+# config key -> the action of its flag, which declares the key's type and choices
+_CONFIG_ACTIONS = {action.dest: action for sub in _SUBPARSERS.values()
+                   for action in sub._actions
+                   if action.option_strings and action.nargs != 0}
 
 # A '-' before one of these opens a negated term, as in -1/3*K or -T(1).
 _TERM_START = frozenset("0123456789KbTS:")
@@ -392,26 +403,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv, config_path = _extract_config(argv)
-        defaults = _read_config(config_path) if config_path else {}
+        argv = _with_config(argv)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    parser, table = build_parser()
-    if defaults:
-        for sub in table.values():
-            sub.set_defaults(**defaults)
     try:
-        args = parser.parse_args(_dashed_expressions_last(argv, table))
+        args = _PARSER.parse_args(_dashed_expressions_last(argv, _SUBPARSERS))
     except SystemExit as e:    # usage errors and --help
         return e.code
-    # config values reach args through set_defaults, which skips choices
-    for action in table[args.command]._actions:
-        value = getattr(args, action.dest, None)
-        if action.choices is not None and value not in action.choices:
-            print(f"error: config key {action.dest!r}: invalid choice {value!r}",
-                  file=sys.stderr)
-            return 2
     try:
         code, text = args.func(args)
     except ValueError as e:

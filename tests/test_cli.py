@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import oscalg
+import oscalg.cli
 from oscalg.cli import ExpressionError, format_expression, main, parse_expression
 from oscalg.quadops import (
     DiagonalSeries,
@@ -386,6 +390,19 @@ def test_usage_errors_return_their_exit_code(capsys, monkeypatch):
     assert out.startswith("usage: oscalg") and err == ""
 
 
+def test_console_script_matches_main(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank = x\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(oscalg.__file__).parent.parent)}
+    for argv in (["bracket", "T(2)", "T(-2)"], ["bracket", "K"],
+                 ["coinv", "--help"], ["--config", str(cfg), "coinv"]):
+        proc = subprocess.run([sys.executable, "-m", "oscalg", *argv], env=env,
+                              capture_output=True, text=True)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+        assert got == run_cli(capsys, argv), argv
+
+
 def test_leading_minus_expression_after_double_dash(capsys):
     code, out, _ = run_cli(capsys, ["bracket", "--format", "json", "--",
                                     "-1/3*b(-1)", "b(1)"])
@@ -515,6 +532,60 @@ def test_config_value_outside_choices_exit_2(capsys, tmp_path, key, value, argv)
     assert repr(key) in err and repr(value) in err
 
 
+def test_config_needs_one_nonempty_path(capsys, tmp_path):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("M = 4\n")
+    second.write_text("format = text\n")
+    for argv, message in [
+            (["--config=", "coinv"], "--config needs a path"),
+            (["--config", "", "coinv"], "--config needs a path"),
+            (["coinv", "--config="], "--config needs a path"),
+            (["--config", str(first), "--config", str(second), "coinv"],
+             "--config may be given only once"),
+            (["--config", str(first), "coinv", f"--config={first}"],
+             "--config may be given only once")]:
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_shared_parser_keeps_nothing_between_calls(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, out, _ = run_cli(capsys, ["--config", str(cfg), "bracket", "b(1)", "b(-1)"])
+    assert (code, json.loads(out)["result"]) == (0, "K")
+    assert run_cli(capsys, ["bracket", "b(1)", "b(-1)"]) == (0, "K\n", "")
+
+
+@pytest.mark.parametrize("config, argv, expected", [
+    # an int key, a string key, a choices key, and an abbreviated flag
+    ("M = 4\nW = 4\n", ["coinv", "--M", "6", "--W", "6"],
+     ["coinv", "--M", "6", "--W", "6"]),
+    ("gaps = 1\n", ["coinv", "--gaps", "1,3"], ["coinv", "--gaps", "1,3"]),
+    ("side = X\nformat = json\n", ["coinv", "--side", "A", "--format", "text"],
+     ["coinv", "--format", "text"]),
+    ("probe-bound = 2\n", ["verify-all", "--prob", "1"],
+     ["verify-all", "--probe-bound", "1"]),
+])
+def test_argv_flag_beats_config(capsys, tmp_path, config, argv, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    want = run_cli(capsys, expected)
+    assert run_cli(capsys, ["--config", str(cfg)] + argv) == want
+    assert run_cli(capsys, argv[:1] + [f"--config={cfg}"] + argv[1:]) == want
+    # the config value alone gives a different answer
+    assert run_cli(capsys, ["--config", str(cfg), argv[0]]) != want
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "K", "K"],                 # the subcommand has no --side
+    ["coinv", "--side", "A"],              # a flag overrides the key
+])
+def test_config_values_are_checked_even_when_unused(capsys, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# sides\nside = Z\n")
+    assert run_cli(capsys, ["--config", str(cfg)] + argv) == (
+        2, "", f"error: {cfg}:2: key 'side': invalid choice 'Z'\n")
+
+
 def test_only_entry_points_import_cli():
     pkg = Path(oscalg.__file__).parent
     for path in sorted(pkg.glob("*.py")):
@@ -530,6 +601,29 @@ def test_only_entry_points_import_cli():
             assert not any(n in ("cli", "oscalg.cli") for n in names), path.name
 
 
+def _enclosed(node, kind, where="<module>"):
+    """(enclosing function or class, node) for each node of type kind under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, kind):
+            yield where, child
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                 else where)
+        yield from _enclosed(child, kind, inner)
+
+
+def test_parser_is_built_once_and_never_changed():
+    # main reads the one parser; only build_parser sets its defaults
+    tree = ast.parse(Path(oscalg.cli.__file__).read_text())
+    calls = [(where, getattr(call.func, "attr", getattr(call.func, "id", None)))
+             for where, call in _enclosed(tree, ast.Call)]
+    setters = {where for where, name in calls if name == "set_defaults"}
+    assert setters == {"build_parser"}
+    assert ("main", "build_parser") not in calls
+    # nothing but func is bound, so the commands look up module globals
+    subs = oscalg.cli._SUBPARSERS
+    assert all(sub._defaults.keys() == {"func"} for sub in subs.values())
+
+
 def test_only_laurent_joins_signed_terms():
     # the signed-sum separators belong to laurent.format_signed_sum alone
     pkg = Path(oscalg.__file__).parent
@@ -541,21 +635,11 @@ def test_only_laurent_joins_signed_terms():
     assert holders == {"laurent.py"}
 
 
-def _divisions(node, where):
-    """The enclosing function or class of each true division under node."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Div):
-            yield where
-        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
-                 else where)
-        yield from _divisions(child, inner)
-
-
 def test_only_laurent_ratio_divides():
     # int / int is a float, so every true division goes through laurent.ratio
     pkg = Path(oscalg.__file__).parent
     holders = {f"{path.name}:{where}" for path in sorted(pkg.glob("*.py"))
-               for where in _divisions(ast.parse(path.read_text()), "<module>")}
+               for where, _ in _enclosed(ast.parse(path.read_text()), ast.Div)}
     assert holders <= {"laurent.py:ratio"}
 
 
