@@ -23,7 +23,10 @@ from itertools import islice
 
 from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
                     coinvariants_X, default_schedule, stabilize)
-from .fock import FockVector, apply_quadratic, format_label, format_vector, parse_label
+from .fock import FockVector, format_label, iter_terms, parse_label, vector_chunks
+# Unused here since fock-apply streams its terms, but perfbench/tracer.py
+# swaps these names on this module to time them.
+from .fock import apply_quadratic, format_vector
 from .laurent import parse_int, ratio
 from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
                       pair, sigma, tau)
@@ -180,7 +183,7 @@ def _parse_gaps(text: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: return (exit code, output text)
+# subcommand bodies: return (exit code, output text or its pieces)
 # ---------------------------------------------------------------------------
 
 def _cmd_bracket(args):
@@ -200,15 +203,23 @@ def _cmd_cocycle(args):
     return 0, str(value)
 
 def _cmd_fock_apply(args):
-    A = parse_expression(args.expr)
-    state = parse_label(args.state)
-    result = apply_quadratic(A, FockVector.basis(state))
+    terms = iter_terms(parse_expression(args.expr),
+                       FockVector.basis(parse_label(args.state)))
     if args.format == "json":
-        terms = [{"label": format_label(st), "coeff": str(c)}
-                 for st, c in result.terms_sorted()]
-        return 0, _dump({"command": "fock-apply", "expr": args.expr,
-                         "state": args.state, "result": terms})
-    return 0, format_vector(result)
+        return 0, _fock_json_chunks(args, terms)
+    return 0, vector_chunks(terms)
+
+def _fock_json_chunks(args, terms):
+    """The bytes of _dump of the fock-apply report, term by term.  A label
+    or a coefficient holds no character that JSON escapes, so each goes in
+    as its text."""
+    yield (f'{{"command": "fock-apply", "expr": {_dump(args.expr)}, '
+           f'"state": {_dump(args.state)}, "result": [')
+    sep = ""
+    for st, c in terms:
+        yield f'{sep}{{"label": "{format_label(st)}", "coeff": "{c}"}}'
+        sep = ", "
+    yield "]}"
 
 def _cmd_coinv(args):
     F = FPoint(_parse_gaps(args.gaps))
@@ -266,11 +277,14 @@ def _cmd_central_scalars(args):
 def _with_config(argv) -> list:
     """argv with `--config PATH`, before or after the subcommand, replaced
     by the config file's flags.  They go right after argv[0], the
-    subcommand name in any argv that runs, so argv's own flags win."""
+    subcommand name in any argv that runs, so argv's own flags win.  After
+    `--` every argument is positional, `--config` too."""
     rest, paths = [], []
     args = iter(argv)
     for arg in args:
-        if arg == "--config":
+        if arg == "--":
+            rest += [arg, *args]
+        elif arg == "--config":
             paths.append(next(args, ""))
         elif arg.startswith("--config="):
             paths.append(arg.split("=", 1)[1])
@@ -416,7 +430,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(text)
+    out = sys.stdout
+    out.writelines((text,) if isinstance(text, str) else text)
+    out.write("\n")
     return code
 
 if __name__ == "__main__":

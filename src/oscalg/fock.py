@@ -6,16 +6,25 @@ so [b_m, b_n] = m delta_{m+n,0} matches the symplectic form with no hidden
 rescaling.  Quadratic elements act per anti-diagonal by the finitely many
 terms whose annihilation indices occur as parts, which keeps every
 computation finite and exact.
+
+apply_quadratic returns the image of a vector as a FockVector.  iter_terms
+yields the same terms one at a time in print order, degree ascending and
+then state descending (FockVector.terms_sorted's order), so a caller that
+only prints the image, like the CLI's fock-apply, holds none of it: the run
+of floor(|d|/2) images where both indices of a diagonal create comes out in
+that order and stays lazy, and the few other images are sorted and merged
+into it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from heapq import merge
 from math import factorial
 from numbers import Rational
 
-from .laurent import format_signed_sum, parse_int, rat, ratio
+from .laurent import parse_int, rat, ratio, signed_sum_chunks
 from .quadops import QuadraticElement, b, tau
 
 
@@ -130,32 +139,39 @@ def _pair_on_partition(a: int, bb: int, lam: tuple):
     return [(lam3, w * w2) for lam2, w in _mode_on_partition(bb, lam)
             for lam3, w2 in _mode_on_partition(a, lam2)]
 
-def _diagonal_on_state(series, state, ch: int):
-    """Images of one diagonal series on a basis state, as (state,
-    coefficient) pairs; finite by inspection of the parts present in the
-    channel.  The cost is one pass over the floor(|d|/2) pairs the diagonal
-    creates, with no per-index polynomial evaluation when the generic part
-    is constant, plus one step per part present in the state."""
+def _created_images(series, state, ch: int):
+    """Images of one diagonal series on a basis state with both indices
+    creating, made lazily: a in [d+1, d//2] puts in the parts -a >= a - d,
+    with no per-index polynomial evaluation when the generic part is
+    constant.  They come out strictly in print order (state descending):
+    from a to a + 1 one unit moves from the larger created part to the
+    smaller, which lowers the partition in dominance order and so
+    lexicographically.  Empty unless d < -1."""
     d = series.d
     lam = state[ch]
     head, tail = state[:ch], state[ch + 1:]
-    out = []
-    # both indices creating: a in [d+1, d//2] puts in the parts -a >= a - d
-    # with weight 1; neg, the negated parts, is ascending for bisect
     poly, exc = series.poly, series.exc
     const = poly.constant_value() if poly.is_constant() else None
+    # neg, the negated parts, is ascending for bisect
     neg = [-p for p in lam]
     for a in range(d + 1, d // 2 + 1):
         c = exc.get(a)
         if c is None:
-            c = poly(a) if const is None else const
+            c = rat(poly(a)) if const is None else const
         if c:
             if 2 * a == d:
                 c = ratio(c, 2)
             i = bisect_left(neg, a)
             j = bisect_left(neg, d - a, i)
             lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
-            out.append((head + (lam2,) + tail, c))
+            yield head + (lam2,) + tail, c
+
+def _annihilating_images(series, state, ch: int) -> list:
+    """Images of one diagonal series on a basis state in which an index
+    annihilates a part of the channel: one step per part present, in no
+    particular order."""
+    d = series.d
+    lam = state[ch]
     moves = []
     parts = sorted(set(lam))
     # both indices annihilating: parts a <= d - a with d - a also a part
@@ -172,6 +188,8 @@ def _diagonal_on_state(series, state, ch: int):
         c = series.coeff(d - bb)
         if c:
             moves.append((d - bb, bb, c))
+    head, tail = state[:ch], state[ch + 1:]
+    out = []
     for a, bb, c in moves:
         for lam2, w in _pair_on_partition(a, bb, lam):
             out.append((head + (lam2,) + tail, c * w))
@@ -193,14 +211,75 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 st2 = state[:ch] + (lam2,) + state[ch + 1:]
                 out[st2] = out.get(st2, 0) + ce * c * w
     for series in A.quad.values():
+        creates = series.d < -1
         for state, c in v.terms.items():
-            images = _diagonal_on_state(series, state, ch)
+            images = _annihilating_images(series, state, ch)
+            if creates:
+                images += _created_images(series, state, ch)
             if c != 1:
                 images = [(st2, c * w) for st2, w in images]
             for st2, w in images:
                 got = out.get(st2)
                 out[st2] = w if got is None else got + w
     return FockVector(v.rank, out)
+
+def iter_terms(A: QuadraticElement, v: FockVector, channel: int = 1):
+    """The terms of A v on one channel (1-based) in print order, as
+    (state, coefficient) pairs with nonzero canonical coefficients: the
+    list apply_quadratic(A, v, channel).terms_sorted() gives, made one at a
+    time with no dict of the image.
+
+    Every image is made before this returns except those of the
+    both-creating runs, which _created_images yields lazily and already in
+    print order; so an error is raised before the first term.  The terms
+    of one target degree are a heapq.merge of those runs and the sorted
+    other images, with the coefficients of equal states added."""
+    if not 1 <= channel <= v.rank:
+        raise ValueError("channel out of range")
+    ch = channel - 1
+    runs, others = {}, {}      # target degree -> lazy runs / other images
+    for state, c in v.terms.items():
+        deg = state_degree(state)
+        if A.central:
+            others.setdefault(deg, []).append((state, rat(A.central * c)))
+        for e, ce in A.linear.coeffs.items():
+            for lam2, w in _mode_on_partition(e, state[ch]):
+                others.setdefault(deg - e, []).append(
+                    (state[:ch] + (lam2,) + state[ch + 1:], rat(ce * c * w)))
+        for d, series in A.quad.items():
+            others.setdefault(deg - d, []).extend(
+                (st2, rat(c * w)) for st2, w in _annihilating_images(series, state, ch))
+            if d < -1:
+                run = _created_images(series, state, ch)
+                if c != 1:
+                    run = _times(c, run)
+                runs.setdefault(deg - d, []).append(run)
+    return _merged(runs, others)
+
+def _times(c, terms):
+    """The terms with each coefficient multiplied by c."""
+    for st, w in terms:
+        yield st, rat(c * w)
+
+def _merged(runs, others):
+    """One term per state, degree by degree: the runs and the sorted other
+    images of a degree merged by state descending, equal states added and
+    zero sums dropped."""
+    for deg in sorted(runs.keys() | others.keys()):
+        streams = runs.get(deg, [])
+        if deg in others:
+            streams.append(sorted(others[deg], reverse=True))
+        held = None
+        for term in merge(*streams, reverse=True):
+            if held is not None:
+                if term[0] == held[0]:
+                    held = (held[0], rat(held[1] + term[1]))
+                    continue
+                if held[1]:
+                    yield held
+            held = term
+        if held is not None and held[1]:
+            yield held
 
 def virasoro(p: int, v: FockVector, channel: int = 1) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on one channel."""
@@ -350,6 +429,10 @@ def parse_label(text: str) -> tuple:
         return tuple(parse_partition(p) for p in text[1:-1].split("|"))
     return (parse_partition(text),)
 
+def vector_chunks(terms):
+    """The text of a sum of (state, coefficient) terms in print order, in
+    pieces: one per term, or "0" for the empty sum."""
+    return signed_sum_chunks(((c, format_label(st)) for st, c in terms), "0")
+
 def format_vector(v: FockVector) -> str:
-    terms = ((c, format_label(st)) for st, c in v.terms_sorted())
-    return format_signed_sum(terms, "0")
+    return "".join(vector_chunks(v.terms_sorted()))

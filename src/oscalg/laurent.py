@@ -155,21 +155,29 @@ def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Rational:
     return -residue(f * derivative(g))
 
 
-def format_signed_sum(terms, zero: str) -> str:
-    """Text of a sum of (coefficient, atom) pairs with nonzero coefficients:
-    the first term takes a bare '-', later ones are joined by '+ '/'- ', a
-    unit coefficient is left out, an empty atom prints the bare magnitude,
-    and the empty sum prints as `zero`."""
-    parts = []
+def signed_sum_chunks(terms, zero: str):
+    """The text of a sum of (coefficient, atom) pairs with nonzero
+    coefficients, one piece per term: the first term takes a bare '-',
+    later ones are joined by '+ '/'- ', a unit coefficient is left out, an
+    empty atom prints the bare magnitude, and the empty sum prints as
+    `zero`."""
+    sep = ""
     for c, atom in terms:
         if c > 0:
-            sign = "+ " if parts else ""
+            sign = "+ " if sep else ""
         else:
-            sign = "- " if parts else "-"
+            sign = "- " if sep else "-"
             c = -c
         body = str(c) if not atom else (atom if c == 1 else f"{c}*{atom}")
-        parts.append(sign + body)
-    return " ".join(parts) if parts else zero
+        yield sep + sign + body
+        sep = " "
+    if not sep:
+        yield zero
+
+
+def format_signed_sum(terms, zero: str) -> str:
+    """signed_sum_chunks joined into one string."""
+    return "".join(signed_sum_chunks(terms, zero))
 
 
 def format_laurent(f: LaurentPoly) -> str:

@@ -410,8 +410,11 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
     trace = _quad_trace(A.quad, B.quad)
     if trace:
         central -= ratio(trace, 2)
-    linear = (_quad_apply_laurent(A.quad, B.linear)
-              - _quad_apply_laurent(B.quad, A.linear))
+    # a quadratic part acts on modes only, so no mode in means none out
+    linear = None
+    if A.linear.coeffs or B.linear.coeffs:
+        linear = (_quad_apply_laurent(A.quad, B.linear)
+                  - _quad_apply_laurent(B.quad, A.linear))
     quad = {}
     for s1 in A.quad.values():
         for s2 in B.quad.values():

@@ -1,12 +1,14 @@
 """Tests for the expression language and the command-line front end."""
 
 import ast
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 import oscalg
 import oscalg.cli
 from oscalg.cli import ExpressionError, format_expression, main, parse_expression
+from oscalg.fock import FockVector, apply_quadratic, format_label, parse_label
 from oscalg.quadops import (
     DiagonalSeries,
     Poly,
@@ -327,6 +330,62 @@ def test_cmd_central_scalars(capsys):
     assert (table["lambda_fiber"], table["theta_fiber"]) == ("2", "-1")
 
 
+@pytest.mark.parametrize("expr, state", [
+    ("T(-9) + 2/3*b(-2) - K", "([2,1]|[3])"),
+    ("T(4) - T(4)", "[1]"),
+    # whitespace that JSON escapes, in both echoed inputs
+    ("T(-3)\t+\u00a0b(-1)", " [2,2]\t"),
+])
+def test_fock_apply_json_is_json_dumps(capsys, expr, state):
+    # the streamed report has the bytes json.dumps gives the whole report
+    v = FockVector.basis(parse_label(state))
+    terms = apply_quadratic(parse_expression(expr), v).terms_sorted()
+    report = {"command": "fock-apply", "expr": expr, "state": state,
+              "result": [{"label": format_label(st), "coeff": str(c)}
+                         for st, c in terms]}
+    code, out, _ = run_cli(capsys, ["fock-apply", expr, state, "--format", "json"])
+    assert (code, out) == (0, json.dumps(report) + "\n")
+
+
+class _ByteCount(io.TextIOBase):
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+def test_fock_apply_streams_its_terms(monkeypatch):
+    # T(-200000) on [1] prints 100001 terms, 1.9 MB, holding none of them
+    text = " + ".join(label if c == "1" else f"{c}*{label}"
+                      for label, c in fock_apply_closed_form(200000))
+    sink = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["fock-apply", "T(-200000)", "[1]"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.count) == (0, len(text) + 1)
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+@pytest.mark.parametrize("expr, state, message", [
+    ("T(-3)", "[1,0]", "label '[1,0]': part 0 is not positive"),
+    ("T(-3)", "[1", "bad partition '[1': expected [..] or -"),
+    ("T(-3) +", "[1]", "expected an atom, found 'END' at position 7"),
+    ("b(0)", "[1]", "b(0) is the central element; write K at position 2"),
+])
+def test_fock_apply_errors_print_nothing_on_stdout(capsys, fmt, expr, state, message):
+    assert run_cli(capsys, ["fock-apply", expr, state, *fmt]) == (
+        2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # error paths and exit codes
 # ---------------------------------------------------------------------------
@@ -545,6 +604,19 @@ def test_config_needs_one_nonempty_path(capsys, tmp_path):
             (["--config", str(first), "coinv", f"--config={first}"],
              "--config may be given only once")]:
         assert run_cli(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_config_after_double_dash_is_positional(capsys, tmp_path, monkeypatch):
+    # after `--` an argument that looks like --config is an expression
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "K").write_text("format = json\n")
+    assert run_cli(capsys, ["bracket", "--", "--config=K", "K"]) == (
+        2, "", "error: unexpected character 'c' at position 2\n")
+    assert run_cli(capsys, ["bracket", "--", "--config", "K"]) == (
+        2, "", "error: unexpected character 'c' at position 2\n")
+    # a --config before `--` is still read
+    code, out, _ = run_cli(capsys, ["--config", "K", "bracket", "--", "b(1)", "-b(-1)"])
+    assert (code, json.loads(out)["result"]) == (0, "-K")
 
 
 def test_shared_parser_keeps_nothing_between_calls(capsys, tmp_path):

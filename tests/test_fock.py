@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from oscalg.fock import (FockVector, apply_mode, apply_quadratic, canon_state,
                          exp_apply, format_label, format_vector, graded_basis,
-                         measure_central_charge, parse_label, state_degree,
-                         virasoro, virasoro_all)
+                         iter_terms, measure_central_charge, parse_label,
+                         state_degree, virasoro, virasoro_all)
+from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
                             pair, tau, unit)
 from test_properties import BOUNDED, COEFF
@@ -233,6 +234,51 @@ def test_number_operator_eigenvalues():
                 got = apply_quadratic(pair(-i, i), v)
                 want = v.scale(i * lam.count(i))
                 assert got == want
+
+
+# Elements with a central part, modes and up to three symmetric diagonals
+# c0 + c1 a(d - a) with mirrored exceptions; vectors of rank 1-3 whose
+# states repeat parts, with non-unit coefficients.
+DIAGONALS = st.lists(st.tuples(
+    st.integers(-12, 4), COEFF, COEFF,
+    st.dictionaries(st.integers(-14, 4), COEFF, max_size=3)), max_size=3)
+MODES = st.dictionaries(st.integers(-4, 4).filter(bool), COEFF, max_size=2)
+TERM_VECTORS = st.integers(1, 3).flatmap(lambda rank: st.dictionaries(
+    st.tuples(*[PARTITION] * rank), COEFF.filter(bool), min_size=1,
+    max_size=4).map(lambda terms: FockVector(rank, terms)))
+
+
+def diagonal_element(central, modes, diagonals):
+    A = QuadraticElement(central=central, linear=LaurentPoly(modes))
+    for d, c0, c1, exceptions in diagonals:
+        exc = {}
+        for a, value in exceptions.items():
+            exc[a] = exc[d - a] = value
+        series = DiagonalSeries(d, Poly((c0, c1 * d, -c1)), exc)
+        A = A + QuadraticElement(quad={d: series})
+    return A
+
+
+@SETTINGS
+# equal states from two inputs cancel: among the other images, and between
+# two created runs merged in one degree
+@example(0, {-1: 1, 1: 1}, [],
+         FockVector(1, {((1,),): 1, ((1, 1, 1),): Fraction(-1, 3)}), 1)
+@example(0, {}, [(-2, 1, 0, {}), (-3, 1, 0, {})],
+         FockVector(1, {((2,),): 1, ((1,),): -HALF}), 1)
+@example(Fraction(2, 3), {-2: Fraction(-1, 2)}, [(-9, 1, HALF, {-3: 2})],
+         FockVector(3, {((2, 2), (), (1, 1)): Fraction(3, 2), ((), (3,), (1,)): -2}), 3)
+@given(COEFF, MODES, DIAGONALS, TERM_VECTORS, st.integers(1, 3))
+def test_term_stream_is_the_sorted_image(central, modes, diagonals, v, channel):
+    A = diagonal_element(central, modes, diagonals)
+    channel = min(channel, v.rank)
+    assert list(iter_terms(A, v, channel)) == (
+        apply_quadratic(A, v, channel).terms_sorted())
+
+
+def test_term_stream_checks_the_channel_before_the_first_term():
+    with pytest.raises(ValueError, match="channel out of range"):
+        iter_terms(tau(-2), vac(2), 3)
 
 
 # -- central charge ------------------------------------------------------------
