@@ -210,14 +210,13 @@ def _cmd_fock_apply(args):
     return 0, vector_chunks(terms)
 
 def _fock_json_chunks(args, terms):
-    """The bytes of _dump of the fock-apply report, term by term.  A label
-    or a coefficient holds no character that JSON escapes, so each goes in
-    as its text."""
+    """The bytes of _dump of the fock-apply report, one result entry at a
+    time."""
     yield (f'{{"command": "fock-apply", "expr": {_dump(args.expr)}, '
            f'"state": {_dump(args.state)}, "result": [')
     sep = ""
     for st, c in terms:
-        yield f'{sep}{{"label": "{format_label(st)}", "coeff": "{c}"}}'
+        yield sep + _dump({"label": format_label(st), "coeff": str(c)})
         sep = ", "
     yield "]}"
 

@@ -13,7 +13,7 @@ then state descending (FockVector.terms_sorted's order), so a caller that
 only prints the image, like the CLI's fock-apply, holds none of it: the run
 of floor(|d|/2) images where both indices of a diagonal create comes out in
 that order and stays lazy, and the few other images are sorted and merged
-into it.
+into it.  Both read the images of each state from one function, _images.
 """
 
 from __future__ import annotations
@@ -195,6 +195,23 @@ def _annihilating_images(series, state, ch: int) -> list:
             out.append((head + (lam2,) + tail, c * w))
     return out
 
+def _images(A: QuadraticElement, state, ch: int):
+    """The images of A on one basis state, as (shift, terms, ordered)
+    triples: each term (state, coefficient) lies `shift` degrees below
+    `state`.  The central part, the modes and the annihilating images of
+    each diagonal come as lists in no particular order; the both-creating
+    run of a diagonal with d < -1 comes lazily and in print order, with
+    `ordered` true."""
+    if A.central:
+        yield 0, [(state, A.central)], False
+    for e, ce in A.linear.coeffs.items():
+        yield e, [(state[:ch] + (lam2,) + state[ch + 1:], ce * w)
+                  for lam2, w in _mode_on_partition(e, state[ch])], False
+    for d, series in A.quad.items():
+        yield d, _annihilating_images(series, state, ch), False
+        if d < -1:
+            yield d, _created_images(series, state, ch), True
+
 def apply_quadratic(A: QuadraticElement, v: FockVector,
                     channel: int = 1) -> FockVector:
     """Action of a quadratic element on one channel (1-based)."""
@@ -202,20 +219,8 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
         raise ValueError("channel out of range")
     ch = channel - 1
     out = {}
-    if A.central:
-        for state, c in v.terms.items():
-            out[state] = out.get(state, 0) + A.central * c
-    for e, ce in A.linear.coeffs.items():
-        for state, c in v.terms.items():
-            for lam2, w in _mode_on_partition(e, state[ch]):
-                st2 = state[:ch] + (lam2,) + state[ch + 1:]
-                out[st2] = out.get(st2, 0) + ce * c * w
-    for series in A.quad.values():
-        creates = series.d < -1
-        for state, c in v.terms.items():
-            images = _annihilating_images(series, state, ch)
-            if creates:
-                images += _created_images(series, state, ch)
+    for state, c in v.terms.items():
+        for _, images, _ in _images(A, state, ch):
             if c != 1:
                 images = [(st2, c * w) for st2, w in images]
             for st2, w in images:
@@ -240,20 +245,13 @@ def iter_terms(A: QuadraticElement, v: FockVector, channel: int = 1):
     runs, others = {}, {}      # target degree -> lazy runs / other images
     for state, c in v.terms.items():
         deg = state_degree(state)
-        if A.central:
-            others.setdefault(deg, []).append((state, rat(A.central * c)))
-        for e, ce in A.linear.coeffs.items():
-            for lam2, w in _mode_on_partition(e, state[ch]):
-                others.setdefault(deg - e, []).append(
-                    (state[:ch] + (lam2,) + state[ch + 1:], rat(ce * c * w)))
-        for d, series in A.quad.items():
-            others.setdefault(deg - d, []).extend(
-                (st2, rat(c * w)) for st2, w in _annihilating_images(series, state, ch))
-            if d < -1:
-                run = _created_images(series, state, ch)
-                if c != 1:
-                    run = _times(c, run)
-                runs.setdefault(deg - d, []).append(run)
+        for shift, images, ordered in _images(A, state, ch):
+            if ordered:
+                runs.setdefault(deg - shift, []).append(
+                    images if c == 1 else _times(c, images))
+            else:
+                others.setdefault(deg - shift, []).extend(
+                    (st2, rat(c * w)) for st2, w in images)
     return _merged(runs, others)
 
 def _times(c, terms):

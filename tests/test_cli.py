@@ -359,14 +359,15 @@ class _ByteCount(io.TextIOBase):
 
 
 def test_fock_apply_streams_its_terms(monkeypatch):
-    # T(-200000) on [1] prints 100001 terms, 1.9 MB, holding none of them
+    # T(-40000) on [1] prints 20001 terms, 0.35 MB, holding none of them;
+    # building the image whole traces about 6.6 MiB
     text = " + ".join(label if c == "1" else f"{c}*{label}"
-                      for label, c in fock_apply_closed_form(200000))
+                      for label, c in fock_apply_closed_form(40000))
     sink = _ByteCount()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["fock-apply", "T(-200000)", "[1]"])
+        code = main(["fock-apply", "T(-40000)", "[1]"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
