@@ -143,18 +143,21 @@ def _created_images(series, state, ch: int):
     """Images of one diagonal series on a basis state with both indices
     creating, made lazily: a in [d+1, d//2] puts in the parts -a >= a - d,
     with no per-index polynomial evaluation when the generic part is
-    constant.  They come out strictly in print order (state descending):
-    from a to a + 1 one unit moves from the larger created part to the
-    smaller, which lowers the partition in dominance order and so
-    lexicographically.  Empty unless d < -1."""
+    constant, and only at the exceptions in range when it is zero.  They
+    come out strictly in print order (state descending): from a to a + 1
+    one unit moves from the larger created part to the smaller, which
+    lowers the partition in dominance order and so lexicographically.
+    Empty unless d < -1."""
     d = series.d
     lam = state[ch]
     head, tail = state[:ch], state[ch + 1:]
     poly, exc = series.poly, series.exc
     const = poly.constant_value() if poly.is_constant() else None
+    run = (sorted(a for a in exc if d < a <= d // 2) if poly.is_zero()
+           else range(d + 1, d // 2 + 1))
     # neg, the negated parts, is ascending for bisect
     neg = [-p for p in lam]
-    for a in range(d + 1, d // 2 + 1):
+    for a in run:
         c = exc.get(a)
         if c is None:
             c = rat(poly(a)) if const is None else const

@@ -137,12 +137,14 @@ class DiagonalSeries:
         self.poly = poly
         clean = {}
         if exc:
+            # a constant polynomial, the zero one included, needs no poly(a)
+            const = poly.constant_value() if poly.is_constant() else None
             for a, v in exc.items():
                 a = int(a)
                 if a == 0 or a == d:
                     continue
                 v = rat(v)
-                if v != poly(a):
+                if v != (poly(a) if const is None else const):
                     clean[a] = v
         self.exc = clean
         # poly(a) - poly(d - a) has degree <= deg, so agreeing at a = 0..deg
@@ -182,6 +184,12 @@ class DiagonalSeries:
 
 
 def _series_add(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
+    if s1.poly.is_zero() and s2.poly.is_zero():
+        # finite series: the sum lives on the union of the exceptions
+        exc = dict(s1.exc)
+        for a, v in s2.exc.items():
+            exc[a] = exc.get(a, 0) + v
+        return DiagonalSeries(s1.d, POLY_ZERO, exc)
     poly = s1.poly + s2.poly
     exc = {}
     for a in set(s1.exc) | set(s2.exc):
@@ -221,6 +229,12 @@ class QuadraticElement:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "QuadraticElement") -> "QuadraticElement":
+        # elements are immutable by convention, so a zero side can hand
+        # back the other operand itself
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         quad = dict(self.quad)
         for d, series in other.quad.items():
             quad[d] = _series_add(quad[d], series) if d in quad else series
@@ -373,25 +387,42 @@ def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries,
+                  sign: int) -> dict:
+    """sign * the exceptions of [s, other]'s diagonal for s with a zero
+    polynomial: c vanishes off exc(s) and exc(s) + d_other, and exception i
+    of s adds x (d - i) c_other(i - d) at i and x i c_other(i + d_other) at
+    i + d_other, two reads of the other side."""
+    d, e = s.d, other.d
+    exc = {}
+    for i, x in s.exc.items():
+        for a, k, j in ((i, sign * (d - i), i - d), (i + e, sign * i, i + e)):
+            y = other.coeff(j)
+            if y:
+                exc[a] = exc.get(a, 0) + x * k * y
+    return exc
+
+
 def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
     """Diagonal part of the endomorphism commutator of two diagonals.  Both
     terms of c(a) = c1(a) (d1 - a) c2(a - d1) + c1(a - d2) (a - d2) c2(a)
-    carry c1 and c2, so a side s with a zero polynomial makes the generic
-    polynomial zero and c vanishes off exc(s) and exc(s) + d_other; the
-    series keeps only the candidates where c differs from the generic part."""
+    carry c1 and c2, so a side with a zero polynomial makes the generic
+    polynomial zero, and that side scatters its own exceptions (the
+    commutator is antisymmetric, so s2 scatters with sign -1).  Two nonzero
+    polynomials give the generic part and the candidates where c may differ
+    from it."""
     d1, d2 = s1.d, s2.d
     p1, p2 = s1.poly, s2.poly
-    if p1.is_zero() or p2.is_zero():
-        s, shift = (s1, d2) if p1.is_zero() else (s2, d1)
-        generic, cands = POLY_ZERO, set(s.exc) | {a + shift for a in s.exc}
-    else:
-        generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
-                   + p1.affine(1, -d2) * Poly((-d2, 1)) * p2)
-        e1 = set(s1.exc) | {0, d1}
-        e2 = set(s2.exc) | {0, d2}
-        cands = e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}
+    if p1.is_zero():
+        return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s1, s2, 1))
+    if p2.is_zero():
+        return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s2, s1, -1))
+    generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
+               + p1.affine(1, -d2) * Poly((-d2, 1)) * p2)
+    e1 = set(s1.exc) | {0, d1}
+    e2 = set(s2.exc) | {0, d2}
     exc = {}
-    for a in cands:
+    for a in e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}:
         val = 0
         for i, j, k in ((a, a - d1, d1 - a), (a - d2, a, a - d2)):
             if (x := s1.coeff(i)) and (y := s2.coeff(j)):
@@ -405,7 +436,11 @@ def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
 
     Central corrections: -1/2 psi on quadratic-quadratic pairs and <f,g> K
     on linear-linear pairs; quadratic-linear brackets are purely linear.
+    Central parts commute with everything, so an argument with neither a
+    linear nor a quadratic part gives zero at once.
     """
+    if not (A.linear.coeffs or A.quad) or not (B.linear.coeffs or B.quad):
+        return QuadraticElement()
     central = symplectic_form(A.linear, B.linear)
     trace = _quad_trace(A.quad, B.quad)
     if trace:

@@ -140,12 +140,18 @@ def check_pullback_sigma(bound: int = 5) -> list:
 def sigma_hat_defect(u: WittElement, v: WittElement) -> QuadraticElement:
     """[sigma u, sigma v] - sigma([u, v]): the defect of the lift, a
     multiple of K for the normal-ordered sigma."""
-    return bracket(sigma(u), sigma(v)) - sigma(witt_bracket(u, v))
+    return _lift_defect(u, v, sigma(u), sigma(v))
+
+def _lift_defect(u: WittElement, v: WittElement, su: QuadraticElement,
+                 sv: QuadraticElement) -> QuadraticElement:
+    """sigma_hat_defect(u, v) from the lifts su = sigma(u), sv = sigma(v)."""
+    return bracket(su, sv) - sigma(witt_bracket(u, v))
 
 def _lift_witnesses(bound: int) -> tuple:
     """The witnesses of check_pullback_sigma and of check_lift_diagram.  The
     square's pairs (L(p), L(q)) are probe pairs of the pullback, so each
-    sigma_hat_defect is computed once for both."""
+    lift defect is computed once for both, and each probe element is lifted
+    once for all its pairs."""
     pullback, diagram = [], []
     for p in range(-bound, bound + 1):
         X = tau(p).quad
@@ -155,12 +161,11 @@ def _lift_witnesses(bound: int) -> tuple:
             direct = LaurentPoly.zero() if m + p == 0 else LaurentPoly.term(-m, m + p)
             diagram += _check(f"T({p}) on", f"t^{m}", direct,
                               _quad_apply_laurent(X, LaurentPoly.t(m)))
-    elements = witt_probe_elements(bound)
-    for nu, u in elements:
-        for nv, v in elements:
-            su, sv = sigma(u), sigma(v)
+    lifts = [(name, x, sigma(x)) for name, x in witt_probe_elements(bound)]
+    for nu, u, su in lifts:
+        for nv, v, sv in lifts:
             value = d_cocycle(u, v)
-            defect = sigma_hat_defect(u, v)
+            defect = _lift_defect(u, v, su, sv)
             pullback += _check("-1/2 alpha + beta of the lifts at", (nu, nv),
                                value, -HALF * alpha(su, sv) + beta(su, sv))
             pullback += _check("lift defect at", (nu, nv), unit(value), defect)

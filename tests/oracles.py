@@ -141,6 +141,80 @@ def diag_mixed_sum(d, c):
 
 
 # ---------------------------------------------------------------------------
+# the commutator of two anti-diagonals by the candidate gather.  A diagonal
+# is raw data (d, coefficient list, exception dict): c(a) = 0 at a in
+# {0, d}, else exc.get(a, poly(a)) with poly(a) = sum_k coeffs[k] a^k.
+# ---------------------------------------------------------------------------
+
+def _poly_trim(p):
+    p = [Fraction(x) for x in p]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_eval(p, a):
+    acc = F0
+    for x in reversed(p):
+        acc = acc * a + x
+    return acc
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return _poly_trim([(p[i] if i < len(p) else F0)
+                       + (q[i] if i < len(q) else F0) for i in range(n)])
+
+
+def _poly_mul(p, q):
+    out = [F0] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_shift(p, h):
+    """p(a + h) as a coefficient list in a."""
+    out, power = [], [F1]
+    for x in p:
+        out = _poly_add(out, [x * y for y in power])
+        power = _poly_mul(power, [Fraction(h), F1])
+    return _poly_trim(out)
+
+
+def diag_bracket(s1, s2):
+    """The diagonal (d1 + d2, generic coefficients, exceptions) of the
+    commutator of two raw diagonals, c(a) = c1(a) (d1 - a) c2(a - d1) +
+    c1(a - d2) (a - d2) c2(a).  The generic part comes from the two
+    polynomials; c can differ from it only where a factor differs from its
+    polynomial, so every such index is a candidate, and the exceptions are
+    the candidates off {0, d} at which c differs from the generic part."""
+    (d1, p1, exc1), (d2, p2, exc2) = s1, s2
+    p1, p2, d = _poly_trim(p1), _poly_trim(p2), d1 + d2
+
+    def c1(a):
+        return F0 if a in (0, d1) else Fraction(exc1.get(a, _poly_eval(p1, a)))
+
+    def c2(a):
+        return F0 if a in (0, d2) else Fraction(exc2.get(a, _poly_eval(p2, a)))
+
+    generic = _poly_add(
+        _poly_mul(_poly_mul(p1, [Fraction(d1), -F1]), _poly_shift(p2, -d1)),
+        _poly_mul(_poly_mul(_poly_shift(p1, -d2), [Fraction(-d2), F1]), p2))
+    e1 = set(exc1) | {0, d1}
+    e2 = set(exc2) | {0, d2}
+    exc = {}
+    for a in e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}:
+        if a in (0, d):
+            continue
+        val = c1(a) * (d1 - a) * c2(a - d1) + c1(a - d2) * (a - d2) * c2(a)
+        if val != _poly_eval(generic, a):
+            exc[a] = val
+    return d, generic, exc
+
+
+# ---------------------------------------------------------------------------
 # Fock states: dict[tuple-of-parts-desc, Fraction], rank one.
 # ---------------------------------------------------------------------------
 

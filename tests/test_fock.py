@@ -119,6 +119,34 @@ def test_apply_quadratic_examples():
     assert apply_quadratic(unit(), v21) == v21
 
 
+class CountingDict(dict):
+    """A dict that counts its lookups by key."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_finite_diagonal_creates_only_at_its_exceptions():
+    # the creating range of d = -10**6 - 1 holds 500000 indices, but a
+    # zero polynomial creates only at its exceptions: read those, not the range
+    A = pair(-1, -10 ** 6)
+    series = A.quad[-10 ** 6 - 1]
+    series.exc = CountingDict(series.exc)
+    v1 = FockVector.basis(((1,),))
+    assert apply_quadratic(A, v1) == FockVector.basis(((10 ** 6, 1, 1),))
+    assert series.exc.reads <= 2 * len(series.exc)
+    series.exc.reads = 0
+    assert list(iter_terms(A, v1, 1)) == [(((10 ** 6, 1, 1),), 1)]
+    assert series.exc.reads <= 2 * len(series.exc)
+
+
 def test_grading():
     rng = random.Random(20)
     quads = [pair(a, bb) for a in range(-3, 4) for bb in range(-3, 4)

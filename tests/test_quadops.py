@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oscalg.coinv import FPoint, is_in_sp_F
@@ -100,6 +102,10 @@ def test_series_must_be_symmetric():
     # c(1) = 1 but c(2) = 0 would print as :b(1)b(2): yet bracket b(-2) to 0
     with pytest.raises(ValueError, match=r"offset 3 .*: c\(1\) != c\(2\)"):
         DiagonalSeries(3, POLY_ZERO, {1: 1})
+    with pytest.raises(ValueError, match=r"offset 3 .*: c\(1\) != c\(2\)"):
+        DiagonalSeries(3, Poly((1,)), {1: 2})
+    # an exception that repeats the constant is no exception
+    assert DiagonalSeries(3, Poly((1,)), {1: 1, 2: 1}) == tau(3).quad[3]
     with pytest.raises(ValueError, match=r"offset 2 .*: poly\(0\) != poly\(2\)"):
         DiagonalSeries(2, Poly((0, 1)))
     assert DiagonalSeries(3, POLY_ZERO, {1: 1, 2: 1}) == pair(1, 2).quad[3]
@@ -213,7 +219,7 @@ def test_bracket_matches_endo_commutator_on_window():
 
 def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
     # a pair diagonal s1 confines the bracket to exc(s1) and exc(s1) + d2:
-    # at most 2|exc| candidates, each reading at most 4 coefficients
+    # each exception scatters to those two indices, reading s2 once for each
     ids = [m for m in range(-3, 4) if m]
     diagonals = [d for i, a in enumerate(ids) for bb in ids[i:]
                  for d in pair(a, bb).quad.values()]
@@ -225,8 +231,45 @@ def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
         for s2 in diagonals:
             del calls[:]
             _bracket_diag(s1, s2)
-            assert len(calls) <= 8 * len(s1.exc), (s1, s2)
+            assert len(calls) <= 2 * len(s1.exc), (s1, s2)
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
+
+
+# Symmetric diagonals with a zero, constant or degree-2 polynomial c0 +
+# c1 a(d - a) and exceptions mirrored onto d - a; the second offset is often
+# the opposite of the first, and the examples put an exception on 2a = d.
+COEFF = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def raw_diagonal(draw, d):
+    kind = draw(st.sampled_from(("zero", "constant", "quadratic")))
+    c0 = 0 if kind == "zero" else draw(COEFF)
+    c1 = draw(COEFF) if kind == "quadratic" else 0
+    exc = {}
+    for a, v in draw(st.dictionaries(st.integers(-8, 8), COEFF,
+                                     max_size=3)).items():
+        exc[a] = exc[d - a] = v
+    return d, [c0, c1 * d, -c1], exc
+
+
+DIAGONAL_PAIRS = st.integers(-6, 6).flatmap(lambda d1: st.tuples(
+    raw_diagonal(d1),
+    st.one_of(st.just(-d1), st.integers(-6, 6)).flatmap(raw_diagonal)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@example(((4, [0, 0, 0], {2: 3, 1: 1, 3: 1}), (-4, [0, 0, 0], {-2: 5})))
+@example(((4, [1, 0, 0], {2: 3}), (-4, [0, 0, 0], {-2: -1, -1: 2, -3: 2})))
+@example(((2, [1, 2, -1], {1: 7}), (-2, [2, -4, -2], {-1: 1})))
+@example(((0, [0, 0, 0], {2: 1, -2: 1}), (2, [1, 0, 0], {1: 0})))
+@given(DIAGONAL_PAIRS)
+def test_bracket_diag_matches_candidate_gather(pair_of_raw):
+    r1, r2 = pair_of_raw
+    s1, s2 = (DiagonalSeries(d, Poly(c), exc) for d, c, exc in (r1, r2))
+    got = _bracket_diag(s1, s2)
+    d, generic, exc = oracles.diag_bracket(r1, r2)
+    assert (got.d, got.poly.c, got.exc) == (d, tuple(generic), exc)
 
 
 def test_bracket_action_on_modes_matches_endo():

@@ -12,6 +12,7 @@ from oscalg.cli import main
 from oscalg.coinv import FPoint
 from oscalg.fock import virasoro
 from oscalg.quadops import (
+    QuadraticElement,
     alpha,
     b,
     beta,
@@ -43,6 +44,7 @@ from oscalg.verify import (
     verify_all,
     witt_probe_elements,
 )
+from test_acceptance import acceptance_generators
 
 
 def test_cocycle_handles_by_name():
@@ -232,6 +234,24 @@ def test_cocycle_defect_witness(monkeypatch):
         "beta defect at (b(1), b(2), :b(-2)b(1):): expected 0, got 5",
         "gamma defect at (:b(1)b(1):, :b(-2)b(1):, b(-1)): expected 2, got 5",
     ]
+
+
+def test_jacobi_makes_every_bracket(monkeypatch):
+    # zero and central-only arguments are skipped inside bracket, never by
+    # its caller: the 2652 ordered pairs of the 52 acceptance generators,
+    # then three outer brackets for each of their 22100 triples
+    gens = acceptance_generators()
+    calls = []
+    bracket = verify.bracket
+    monkeypatch.setattr(verify, "bracket",
+                        lambda u, v: calls.append(1) or bracket(u, v))
+    assert check_jacobi(gens) == []
+    assert len(calls) == 52 * 51 + 3 * comb(52, 3) == 2652 + 3 * 22100
+    zero = QuadraticElement()
+    for x in (unit(), b(-2), pair(1, -3), tau(2),
+              tau(-1).scale(3) + b(4) + unit(5)):
+        assert bracket(unit(3), x) == zero == bracket(x, unit(3))
+        assert x + zero == x == zero + x
 
 
 def test_jacobi_witness(monkeypatch):
