@@ -3,10 +3,10 @@ oscillator and Fock representations, and coinvariants at semigroup points."""
 
 from .laurent import (LaurentPoly, derivative, format_laurent, rat, residue,
                       symplectic_form)
-from .quadops import (DiagonalSeries, Poly, QuadraticElement, WittElement,
-                      alpha, b, beta, bracket, gamma, is_in_sp_plus, maps_into,
-                      normal_order_lift, pair, psi, sigma, tau, unit,
-                      witt_bracket)
+from .quadops import (DiagonalSeries, ExpressionError, Poly, QuadraticElement,
+                      WittElement, alpha, b, beta, bracket, format_expression,
+                      gamma, is_in_sp_plus, maps_into, normal_order_lift, pair,
+                      parse_expression, psi, sigma, tau, unit, witt_bracket)
 from .fock import (FockVector, apply_mode, apply_quadratic, exp_apply,
                    format_label, format_vector, graded_basis,
                    measure_central_charge, parse_label, virasoro, virasoro_all)
@@ -19,6 +19,5 @@ from .verify import (CocycleHandle, HOp, central_scalars, check_central_scalars,
                      check_splitting, cocycle_defect, d_cocycle,
                      fit_cocycle_coefficients, psi_trace, sigma_hat_defect,
                      verify_all)
-from .cli import format_expression, parse_expression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

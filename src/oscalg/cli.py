@@ -1,14 +1,6 @@
-"""Command-line front end: a small expression language for quadratic
-elements, command dispatch, and deterministic text/JSON reporting.
-
-Grammar:  expr := ['+'|'-'] term (('+'|'-') term)*
-          term := [rational '*'] atom
-          atom := 'K' | 'b(' int ')' | ':b(' int ')b(' int '):'
-                | 'T(' int ')' | 'S(' int ')'
-Whitespace is insignificant.  b(0) is rejected: the zero mode is the
-central element K.  The printer (quadops.format_expression) emits a
-canonical form (tau terms, then pair terms, then modes, then K, indices
-ascending) and parse is a left inverse of it.
+"""Command-line front end: command dispatch over the expression language
+of quadops (quadops.parse_expression, quadops.format_expression), and
+deterministic text/JSON reporting.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 coinvariant run did not stabilize.
@@ -27,136 +19,11 @@ from .fock import FockVector, format_label, iter_terms, parse_label, vector_chun
 # Unused here since fock-apply streams its terms, but perfbench/tracer.py
 # swaps these names on this module to time them.
 from .fock import apply_quadratic, format_vector
-from .laurent import parse_int, ratio
-from .quadops import (QuadraticElement, WittElement, b, bracket, format_expression,
-                      pair, sigma, tau)
+from .laurent import parse_int
+# bracket and the expression language are called through this module's
+# names, which perfbench/tracer.py swaps to time them.
+from .quadops import TERM_START, bracket, format_expression, parse_expression
 from .verify import CocycleHandle, central_scalars, verify_all
-
-
-class ExpressionError(ValueError):
-    """Parse failure with a character position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} at position {pos}")
-        self.pos = pos
-
-
-# ---------------------------------------------------------------------------
-# tokenizer and parser
-# ---------------------------------------------------------------------------
-
-_SYMBOLS = set("KbTS():+-*/")
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    toks.append(("END", None, len(text)))
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.toks[self.i][0]
-
-    def take(self, kind: str):
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self) -> QuadraticElement:
-        out = QuadraticElement()
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.take(self.peek())[0] == "-" else 1
-        out = out + self.term().scale(sign)
-        while self.peek() != "END":
-            op = self.peek()
-            if op not in "+-":
-                raise ExpressionError(f"expected '+' or '-', found {op!r}",
-                                      self.toks[self.i][2])
-            self.take(op)
-            out = out + self.term().scale(-1 if op == "-" else 1)
-        return out
-
-    def term(self) -> QuadraticElement:
-        coeff = 1
-        if self.peek() == "INT":
-            num = self.take("INT")[1]
-            den = 1
-            if self.peek() == "/":
-                self.take("/")
-                den = self.take("INT")[1]
-                if den == 0:
-                    raise ExpressionError("zero denominator", self.toks[self.i - 1][2])
-            coeff = ratio(num, den)
-            self.take("*")
-        return self.atom().scale(coeff)
-
-    def integer(self) -> int:
-        sign = 1
-        if self.peek() == "-":
-            self.take("-")
-            sign = -1
-        return sign * self.take("INT")[1]
-
-    def _mode_index(self) -> int:
-        self.take("b")
-        self.take("(")
-        pos = self.toks[self.i][2]
-        m = self.integer()
-        self.take(")")
-        if m == 0:
-            raise ExpressionError("b(0) is the central element; write K", pos)
-        return m
-
-    def atom(self) -> QuadraticElement:
-        kind = self.peek()
-        if kind == "K":
-            self.take("K")
-            return QuadraticElement(central=1)
-        if kind == "b":
-            return b(self._mode_index())
-        if kind == ":":
-            self.take(":")
-            a = self._mode_index()
-            bb = self._mode_index()
-            self.take(":")
-            return pair(a, bb)
-        if kind in ("T", "S"):
-            self.take(kind)
-            self.take("(")
-            p = self.integer()
-            self.take(")")
-            return tau(p) if kind == "T" else sigma(WittElement.L(p))
-        raise ExpressionError(f"expected an atom, found {kind!r}",
-                              self.toks[self.i][2])
-
-
-def parse_expression(text: str) -> QuadraticElement:
-    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +250,34 @@ _CONFIG_ACTIONS = {action.dest: action for sub in _SUBPARSERS.values()
                    for action in sub._actions
                    if action.option_strings and action.nargs != 0}
 
-# A '-' before one of these opens a negated term, as in -1/3*K or -T(1).
-_TERM_START = frozenset("0123456789KbTS:")
-
 def _dashed_expressions_last(argv, table):
     """argv with the options of an expression subcommand moved before a
     `--` when one of its positionals starts with '-', which argparse would
-    read as an option: `bracket T(1) -T(-1) --format json` runs as
-    `bracket --format json -- T(1) -T(-1)`.  A bare '-' is the label of an
-    empty channel, so it too is a positional.  Other argv come back as is."""
+    read as an option, or when argv holds a `--`, which argparse leaves
+    unread after options that follow the positionals: `bracket T(1) -T(-1)
+    --format json` runs as `bracket --format json -- T(1) -T(-1)`.  A bare
+    '-' is the label of an empty channel, so it too is a positional.  Other
+    argv come back as is."""
     if not argv or argv[0] not in ("bracket", "cocycle", "fock-apply"):
         return argv
-    takes_value = {s for action in table[argv[0]]._actions if action.nargs != 0
-                   for s in action.option_strings}
+    actions = table[argv[0]]._option_string_actions
     options, positionals = [], []
     rest = iter(argv[1:])
     for arg in rest:
         if arg == "--":
             positionals += rest
         elif (arg.startswith("-") and arg != "-"
-              and arg[1:].lstrip()[:1] not in _TERM_START):
+              and arg[1:].lstrip()[:1] not in TERM_START):
             options.append(arg)
-            if arg in takes_value:
+            if arg not in actions and arg.startswith("--"):
+                # argparse reads a unique prefix of a long option as it
+                named = [s for s in actions if s.startswith(arg)]
+                arg = named[0] if len(named) == 1 else arg
+            if arg in actions and actions[arg].nargs != 0:
                 options += islice(rest, 1)
         else:
             positionals.append(arg)
-    if not any(arg.startswith("-") for arg in positionals):
+    if "--" not in argv and not any(arg.startswith("-") for arg in positionals):
         return argv
     return [argv[0], *options, "--", *positionals]
 

@@ -96,9 +96,6 @@ class FockVector:
         s = rat(s)
         return FockVector(self.rank, {st: s * c for st, c in self.terms.items()})
 
-    def __neg__(self) -> "FockVector":
-        return self.scale(-1)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FockVector) and self.rank == other.rank
                 and self.terms == other.terms)

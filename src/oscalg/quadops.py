@@ -269,7 +269,16 @@ class QuadraticElement:
                     f"linear={self.linear!r}, quad={self.quad!r})")
 
 
-# -- canonical printer -------------------------------------------------------
+# -- the expression language --------------------------------------------------
+#
+# Grammar:  expr := ['+'|'-'] term (('+'|'-') term)*
+#           term := [rational '*'] atom
+#           atom := 'K' | 'b(' int ')' | ':b(' int ')b(' int '):'
+#                 | 'T(' int ')' | 'S(' int ')'
+# Whitespace is insignificant.  b(0) is rejected: the zero mode is the
+# central element K.  The printer emits a canonical form (tau terms, then
+# pair terms, then modes, then K, indices ascending) and parse_expression
+# is a left inverse of it.
 
 def _term_chunks(A: QuadraticElement):
     chunks = []
@@ -296,8 +305,132 @@ def _term_chunks(A: QuadraticElement):
 
 
 def format_expression(A: QuadraticElement) -> str:
-    """Canonical text of A in the expression language of oscalg.cli."""
+    """Canonical text of A in the expression language."""
     return format_signed_sum(_term_chunks(A), "0*K")
+
+
+class ExpressionError(ValueError):
+    """Parse failure with a character position."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} at position {pos}")
+        self.pos = pos
+
+
+_SYMBOLS = set("KbTS():+-*/")
+# A '-' before one of these opens a negated term, as in -1/3*K or -T(1).
+TERM_START = frozenset("0123456789KbTS:")
+
+def _tokenize(text: str):
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():     # the digits int reads, so not '²'
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            toks.append(("INT", int(text[i:j]), i))
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {ch!r}", i)
+    toks.append(("END", None, len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.toks[self.i][0]
+
+    def take(self, kind: str):
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            raise ExpressionError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        self.i += 1
+        return tok
+
+    def parse(self) -> QuadraticElement:
+        sign = 1
+        if self.peek() in "+-":
+            sign = -1 if self.take(self.peek())[0] == "-" else 1
+        out = self.term().scale(sign)
+        while self.peek() != "END":
+            op = self.peek()
+            if op not in "+-":
+                raise ExpressionError(f"expected '+' or '-', found {op!r}",
+                                      self.toks[self.i][2])
+            self.take(op)
+            out = out + self.term().scale(-1 if op == "-" else 1)
+        return out
+
+    def term(self) -> QuadraticElement:
+        coeff = 1
+        if self.peek() == "INT":
+            num = self.take("INT")[1]
+            den = 1
+            if self.peek() == "/":
+                self.take("/")
+                den = self.take("INT")[1]
+                if den == 0:
+                    raise ExpressionError("zero denominator", self.toks[self.i - 1][2])
+            coeff = ratio(num, den)
+            self.take("*")
+        return self.atom().scale(coeff)
+
+    def integer(self) -> int:
+        sign = 1
+        if self.peek() == "-":
+            self.take("-")
+            sign = -1
+        return sign * self.take("INT")[1]
+
+    def _mode_index(self) -> int:
+        self.take("b")
+        self.take("(")
+        pos = self.toks[self.i][2]
+        m = self.integer()
+        self.take(")")
+        if m == 0:
+            raise ExpressionError("b(0) is the central element; write K", pos)
+        return m
+
+    def atom(self) -> QuadraticElement:
+        kind = self.peek()
+        if kind == "K":
+            self.take("K")
+            return QuadraticElement(central=1)
+        if kind == "b":
+            return b(self._mode_index())
+        if kind == ":":
+            self.take(":")
+            a = self._mode_index()
+            bb = self._mode_index()
+            self.take(":")
+            return pair(a, bb)
+        if kind in ("T", "S"):
+            self.take(kind)
+            self.take("(")
+            p = self.integer()
+            self.take(")")
+            return tau(p) if kind == "T" else sigma(WittElement.L(p))
+        raise ExpressionError(f"expected an atom, found {kind!r}",
+                              self.toks[self.i][2])
+
+
+def parse_expression(text: str) -> QuadraticElement:
+    """The element text denotes; ExpressionError names where it fails."""
+    return _Parser(text).parse()
 
 
 # -- named elements ----------------------------------------------------------
@@ -559,9 +692,6 @@ class WittElement:
         if q == 0:
             raise ValueError("b_0 vanishes in H'")
         return cls(g=LaurentPoly.t(q))
-
-    def __add__(self, other: "WittElement") -> "WittElement":
-        return WittElement(self.f + other.f, self.g + other.g)
 
     def scale(self, s) -> "WittElement":
         return WittElement(self.f.scale(s), self.g.scale(s))

@@ -1,6 +1,7 @@
 """Tests for the expression language and the command-line front end."""
 
 import ast
+import contextlib
 import io
 import json
 import os
@@ -13,13 +14,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscalg
 import oscalg.cli
-from oscalg.cli import ExpressionError, format_expression, main, parse_expression
+from oscalg.cli import format_expression, main, parse_expression
 from oscalg.fock import FockVector, apply_quadratic, format_label, parse_label
 from oscalg.quadops import (
     DiagonalSeries,
+    ExpressionError,
     Poly,
     QuadraticElement,
     WittElement,
@@ -84,6 +88,13 @@ def test_parse_syntax_errors():
         parse_expression("")
     with pytest.raises(ExpressionError, match=r"expected '\+' or '-'"):
         parse_expression("b(1) b(2)")
+
+
+def test_integers_use_the_digits_int_reads(capsys):
+    # '²' is a digit to str.isdigit, but int cannot read it
+    assert run_cli(capsys, ["fock-apply", "²*b(-1)", "[]"]) == (
+        2, "", "error: unexpected character '²' at position 0\n")
+    assert run_cli(capsys, ["fock-apply", "٣*b(-1)", "[]"]) == (0, "3*[1]\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +500,23 @@ def test_leading_minus_expression_without_double_dash(capsys, argv, dashed):
     assert (code, out, err) == run_cli(capsys, dashed)
 
 
+@pytest.mark.parametrize("argv, canonical", [
+    # argparse reads --form as --format, so json is its value
+    (["bracket", "--form", "json", "T(1)", "-T(-1)"],
+     ["bracket", "--format", "json", "--", "T(1)", "-T(-1)"]),
+    # a `--` after options that follow the positionals
+    (["bracket", "T(1)", "T(-1)", "--format", "json", "--"],
+     ["bracket", "--format", "json", "--", "T(1)", "T(-1)"]),
+    (["fock-apply", "K", "[]", "--format=text", "--"],
+     ["fock-apply", "--format", "text", "--", "K", "[]"]),
+])
+def test_option_spellings_and_double_dash_keep_their_meaning(capsys, argv,
+                                                             canonical):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, canonical)
+
+
 def test_options_keep_their_meaning_next_to_leading_minus(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, _, err = run_cli(capsys, ["bracket", "--bogus", "-K", "K"])
@@ -497,6 +525,75 @@ def test_options_keep_their_meaning_next_to_leading_minus(capsys, monkeypatch):
     assert code == 2 and "invalid choice: 'yaml'" in err
     code, out, _ = run_cli(capsys, ["cocycle", "psi", "-K", "-h"])
     assert code == 0 and out.startswith("usage: oscalg cocycle")
+
+
+# -- an argv sweep over the expression commands --------------------------------
+
+_INDEX = st.integers(-3, 3).map(str)
+_ATOM = st.one_of(st.just("K"), _INDEX.map("b({})".format),
+                  st.builds(":b({})b({}):".format, _INDEX, _INDEX),
+                  _INDEX.map("T({})".format), _INDEX.map("S({})".format))
+_COEFF = st.sampled_from(["", "2*", "0*", "1/2*", "3/0*"])
+_TERM = st.builds(str.__add__, _COEFF, _ATOM)
+# every expression opens with an optional sign and a term, so a '-' in
+# front of it is never read as an option
+_EXPR = st.builds(lambda sign, first, rest: sign + first + "".join(rest),
+                  st.sampled_from(["", "-", "- ", "+"]), _TERM,
+                  st.lists(st.builds(str.__add__, st.sampled_from(["+", " - "]),
+                                     _TERM), max_size=2))
+_LABEL = st.sampled_from(["[]", "-", "[1]", "[2,1]", "([1]|-)", "[0]"])
+_POSITIONALS = st.one_of(
+    st.tuples(st.just("bracket"), st.tuples(_EXPR, _EXPR)),
+    st.tuples(st.just("cocycle"),
+              st.tuples(st.sampled_from(["psi", "alpha", "beta", "gamma"]),
+                        _EXPR, _EXPR)),
+    st.tuples(st.just("fock-apply"), st.tuples(_EXPR, _LABEL)))
+# (options, their canonical spelling); argparse also reads a unique prefix
+# of a long option, as in --form json
+_OPTIONS = st.sampled_from([
+    ((), ()), (("--format", "json"),) * 2, (("--format", "yaml"),) * 2,
+    (("--format=text",), ("--format", "text")),
+    (("--form", "json"), ("--format", "json")),
+    (("--fo=json",), ("--format", "json"))])
+
+
+@st.composite
+def _expression_argv(draw):
+    """(argv, its canonical form with every option before a `--`, or None
+    when a drawn `--` makes an option positional)."""
+    command, positionals = draw(_POSITIONALS)
+    options, spelled = draw(_OPTIONS)
+    at = draw(st.integers(0, len(positionals)))
+    args = [*positionals[:at], *options, *positionals[at:]]
+    canonical = [command, *spelled, "--", *positionals]
+    dash = draw(st.none() | st.integers(0, len(args)))
+    if dash is not None:
+        args.insert(dash, "--")
+        if options and dash < at + len(options):
+            canonical = None    # `--` before or inside the options
+    return [command, *args], canonical
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_expression_argv())
+def test_expression_argv_sweep(drawn):
+    argv, canonical = drawn
+    code, out, err = _run_quiet(argv)
+    if code == 0:
+        assert out and err == "", argv
+    else:
+        assert code == 2 and out == "", argv
+        one_error = err.startswith("error: ") and err.count("\n") == 1
+        assert one_error or err.startswith("usage: oscalg "), argv
+    if canonical is not None:
+        assert (code, out, err) == _run_quiet(canonical), argv
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -562,6 +659,9 @@ def test_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["--config", str(bad), "coinv"])
     assert code == 2
     assert "unknown key" in err
+    bad.write_text("# ranks\nrank 2\n")
+    assert run_cli(capsys, ["--config", str(bad), "coinv"]) == (
+        2, "", f"error: {bad}:2: expected key = value\n")
     code, _, err = run_cli(capsys, ["--config"])
     assert code == 2
     assert "needs a path" in err
@@ -662,7 +762,7 @@ def test_config_values_are_checked_even_when_unused(capsys, tmp_path, argv):
 def test_only_entry_points_import_cli():
     pkg = Path(oscalg.__file__).parent
     for path in sorted(pkg.glob("*.py")):
-        if path.stem in ("__init__", "__main__"):
+        if path.stem == "__main__":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
@@ -672,6 +772,39 @@ def test_only_entry_points_import_cli():
             else:
                 continue
             assert not any(n in ("cli", "oscalg.cli") for n in names), path.name
+
+
+def test_importing_the_library_leaves_the_cli_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(oscalg.__file__).parent.parent)}
+    code = ("import sys, oscalg; "
+            "print(sorted({'oscalg.cli', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert oscalg.parse_expression is oscalg.quadops.parse_expression
+    assert oscalg.format_expression is oscalg.quadops.format_expression
+
+
+def test_only_quadops_holds_the_expression_language():
+    # the tokenizer, the parser and the term-start set are defined once
+    pkg = Path(oscalg.__file__).parent
+    names = {"ExpressionError", "_tokenize", "_Parser", "parse_expression",
+             "_SYMBOLS", "TERM_START"}
+    holders = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [getattr(n, "id", None) for n in node.targets]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a restated symbol set spells the atoms' first letters
+                defined = ["TERM_START"] if "KbTS" in node.value else []
+            else:
+                continue
+            if names.intersection(defined):
+                holders.add(path.name)
+    assert holders == {"quadops.py"}
 
 
 def _enclosed(node, kind, where="<module>"):

@@ -1,5 +1,6 @@
 import json
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,13 @@ def tuple_counts(channels: int, n: int):
     return counts
 
 
+@lru_cache(maxsize=None)
+def oracle_coinv_dims(gaps: tuple, N: int, M: int, W: int, include_linear: bool):
+    """oracles.coinv_dims, computed once per argument tuple: ranks 2 and 3
+    repeat the rank-1 calls of test_coinv_matches_oracle."""
+    return tuple(oracles.coinv_dims(set(gaps), N, M, W, include_linear))
+
+
 @pytest.mark.parametrize("gaps, side, rank", [
     pytest.param(gaps, side, rank,
                  id=f"gaps{i}-{side}" + (f"-rank{rank}" if rank > 1 else ""))
@@ -200,7 +208,7 @@ def test_coinv_matches_oracle(gaps, side, rank):
     for M in (8, 10):
         # The generators act on channel 1 only: a state whose other
         # channels have degree j contributes the rank-1 dims at cap M - j.
-        rank1 = {j: oracles.coinv_dims(set(gaps), 5 - j, M - j, M, side == "X")
+        rank1 = {j: oracle_coinv_dims(gaps, 5 - j, M - j, M, side == "X")
                  for j in range(6) if others[j]}
         expected = [sum(others[j] * rank1[j][n - j] for j in rank1 if j <= n)
                     for n in range(6)]

@@ -329,6 +329,8 @@ def test_measure_central_charge_errors():
         measure_central_charge(1, [vac()])
     with pytest.raises(ValueError):
         measure_central_charge(2, [])
+    with pytest.raises(ValueError, match="^test vectors must be nonzero$"):
+        measure_central_charge(2, [vac(), vac().scale(0)])
     # an action that drops L_0 is inconsistent across degrees
     broken = lambda q, v: virasoro(q, v) if q else v.scale(0)
     with pytest.raises(ValueError, match="inconsistent"):

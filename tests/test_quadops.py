@@ -384,6 +384,16 @@ def test_membership_requires_pure_quadratic():
         is_in_sp_F(unit(), FPoint(()), 4)
 
 
+def test_repr_without_canonical_expression():
+    # a(2 - a) is symmetric on the d = 2 diagonal but not constant
+    A = QuadraticElement(central=3, linear=LaurentPoly.t(-2),
+                         quad={2: DiagonalSeries(2, Poly((0, 2, -1)))})
+    assert repr(A) == ("QuadraticElement(central=3, linear=LaurentPoly('t^-2'), "
+                       "quad={2: DiagonalSeries(d=2, poly=Poly([0, 2, -1]), "
+                       "exc={})})")
+    assert repr(tau(2)) == "QuadraticElement('T(2)')"
+
+
 # -- Witt elements and lifts -------------------------------------------------
 
 def test_witt_bracket_relations():
@@ -396,6 +406,14 @@ def test_witt_bracket_relations():
                 want = (WittElement() if p + q == 0
                         else mode(p + q).scale(-q))
                 assert witt_bracket(L(p), mode(q)) == want
+
+
+def test_witt_element_errors():
+    with pytest.raises(ValueError, match="^the translation part lives in H'; "
+                                         "no constant term$"):
+        WittElement(g=LaurentPoly({0: 1, 2: 1}))
+    with pytest.raises(ValueError, match="^b_0 vanishes in H'$"):
+        WittElement.mode(0)
 
 
 def test_sigma_examples():
