@@ -22,7 +22,7 @@ from .fock import apply_quadratic, format_vector
 from .laurent import parse_int
 # bracket and the expression language are called through this module's
 # names, which perfbench/tracer.py swaps to time them.
-from .quadops import TERM_START, bracket, format_expression, parse_expression
+from .quadops import bracket, format_expression, opens_term, parse_expression
 from .verify import CocycleHandle, central_scalars, verify_all
 
 
@@ -267,7 +267,7 @@ def _dashed_expressions_last(argv, table):
         if arg == "--":
             positionals += rest
         elif (arg.startswith("-") and arg != "-"
-              and arg[1:].lstrip()[:1] not in TERM_START):
+              and not opens_term(arg[1:].lstrip()[:1])):
             options.append(arg)
             if arg not in actions and arg.startswith("--"):
                 # argparse reads a unique prefix of a long option as it

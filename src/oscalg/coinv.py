@@ -115,6 +115,20 @@ def check_state_space(rank: int, M: int):
                          f"{MAX_STATE_SLOTS}")
 
 
+def _target(st, s: int, m: int):
+    """The one state that :b_-s b_m: (b_-s for m = 0) sends st to, up to a
+    nonzero factor: channel 1 loses a part m if m > 0, gains the part -m
+    if m < 0, and gains the part s.  For m > 0, st holds a part m."""
+    lam = list(st[0])
+    if m > 0:
+        lam.remove(m)
+    elif m < 0:
+        lam.append(-m)
+    lam.append(s)
+    lam.sort(reverse=True)
+    return (tuple(lam),) + st[1:]
+
+
 class CoinvReduction:
     """The coinvariant computation of one job, extended across its schedule.
 
@@ -122,10 +136,12 @@ class CoinvReduction:
     state to zero or to a nonzero multiple of one basis state.  The image
     of the generators in a degree is therefore spanned by the basis states
     they hit, and the quotient's dimension there is the number of states
-    not hit.  Pass one instance to the coinvariants_A / coinvariants_X calls
-    of a job whose (M, W) grow: the generator windows and source caps are
-    nested, so each call applies only the generators and source degrees
-    that earlier calls did not.  Each degree's basis is built once, with an
+    not hit.  _target names the state a generator sends a source to, and
+    the generator is applied only where that target is not hit yet; its
+    image must then be exactly the target.  Pass one instance to the
+    coinvariants_A / coinvariants_X calls of a job whose (M, W) grow: the
+    generator windows and source caps are nested, so each call applies
+    only the generators and source degrees that earlier calls did not.  Each degree's basis is built once, with an
     index from each part to the states holding it in channel 1."""
 
     __slots__ = ("job", "M", "W", "bases", "hits", "applied")
@@ -191,11 +207,14 @@ class CoinvReduction:
                     continue
                 states, holders = self._basis(deg, rank)
                 for st in (holders.get(m, ()) if m > 0 else states):
+                    target = _target(st, s, m)
+                    if target in hit:
+                        continue
                     image = apply_quadratic(X, FockVector(rank, {st: 1}))
-                    if len(image.terms) != 1:
-                        raise RuntimeError(f"image of {X} on {st} is not "
-                                           "one basis state")
-                    hit.update(image.terms)
+                    if list(image.terms) != [target]:
+                        raise RuntimeError(f"image of {X} on {st} is not one "
+                                           f"basis state: expected exactly {target}")
+                    hit.add(target)
                     if len(hit) == dim:
                         break
         dims = [len(self._basis(e, rank)[0]) - len(hit)

@@ -318,8 +318,13 @@ class ExpressionError(ValueError):
 
 
 _SYMBOLS = set("KbTS():+-*/")
-# A '-' before one of these opens a negated term, as in -1/3*K or -T(1).
-TERM_START = frozenset("0123456789KbTS:")
+# The first letters of the atoms K, b(n), T(n), S(n) and :b(m)b(n):.
+_ATOM_START = frozenset("KbTS:")
+
+def opens_term(ch: str) -> bool:
+    """Whether ch opens a term, so that a '-' before it negates one, as in
+    -1/3*K or -T(1): a digit by _tokenize's rule or an atom's first letter."""
+    return ch.isdecimal() or ch in _ATOM_START
 
 def _tokenize(text: str):
     toks = []

@@ -500,6 +500,14 @@ def test_leading_minus_expression_without_double_dash(capsys, argv, dashed):
     assert (code, out, err) == run_cli(capsys, dashed)
 
 
+@pytest.mark.parametrize("expr", ["-\u0663*b(-1)", "- \u0663*b(-1)"])
+def test_leading_minus_before_a_non_ascii_digit(capsys, expr):
+    # the tokenizer reads any decimal digit, here ARABIC-INDIC DIGIT THREE,
+    # so a '-' before one opens a term and is no option
+    code, out, err = run_cli(capsys, ["bracket", "b(1)", expr])
+    assert (code, out, err) == (0, "-3*K\n", "")
+
+
 @pytest.mark.parametrize("argv, canonical", [
     # argparse reads --form as --format, so json is its value
     (["bracket", "--form", "json", "T(1)", "-T(-1)"],
@@ -533,7 +541,8 @@ _INDEX = st.integers(-3, 3).map(str)
 _ATOM = st.one_of(st.just("K"), _INDEX.map("b({})".format),
                   st.builds(":b({})b({}):".format, _INDEX, _INDEX),
                   _INDEX.map("T({})".format), _INDEX.map("S({})".format))
-_COEFF = st.sampled_from(["", "2*", "0*", "1/2*", "3/0*"])
+# \u0663 is ARABIC-INDIC DIGIT THREE, a digit to the tokenizer as to int
+_COEFF = st.sampled_from(["", "2*", "0*", "1/2*", "3/0*", "\u0663*"])
 _TERM = st.builds(str.__add__, _COEFF, _ATOM)
 # every expression opens with an optional sign and a term, so a '-' in
 # front of it is never read as an option
@@ -594,6 +603,55 @@ def test_expression_argv_sweep(drawn):
         assert one_error or err.startswith("usage: oscalg "), argv
     if canonical is not None:
         assert (code, out, err) == _run_quiet(canonical), argv
+
+
+def _assert_clean_exit(argv):
+    """main(argv) answers with exit 0, 1 or 3 and a quiet stderr, or exits
+    2 with empty stdout and one line holding `error:`."""
+    code, out, err = _run_quiet(argv)
+    if code in (0, 1, 3):
+        assert out and err == "", argv
+    else:
+        assert code == 2 and out == "", argv
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and "Traceback" not in err, argv
+
+
+# \u0662 is ARABIC-INDIC DIGIT TWO, which int and parse_int read as 2
+_GAP = st.sampled_from(["1", "2", "3", "5", "0", "", " 2", "+1", "-1", "x",
+                        "\u0662", "7"])
+_GAPS = st.lists(_GAP, max_size=4).map(",".join)
+_SIZE = st.sampled_from(["0", "1", "2", "3", "4", "6", "-1", "\u0662"])
+
+
+@st.composite
+def _coinv_argv(draw):
+    gaps = draw(_GAPS)
+    argv = ["coinv", *draw(st.sampled_from([["--gaps", gaps],
+                                            [f"--gaps={gaps}"], []]))]
+    for flag, values in (("--N", _SIZE), ("--M", _SIZE), ("--W", _SIZE),
+                         ("--rank", st.sampled_from(["1", "2", "3", "0"])),
+                         ("--side", st.sampled_from(["A", "X", "Y"])),
+                         ("--format", st.sampled_from(["text", "json"]))):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_coinv_argv())
+def test_coinv_argv_sweep(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from([["--probe-bound", "0"], ["--probe-bound", "1"],
+                                 ["--probe-bound=2"], ["--probe-bound", "3"],
+                                 ["--probe-bound", "-1"], ["--probe-bound", "x"],
+                                 ["--format", "json"], ["--format", "text"]]),
+                max_size=2))
+def test_verify_all_argv_sweep(options):
+    _assert_clean_exit(["verify-all", *(arg for opt in options for arg in opt)])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -786,10 +844,10 @@ def test_importing_the_library_leaves_the_cli_unloaded():
 
 
 def test_only_quadops_holds_the_expression_language():
-    # the tokenizer, the parser and the term-start set are defined once
+    # the tokenizer, the parser and the term-start test are defined once
     pkg = Path(oscalg.__file__).parent
     names = {"ExpressionError", "_tokenize", "_Parser", "parse_expression",
-             "_SYMBOLS", "TERM_START"}
+             "_SYMBOLS", "_ATOM_START", "opens_term"}
     holders = set()
     for path in sorted(pkg.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -799,7 +857,7 @@ def test_only_quadops_holds_the_expression_language():
                 defined = [getattr(n, "id", None) for n in node.targets]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 # a restated symbol set spells the atoms' first letters
-                defined = ["TERM_START"] if "KbTS" in node.value else []
+                defined = ["_ATOM_START"] if "KbTS" in node.value else []
             else:
                 continue
             if names.intersection(defined):

@@ -12,8 +12,9 @@ from oscalg.coinv import (MAX_STATE_SLOTS, CoinvReduction, CoinvReport, FPoint,
                           check_state_space, coinvariants_A, coinvariants_X,
                           default_schedule, fperp_basis, is_in_sp_F,
                           sp_f_generators, stabilize)
-from oscalg.fock import FockVector, graded_basis
+from oscalg.fock import FockVector, apply_quadratic, canon_state, graded_basis
 from oscalg.laurent import LaurentPoly, symplectic_form
+from oscalg.quadops import b, pair
 
 
 def exponents(fs):
@@ -266,6 +267,32 @@ def test_image_of_more_than_one_state_raises(monkeypatch):
         coinvariants_A(1, FPoint(()), 2, 4, 4)
 
 
+def test_image_of_another_state_raises(monkeypatch):
+    def elsewhere(X, v):
+        return FockVector(v.rank, {((99,),): 1})
+
+    monkeypatch.setattr(coinv, "apply_quadratic", elsewhere)
+    with pytest.raises(RuntimeError, match=r"expected exactly \(\("):
+        coinvariants_A(1, FPoint(()), 2, 4, 4)
+
+
+_PARTS = st.lists(st.integers(1, 4), max_size=4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(channels=st.lists(_PARTS, min_size=1, max_size=3),
+       s=st.integers(1, 5), m=st.integers(-4, 4))
+def test_target_is_the_one_state_of_the_image(channels, s, m):
+    # :b_-s b_m: annihilates a state without a part m, so for m > 0 the
+    # source holds one; draws of four parts from 1..4 repeat parts often
+    if m > 0:
+        channels[0] = channels[0] + [m]
+    st0 = canon_state(channels)
+    X = pair(-s, m) if m else b(-s)
+    image = apply_quadratic(X, FockVector.basis(st0))
+    assert list(image.terms) == [coinv._target(st0, s, m)]
+
+
 def test_reduction_belongs_to_one_job():
     F = FPoint({1})
     reduction = CoinvReduction()
@@ -355,7 +382,10 @@ def test_cmd_coinv_wastes_no_work(monkeypatch, capsys, side):
                      "--W", "12", "--side", side])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["dims"] == [1, 1, 2, 2, 3, 3, 4, 4, 5]
-    assert images and all(not v.is_zero() for v in images)
+    assert images and all(len(v.terms) == 1 for v in images)
+    # each image hits a state no earlier image hit
+    hit = [st for v in images for st in v.terms]
+    assert len(hit) == len(set(hit))
     assert len(basis_args) == len(set(basis_args))
     assert sorted(d for d, _ in basis_args) == list(range(report["M"] + 1))
     schedule = default_schedule(8, 12, 12)
