@@ -13,8 +13,9 @@ import json
 import sys
 from itertools import islice
 
-from .coinv import (CoinvReduction, FPoint, check_state_space, coinvariants_A,
-                    coinvariants_X, default_schedule, stabilize)
+# coinv is called through this module's names, which perfbench/tracer.py
+# swaps to time it.
+from .coinv import FPoint, coinvariants_A, coinvariants_X
 from .fock import FockVector, format_label, iter_terms, parse_label, vector_chunks
 # Unused here since fock-apply streams its terms, but perfbench/tracer.py
 # swaps these names on this module to time them.
@@ -88,14 +89,9 @@ def _fock_json_chunks(args, terms):
     yield "]}"
 
 def _cmd_coinv(args):
-    F = FPoint(_parse_gaps(args.gaps))
     compute = coinvariants_X if args.side == "X" else coinvariants_A
-    schedule = default_schedule(args.N, args.M, args.W)
-    check_state_space(args.rank, args.M)
-    reduction = CoinvReduction()
-    def run(m, w):
-        return compute(args.rank, F, args.N, m, w, reduction)
-    report = stabilize(run, schedule)
+    report = compute(args.rank, FPoint(_parse_gaps(args.gaps)), args.N,
+                     args.M, args.W)
     if args.format == "text":
         lines = [f"gaps: {report.gaps}", f"rank: {report.rank}",
                  f"N/M/W: {report.N}/{report.M}/{report.W}",

@@ -12,6 +12,7 @@ stabilization flag from repeated runs at growing truncation sizes.
 from __future__ import annotations
 
 import json
+from operator import index
 
 from .fock import FockVector, apply_quadratic, graded_basis
 from .laurent import LaurentPoly
@@ -24,7 +25,7 @@ class FPoint:
     __slots__ = ("gaps",)
 
     def __init__(self, gaps=()):
-        gaps = frozenset(int(g) for g in gaps)
+        gaps = frozenset(map(index, gaps))
         if any(g < 1 for g in gaps):
             raise ValueError("gaps are positive integers")
         self.gaps = gaps
@@ -129,147 +130,16 @@ def _target(st, s: int, m: int):
     return (tuple(lam),) + st[1:]
 
 
-class CoinvReduction:
-    """The coinvariant computation of one job, extended across its schedule.
-
-    Every generator is a monomial :b_-s b_m: or b_-s, so it sends a basis
-    state to zero or to a nonzero multiple of one basis state.  The image
-    of the generators in a degree is therefore spanned by the basis states
-    they hit, and the quotient's dimension there is the number of states
-    not hit.  _target names the state a generator sends a source to, and
-    the generator is applied only where that target is not hit yet; its
-    image must then be exactly the target.  Pass one instance to the
-    coinvariants_A / coinvariants_X calls of a job whose (M, W) grow: the
-    generator windows and source caps are nested, so each call applies
-    only the generators and source degrees that earlier calls did not.  Each degree's basis is built once, with an
-    index from each part to the states holding it in channel 1."""
-
-    __slots__ = ("job", "M", "W", "bases", "hits", "applied")
-
-    def __init__(self):
-        self.job = None       # (rank, gaps, N, side) of the first call
-        self.M = self.W = -1
-        self.bases = {}       # degree -> (states, {part: states holding it})
-        self.hits = []        # target degree 0..N -> set of states hit
-        self.applied = {}     # generator key -> highest source degree applied
-
-    def _basis(self, deg: int, rank: int):
-        basis = self.bases.get(deg)
-        if basis is None:
-            states = graded_basis(deg, rank)
-            holders = {}
-            for st in states:
-                for part in set(st[0]):
-                    holders.setdefault(part, []).append(st)
-            basis = self.bases[deg] = (states, holders)
-        return basis
-
-    def _bind(self, side: str, rank: int, F: FPoint, N: int, M: int, W: int):
-        job = (rank, F.gaps, N, side)
-        if self.job is None:
-            self.job = job
-            self.hits = [set() for _ in range(N + 1)]
-        elif job != self.job:
-            raise ValueError("coinvariant reduction belongs to another job: "
-                             "rank, N, gaps and side must match")
-        if M < self.M or W < self.W:
-            raise ValueError("coinvariant reduction cannot shrink (M, W)")
-        self.M, self.W = M, W
-
-    def extend(self, side: str, rank: int, F: FPoint, N: int, M: int, W: int):
-        """Apply the generators and source degrees not yet applied; return
-        the number of generators on the window and the graded dims.
-
-        A generator keyed (s, m) creates a part s and lowers the degree by
-        m - s (m = 0 stands for side X's b_-s); for m > 0 it kills every
-        state whose channel 1 has no part m.  A target of degree <= N holds
-        no part s > N, and a source of degree <= M no part m > M, so only
-        keys with s <= N, m - s >= -N and m <= M can act, and only those
-        are visited."""
-        self._bind(side, rank, F, N, M, W)
-        S = F.semigroup(N)
-        keys = [(s, m) for s in S for m in range(s - N, M + 1) if m]
-        if side == "X":
-            keys += [(s, 0) for s in S]
-        for key in keys:
-            s, m = key
-            d = m - s
-            lo = max(0, d, self.applied.get(key, -1) + 1)
-            hi = min(M, N + d)
-            if lo > hi:
-                continue
-            self.applied[key] = hi
-            X = pair(-s, m) if m else b(-s)
-            for deg in range(lo, hi + 1):
-                hit = self.hits[deg - d]
-                dim = len(self._basis(deg - d, rank)[0])
-                if len(hit) == dim:
-                    continue
-                states, holders = self._basis(deg, rank)
-                for st in (holders.get(m, ()) if m > 0 else states):
-                    target = _target(st, s, m)
-                    if target in hit:
-                        continue
-                    image = apply_quadratic(X, FockVector(rank, {st: 1}))
-                    if list(image.terms) != [target]:
-                        raise RuntimeError(f"image of {X} on {st} is not one "
-                                           f"basis state: expected exactly {target}")
-                    hit.add(target)
-                    if len(hit) == dim:
-                        break
-        dims = [len(self._basis(e, rank)[0]) - len(hit)
-                for e, hit in enumerate(self.hits)]
-        in_window = W - sum(1 for g in F.gaps if g <= W)
-        return in_window * (2 * W + (side == "X")), dims
-
-
-def _check_truncation(N: int, M: int, W: int):
+def default_schedule(N: int, M: int, W: int):
+    """Three truncation sizes ending at the checked (M, W); the earlier
+    steps are clamped up to stay legal, and each step is strictly larger
+    than the one before."""
     if N < 0:
         raise ValueError("top degree N must be nonnegative")
     if N > M:
         raise ValueError("top degree N must not exceed the source cap M")
     if W < M:
         raise ValueError("window W must cover the source cap M")
-
-
-def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int, W: int,
-                  reduction) -> CoinvReport:
-    _check_truncation(N, M, W)
-    check_state_space(rank, M)
-    if reduction is None:
-        reduction = CoinvReduction()
-    generators, dims = reduction.extend(side, rank, F, N, M, W)
-    return CoinvReport(F.gaps, rank, N, M, W, dims, False, generators)
-
-
-def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int,
-                   reduction: CoinvReduction | None = None) -> CoinvReport:
-    """Dimensions of V / sp_F(H') V up to degree N, truncated at (M, W).
-
-    The generators act on channel 1 only, so at rank r the quotient is the
-    rank-1 quotient times the Fock space of the other r - 1 channels: the
-    rank-r dims are the rank-1 dims convolved r - 1 times with partition
-    counts, dims_r[n] = sum_j c(j) dims_1[n - j], where c(j) counts the
-    (r-1)-tuples of partitions of total size j and dims_1[n - j] is taken
-    at source cap M - j.
-
-    Pass one CoinvReduction to the calls of a schedule to extend a single
-    reduction from step to step.  Single-run reports carry
-    stabilized = False; see stabilize."""
-    return _coinvariants("A", rank, F, N, M, W, reduction)
-
-
-def coinvariants_X(rank: int, F: FPoint, N: int, M: int, W: int,
-                   reduction: CoinvReduction | None = None) -> CoinvReport:
-    """Same quotient with the generator list extended by F itself acting
-    through the Heisenberg modes b_-s."""
-    return _coinvariants("X", rank, F, N, M, W, reduction)
-
-
-def default_schedule(N: int, M: int, W: int):
-    """Three truncation sizes ending at the checked (M, W); the earlier
-    steps are clamped up to stay legal."""
-    _check_truncation(N, M, W)
     steps = []
     for k in (4, 2, 0):
         m = max(N, M - k)
@@ -281,20 +151,105 @@ def default_schedule(N: int, M: int, W: int):
     return steps
 
 
-def stabilize(run, schedule) -> CoinvReport:
-    """Repeat run(M, W) over the schedule; the report is stabilized once two
-    consecutive steps agree on every graded dimension."""
-    steps = list(schedule)
-    if not steps:
-        raise ValueError("empty schedule")
-    for (m1, w1), (m2, w2) in zip(steps, steps[1:]):
-        if not (m2 >= m1 and w2 >= w1 and (m2, w2) != (m1, w1)):
-            raise ValueError("schedule must be strictly increasing")
+def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
+                  W: int) -> CoinvReport:
+    """One reduction extended over default_schedule(N, M, W), stopping at
+    the first step whose graded dims equal the previous step's.
+
+    Every generator is a monomial :b_-s b_m: or b_-s, so it sends a basis
+    state to zero or to a nonzero multiple of one basis state.  The image
+    of the generators in a degree is therefore spanned by the basis states
+    they hit, and the quotient's dimension there is the number of states
+    not hit.  _target names the state a generator sends a source to, and
+    the generator is applied only where that target is not hit yet; its
+    image must then be exactly the target.  The generator windows and
+    source caps of the steps are nested, so each step applies only the
+    generators and source degrees that earlier steps did not.  Each
+    degree's basis is built once, with an index from each part to the
+    states holding it in channel 1.
+
+    A generator keyed (s, m) creates a part s and lowers the degree by
+    m - s (m = 0 stands for side X's b_-s); for m > 0 it kills every state
+    whose channel 1 has no part m.  A target of degree <= N holds no part
+    s > N, and a source of degree <= M no part m > M, so only keys with
+    s <= N, m - s >= -N and m <= M can act, and only those are visited."""
+    steps = default_schedule(N, M, W)
+    check_state_space(rank, M)
+    bases = {}        # degree -> (states, {part: states holding it})
+    hits = [set() for _ in range(N + 1)]   # target degree -> states hit
+    applied = {}      # generator key -> highest source degree applied
+
+    def basis(deg: int):
+        got = bases.get(deg)
+        if got is None:
+            states = graded_basis(deg, rank)
+            holders = {}
+            for st in states:
+                for part in set(st[0]):
+                    holders.setdefault(part, []).append(st)
+            got = bases[deg] = (states, holders)
+        return got
+
+    S = F.semigroup(N)
     prev = None
-    for m, w in steps:
-        rep = run(m, w)
-        if prev is not None and rep.dims == prev.dims:
-            rep.stabilized = True
-            return rep
-        prev = rep
-    return prev
+    for M, W in steps:
+        keys = [(s, m) for s in S for m in range(s - N, M + 1) if m]
+        if side == "X":
+            keys += [(s, 0) for s in S]
+        for key in keys:
+            s, m = key
+            d = m - s
+            lo = max(0, d, applied.get(key, -1) + 1)
+            hi = min(M, N + d)
+            if lo > hi:
+                continue
+            applied[key] = hi
+            X = pair(-s, m) if m else b(-s)
+            for deg in range(lo, hi + 1):
+                hit = hits[deg - d]
+                dim = len(basis(deg - d)[0])
+                if len(hit) == dim:
+                    continue
+                states, holders = basis(deg)
+                for st in (holders.get(m, ()) if m > 0 else states):
+                    target = _target(st, s, m)
+                    if target in hit:
+                        continue
+                    image = apply_quadratic(X, FockVector(rank, {st: 1}))
+                    if list(image.terms) != [target]:
+                        raise RuntimeError(f"image of {X} on {st} is not one "
+                                           f"basis state: expected exactly {target}")
+                    hit.add(target)
+                    if len(hit) == dim:
+                        break
+        dims = [len(basis(e)[0]) - len(hit) for e, hit in enumerate(hits)]
+        stabilized = dims == prev
+        if stabilized:
+            break
+        prev = dims
+    in_window = W - sum(1 for g in F.gaps if g <= W)
+    return CoinvReport(F.gaps, rank, N, M, W, dims, stabilized,
+                       in_window * (2 * W + (side == "X")))
+
+
+def coinvariants_A(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+    """Dimensions of V / sp_F(H') V up to degree N, truncated at (M, W).
+
+    The truncation runs over default_schedule(N, M, W).  The report is
+    stabilized once two consecutive steps agree on every graded dimension,
+    and then carries that step's (M, W); otherwise it carries the last
+    step's, unstabilized.
+
+    The generators act on channel 1 only, so at rank r the quotient is the
+    rank-1 quotient times the Fock space of the other r - 1 channels: the
+    rank-r dims are the rank-1 dims convolved r - 1 times with partition
+    counts, dims_r[n] = sum_j c(j) dims_1[n - j], where c(j) counts the
+    (r-1)-tuples of partitions of total size j and dims_1[n - j] is taken
+    at source cap M - j."""
+    return _coinvariants("A", rank, F, N, M, W)
+
+
+def coinvariants_X(rank: int, F: FPoint, N: int, M: int, W: int) -> CoinvReport:
+    """Same quotient with the generator list extended by F itself acting
+    through the Heisenberg modes b_-s."""
+    return _coinvariants("X", rank, F, N, M, W)

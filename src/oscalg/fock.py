@@ -23,6 +23,7 @@ from fractions import Fraction
 from heapq import merge
 from math import factorial
 from numbers import Rational
+from operator import index
 
 from .laurent import parse_int, rat, ratio, signed_sum_chunks
 from .quadops import QuadraticElement, b, tau
@@ -33,7 +34,7 @@ from .quadops import QuadraticElement, b, tau
 # ---------------------------------------------------------------------------
 
 def _canon_partition(parts) -> tuple:
-    parts = tuple(sorted((int(p) for p in parts), reverse=True))
+    parts = tuple(sorted(map(index, parts), reverse=True))
     if parts and parts[-1] < 1:
         raise ValueError("partition parts must be positive integers")
     return parts
@@ -58,7 +59,7 @@ class FockVector:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
-        self.rank = int(rank)
+        self.rank = index(rank)
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
         clean = {}
@@ -390,13 +391,24 @@ def graded_basis(d: int, r: int):
         raise ValueError("rank must be a positive integer")
     if r == 1:
         return [(lam,) for lam in _partitions(d)]
-    parts = [list(_partitions(k)) for k in range(d + 1)]
-    # tails[e]: the degree-e states of the trailing channels built so far
-    tails = [[(lam,) for lam in parts[e]] for e in range(d + 1)]
-    for _ in range(r - 1):
-        tails = [[(lam,) + rest for k in range(e, -1, -1) for lam in parts[k]
-                  for rest in tails[e - k]] for e in range(d + 1)]
-    return tails[d]
+    states = []
+    _extend_basis(states, [list(_partitions(k)) for k in range(d + 1)], r, (), d)
+    return states
+
+def _extend_basis(states, parts, r: int, head: tuple, e: int):
+    """Append to states, in graded_basis order, every rank-r state that
+    opens with the channels head and holds degree e in the others; parts[k]
+    lists the partitions of k.  Only a channel that holds a part recurses,
+    so the depth is at most e and each state is built once."""
+    while e and len(head) < r - 1:
+        for k in range(e, 0, -1):
+            for lam in parts[k]:
+                _extend_basis(states, parts, r, head + (lam,), e - k)
+        head += ((),)
+    if e:
+        states.extend([head + (lam,) for lam in parts[e]])
+    else:
+        states.append(head + ((),) * (r - len(head)))
 
 def format_partition(lam) -> str:
     return "[" + ",".join(map(str, lam)) + "]"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+from operator import index
 
 
 def rat(x) -> Rational:
@@ -60,7 +61,7 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 c = rat(c)
                 if c:
-                    clean[int(e)] = c
+                    clean[index(e)] = c
         self.coeffs = clean
 
     @classmethod

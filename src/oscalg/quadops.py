@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from math import comb
 from numbers import Rational
+from operator import index
 
 from .laurent import LaurentPoly, format_signed_sum, rat, ratio, symplectic_form
 
@@ -133,14 +134,14 @@ class DiagonalSeries:
     __slots__ = ("d", "poly", "exc")
 
     def __init__(self, d: int, poly: Poly = POLY_ZERO, exc=None):
-        self.d = d = int(d)
+        self.d = d = index(d)
         self.poly = poly
         clean = {}
         if exc:
             # a constant polynomial, the zero one included, needs no poly(a)
             const = poly.constant_value() if poly.is_constant() else None
             for a, v in exc.items():
-                a = int(a)
+                a = index(a)
                 if a == 0 or a == d:
                     continue
                 v = rat(v)
@@ -217,10 +218,10 @@ class QuadraticElement:
         clean = {}
         if quad:
             for d, series in quad.items():
-                if series.d != int(d):
+                if series.d != index(d):
                     raise ValueError(f"series of offset {series.d} at key {d}")
                 if not series.is_zero():
-                    clean[int(d)] = series
+                    clean[index(d)] = series
         self.quad = clean
 
     def is_zero(self) -> bool:

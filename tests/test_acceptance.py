@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from oscalg.cli import format_expression, main, parse_expression
-from oscalg.coinv import FPoint, coinvariants_A, default_schedule, stabilize
+from oscalg.coinv import FPoint, coinvariants_A
 from oscalg.fock import FockVector, apply_quadratic, graded_basis, virasoro
 from oscalg.quadops import (QuadraticElement, WittElement, b, bracket, pair,
                             psi, tau, unit)
@@ -199,17 +199,10 @@ def test_criterion_10_number_operator_eigenvalues():
 
 def test_criterion_11_coinvariants_stabilize():
     t0 = time.monotonic()
-
-    def run0(m, w):
-        return coinvariants_A(1, FPoint([]), 6, m, w)
-
-    report0 = stabilize(run0, default_schedule(6, 12, 12))
+    report0 = coinvariants_A(1, FPoint([]), 6, 12, 12)
     ok = report0.stabilized and report0.dims == [1, 0, 0, 0, 0, 0, 0]
 
-    def run1(m, w):
-        return coinvariants_A(1, FPoint([1]), 4, m, w)
-
-    report1 = stabilize(run1, default_schedule(4, 12, 12))
+    report1 = coinvariants_A(1, FPoint([1]), 4, 12, 12)
     ok = ok and report1.stabilized and report1.dims[0] >= 1
 
     dims_by_m = [coinvariants_A(1, FPoint([1]), 4, m, 12).dims

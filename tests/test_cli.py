@@ -907,6 +907,16 @@ def test_only_laurent_ratio_divides():
     assert holders <= {"laurent.py:ratio"}
 
 
+def test_only_coinv_runs_the_schedule():
+    # coinv validates a coinvariant run and steps it through its schedule;
+    # the CLI makes one coinvariants_A/X call per command
+    tree = ast.parse(Path(oscalg.cli.__file__).read_text())
+    named = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if hasattr(node, attr)}
+    assert not named & {"default_schedule", "stabilize", "CoinvReduction",
+                        "check_state_space"}
+
+
 def test_package_holds_no_assert():
     # python -O strips assert statements, so a guard must raise instead
     pkg = Path(oscalg.__file__).parent

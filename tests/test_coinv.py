@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from oscalg import cli, coinv
-from oscalg.coinv import (MAX_STATE_SLOTS, CoinvReduction, CoinvReport, FPoint,
-                          check_state_space, coinvariants_A, coinvariants_X,
-                          default_schedule, fperp_basis, is_in_sp_F,
-                          sp_f_generators, stabilize)
+from oscalg.coinv import (MAX_STATE_SLOTS, FPoint, check_state_space,
+                          coinvariants_A, coinvariants_X, default_schedule,
+                          fperp_basis, is_in_sp_F, sp_f_generators)
 from oscalg.fock import FockVector, apply_quadratic, canon_state, graded_basis
 from oscalg.laurent import LaurentPoly, symplectic_form
 from oscalg.quadops import b, pair
@@ -61,14 +60,17 @@ def test_fperp_is_the_symplectic_perp():
 def test_generator_counts():
     assert len(sp_f_generators(FPoint(()), 2)) == 8
     assert len(sp_f_generators(FPoint({1}), 2)) == 4
-    # reports count the window's generators without visiting them all
+    # reports count the generators of their own window without visiting
+    # them all
     for gaps in ((), (1,), (1, 3), (2, 9)):
         F = FPoint(gaps)
         for W in (1, 4, 7):
-            count = len(sp_f_generators(F, W))
-            assert coinvariants_A(1, F, 0, 1, W).generators == count
-            assert (coinvariants_X(1, F, 0, 1, W).generators
-                    == count + len(F.semigroup(W)))
+            a = coinvariants_A(1, F, 0, 1, W)
+            x = coinvariants_X(1, F, 0, 1, W)
+            assert a.W == x.W
+            count = len(sp_f_generators(F, a.W))
+            assert a.generators == count
+            assert x.generators == count + len(F.semigroup(a.W))
 
 
 def test_generators_are_in_sp_F():
@@ -132,29 +134,17 @@ def test_truncation_preconditions():
 # -- stabilization ---------------------------------------------------------------
 
 def test_stabilize_constant_sequence():
-    rep = stabilize(lambda m, w: coinvariants_A(1, FPoint(()), 2, m, w),
-                    [(4, 4), (6, 6), (8, 8)])
+    # the schedule is (4, 4), (6, 6), (8, 8)
+    rep = coinvariants_A(1, FPoint(()), 2, 8, 8)
     assert rep.stabilized
     assert (rep.M, rep.W) == (6, 6)  # stops at the first agreement
 
 
 def test_stabilize_exhausted():
-    calls = []
-    def fake(m, w):
-        calls.append(m)
-        return CoinvReport((), 1, 0, m, w, [m], False, 0)
-    rep = stabilize(fake, [(1, 1), (2, 2), (3, 3)])
-    assert not rep.stabilized and calls == [1, 2, 3]
-
-
-def test_stabilize_schedule_validation():
-    run = lambda m, w: coinvariants_A(1, FPoint(()), 2, m, w)
-    with pytest.raises(ValueError):
-        stabilize(run, [(6, 6), (4, 4)])
-    with pytest.raises(ValueError):
-        stabilize(run, [])
-    with pytest.raises(ValueError):
-        stabilize(run, [(4, 4), (4, 4)])
+    # a one-step schedule has no two steps to agree
+    rep = coinvariants_X(1, FPoint({1}), 4, 4, 4)
+    assert not rep.stabilized
+    assert (rep.M, rep.W, rep.dims) == (4, 4, [1, 1, 1, 1, 1])
 
 
 def test_default_schedule():
@@ -174,7 +164,7 @@ def test_report_json_key_order():
     assert text.startswith('{"gaps": [1], "rank": 1, "N": 2, "M": 4, "W": 4,')
 
 
-# -- the oracle and extended reductions -----------------------------------------
+# -- the oracle ----------------------------------------------------------------
 
 SIDES = {"A": coinvariants_A, "X": coinvariants_X}
 
@@ -214,12 +204,7 @@ def test_coinv_matches_oracle(gaps, side, rank):
         expected = [sum(others[j] * rank1[j][n - j] for j in rank1 if j <= n)
                     for n in range(6)]
         for N in range(6):
-            one_shot = compute(rank, F, N, M, M)
-            assert one_shot.dims == expected[:N + 1], (N, M)
-            reduction = CoinvReduction()
-            compute(rank, F, N, 6, 6, reduction)
-            extended = compute(rank, F, N, M, M, reduction)
-            assert extended.to_json() == one_shot.to_json(), (N, M)
+            assert compute(rank, F, N, M, M).dims == expected[:N + 1], (N, M)
 
 
 def gap_series(gaps, rank: int, N: int):
@@ -242,17 +227,6 @@ def test_dims_follow_the_gap_series(gaps, N, dM, dW, side, rank):
     # gaps survive, whatever the side and the truncation.
     rep = SIDES[side](rank, FPoint(gaps), N, N + dM, N + dM + dW)
     assert rep.dims == gap_series(gaps, rank, N)
-
-
-def test_extended_reduction_matches_one_shot_at_rank_2():
-    F = FPoint({1, 3})
-    reduction = CoinvReduction()
-    for M, W in ((4, 5), (6, 6), (6, 8), (7, 8)):
-        rep = coinvariants_X(2, F, 4, M, W, reduction)
-        fresh = CoinvReduction()
-        assert rep.to_json() == coinvariants_X(2, F, 4, M, W, fresh).to_json()
-        # the same generators reached the same source degrees
-        assert reduction.applied == fresh.applied
 
 
 def test_image_of_more_than_one_state_raises(monkeypatch):
@@ -293,23 +267,6 @@ def test_target_is_the_one_state_of_the_image(channels, s, m):
     assert list(image.terms) == [coinv._target(st0, s, m)]
 
 
-def test_reduction_belongs_to_one_job():
-    F = FPoint({1})
-    reduction = CoinvReduction()
-    coinvariants_A(1, F, 3, 6, 8, reduction)
-    for call in (lambda: coinvariants_A(2, F, 3, 6, 8, reduction),
-                 lambda: coinvariants_A(1, F, 4, 6, 8, reduction),
-                 lambda: coinvariants_A(1, FPoint({1, 2}), 3, 6, 8, reduction),
-                 lambda: coinvariants_X(1, F, 3, 6, 8, reduction)):
-        with pytest.raises(ValueError, match="another job"):
-            call()
-    for M, W in ((5, 8), (6, 7)):
-        with pytest.raises(ValueError, match="cannot shrink"):
-            coinvariants_A(1, F, 3, M, W, reduction)
-    again = coinvariants_A(1, F, 3, 6, 8, reduction)
-    assert again.dims == coinvariants_A(1, F, 3, 6, 8).dims
-
-
 # -- the state-space cap -------------------------------------------------------
 
 def test_state_space_count_matches_bases(monkeypatch):
@@ -345,6 +302,17 @@ def test_cmd_coinv_over_cap_exit_2(capsys):
     assert "state space too large" in err and str(MAX_STATE_SLOTS) in err
 
 
+def test_cmd_coinv_high_rank_is_fast(capsys):
+    # the one degree-0 state of a million channels, at the slot cap; its
+    # basis is built once, not channel by channel
+    start = time.process_time()
+    code = cli.main(["coinv", "--rank", "1000000", "--N", "0", "--M", "0",
+                     "--W", "0"])
+    out, _ = capsys.readouterr()
+    assert time.process_time() - start < 1
+    assert (code, json.loads(out)["dims"]) == (3, [1])
+
+
 def test_cmd_coinv_wide_window_is_fast(capsys):
     # no generator of this window can act on the degree-0 state
     start = time.process_time()
@@ -362,7 +330,7 @@ def test_cmd_coinv_wide_window_is_fast(capsys):
 def test_cmd_coinv_wastes_no_work(monkeypatch, capsys, side):
     basis_args = []
     images = []
-    steps = []
+    calls = []
 
     def counting(fn, log, record):
         def wrapper(*args):
@@ -375,9 +343,12 @@ def test_cmd_coinv_wastes_no_work(monkeypatch, capsys, side):
                         counting(graded_basis, basis_args, lambda a, r: a))
     monkeypatch.setattr(coinv, "apply_quadratic",
                         counting(coinv.apply_quadratic, images, lambda a, r: r))
+    monkeypatch.setattr(coinv, "check_state_space",
+                        counting(check_state_space, calls,
+                                 lambda a, r: ("check_state_space", a)))
     for name in ("coinvariants_A", "coinvariants_X"):
-        step = lambda a, r, name=name: (name, a[3:5])
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name), steps, step))
+        call = lambda a, r, name=name: (name, a[2:])
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name), calls, call))
     code = cli.main(["coinv", "--gaps", "1,2", "--N", "8", "--M", "12",
                      "--W", "12", "--side", side])
     report = json.loads(capsys.readouterr().out)
@@ -388,6 +359,6 @@ def test_cmd_coinv_wastes_no_work(monkeypatch, capsys, side):
     assert len(hit) == len(set(hit))
     assert len(basis_args) == len(set(basis_args))
     assert sorted(d for d, _ in basis_args) == list(range(report["M"] + 1))
-    schedule = default_schedule(8, 12, 12)
-    ran = schedule[:schedule.index((report["M"], report["W"])) + 1]
-    assert steps == [(f"coinvariants_{side}", mw) for mw in ran]
+    # one call runs the whole schedule and checks the state space once
+    assert calls == [("check_state_space", (1, 12)),
+                     (f"coinvariants_{side}", (8, 12, 12))]

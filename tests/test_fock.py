@@ -417,7 +417,7 @@ def test_graded_basis_matches_channel_recursion():
             return graded_basis(d, 1)
         return [(lam,) + rest for k in range(d, -1, -1)
                 for (lam,) in graded_basis(k, 1) for rest in reference(d - k, r - 1)]
-    for r in (1, 2, 3):
+    for r in (1, 2, 3, 5):
         for d in range(7):
             assert graded_basis(d, r) == reference(d, r)
     assert graded_basis(0, 1100) == [((),) * 1100]

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from oscalg.fock import FockVector
+from oscalg.coinv import FPoint
+from oscalg.fock import FockVector, canon_state
 from oscalg.laurent import (LaurentPoly, derivative, format_laurent, rat,
                             ratio, residue, symplectic_form)
-from oscalg.quadops import DiagonalSeries, b
+from oscalg.quadops import DiagonalSeries, QuadraticElement, b, tau
 
 
 def t(e, c=1):
@@ -143,4 +144,22 @@ def test_integral_values_are_ints():
 def test_floats_are_rejected(make, value):
     # a float coefficient would be stored as its binary expansion
     with pytest.raises(TypeError, match=f"^{value!r} is not an exact rational"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: LaurentPoly({1.5: 1}), id="laurent-exponent"),
+    pytest.param(lambda: b(1.7), id="mode"),
+    pytest.param(lambda: tau(2.5), id="series-offset"),
+    pytest.param(lambda: DiagonalSeries(4, exc={1.5: 1, 2.5: 1}),
+                 id="series-exception"),
+    pytest.param(lambda: QuadraticElement(quad={2.0: DiagonalSeries(2)}),
+                 id="quad-key"),
+    pytest.param(lambda: FPoint([1.5, 3.9]), id="gaps"),
+    pytest.param(lambda: FockVector(1.0), id="rank"),
+    pytest.param(lambda: canon_state([[2.0, 1]]), id="partition"),
+])
+def test_float_indices_are_rejected(make):
+    # int() would truncate 2.5 to 2 and build another element than asked
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         make()
