@@ -16,7 +16,7 @@ from itertools import islice
 # coinv is called through this module's names, which perfbench/tracer.py
 # swaps to time it.
 from .coinv import FPoint, coinvariants_A, coinvariants_X
-from .fock import FockVector, format_label, iter_terms, parse_label, vector_chunks
+from .fock import format_label, iter_terms, parse_label, vector_chunks
 # Unused here since fock-apply streams its terms, but perfbench/tracer.py
 # swaps these names on this module to time them.
 from .fock import apply_quadratic, format_vector
@@ -71,8 +71,7 @@ def _cmd_cocycle(args):
     return 0, str(value)
 
 def _cmd_fock_apply(args):
-    terms = iter_terms(parse_expression(args.expr),
-                       FockVector.basis(parse_label(args.state)))
+    terms = iter_terms(parse_expression(args.expr), parse_label(args.state))
     if args.format == "json":
         return 0, _fock_json_chunks(args, terms)
     return 0, vector_chunks(terms)

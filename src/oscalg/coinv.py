@@ -98,6 +98,7 @@ def check_state_space(rank: int, M: int):
     partitions of n, the r-fold convolution of partition counts, satisfies
     n a(n) = r sum_k sigma(k) a(n-k); counting stops at the first degree
     past the limit."""
+    rank, M = index(rank), index(M)
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     sigma = [0]       # sigma[k]: sum of the divisors of k
@@ -134,6 +135,7 @@ def default_schedule(N: int, M: int, W: int):
     """Three truncation sizes ending at the checked (M, W); the earlier
     steps are clamped up to stay legal, and each step is strictly larger
     than the one before."""
+    N, M, W = index(N), index(M), index(W)
     if N < 0:
         raise ValueError("top degree N must be nonnegative")
     if N > M:
@@ -173,6 +175,7 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
     whose channel 1 has no part m.  A target of degree <= N holds no part
     s > N, and a source of degree <= M no part m > M, so only keys with
     s <= N, m - s >= -N and m <= M can act, and only those are visited."""
+    rank, N = index(rank), index(N)
     steps = default_schedule(N, M, W)
     check_state_space(rank, M)
     bases = {}        # degree -> (states, {part: states holding it})

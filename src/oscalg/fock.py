@@ -8,12 +8,12 @@ terms whose annihilation indices occur as parts, which keeps every
 computation finite and exact.
 
 apply_quadratic returns the image of a vector as a FockVector.  iter_terms
-yields the same terms one at a time in print order, degree ascending and
-then state descending (FockVector.terms_sorted's order), so a caller that
-only prints the image, like the CLI's fock-apply, holds none of it: the run
-of floor(|d|/2) images where both indices of a diagonal create comes out in
-that order and stays lazy, and the few other images are sorted and merged
-into it.  Both read the images of each state from one function, _images.
+yields the image of one basis state on channel 1 term by term in print
+order, degree ascending and then state descending (terms_sorted's order),
+so a caller that only prints it, like the CLI's fock-apply, holds none of
+it: the run of floor(|d|/2) images where both indices of a diagonal create
+comes out in that order and stays lazy, and the few other images are
+summed, sorted and merged into it.  Both read a state's images from _images.
 """
 
 from __future__ import annotations
@@ -229,56 +229,35 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 out[st2] = w if got is None else got + w
     return FockVector(v.rank, out)
 
-def iter_terms(A: QuadraticElement, v: FockVector, channel: int = 1):
-    """The terms of A v on one channel (1-based) in print order, as
-    (state, coefficient) pairs with nonzero canonical coefficients: the
-    list apply_quadratic(A, v, channel).terms_sorted() gives, made one at a
-    time with no dict of the image.
+def iter_terms(A: QuadraticElement, state):
+    """The terms of A on channel 1 of one basis state, in print order and
+    with nonzero canonical coefficients: apply_quadratic(A,
+    FockVector.basis(state)).terms_sorted(), made one at a time.  The state
+    is canonicalized and checked by basis, and only the both-creating runs
+    are lazy, so an error is raised at the call.
 
-    Every image is made before this returns except those of the
-    both-creating runs, which _created_images yields lazily and already in
-    print order; so an error is raised before the first term.  The terms
-    of one target degree are a heapq.merge of those runs and the sorted
-    other images, with the coefficients of equal states added."""
-    if not 1 <= channel <= v.rank:
-        raise ValueError("channel out of range")
-    ch = channel - 1
-    runs, others = {}, {}      # target degree -> lazy runs / other images
-    for state, c in v.terms.items():
-        deg = state_degree(state)
-        for shift, images, ordered in _images(A, state, ch):
-            if ordered:
-                runs.setdefault(deg - shift, []).append(
-                    images if c == 1 else _times(c, images))
-            else:
-                others.setdefault(deg - shift, []).extend(
-                    (st2, rat(c * w)) for st2, w in images)
+    Each diagonal has its own offset, so a target degree holds at most one
+    run.  No other image of that degree shares a state with it: a run adds
+    two parts to the channel, any other image at most one.  So the other
+    images are summed in a dict and merged into the run."""
+    (state,) = FockVector.basis(state).terms
+    deg = state_degree(state)
+    runs, others = {}, {}      # target degree -> lazy run / summed images
+    for shift, images, ordered in _images(A, state, 0):
+        if ordered:
+            runs[deg - shift] = images
+        else:
+            sums = others.setdefault(deg - shift, {})
+            for st2, w in images:
+                sums[st2] = sums.get(st2, 0) + w
     return _merged(runs, others)
 
-def _times(c, terms):
-    """The terms with each coefficient multiplied by c."""
-    for st, w in terms:
-        yield st, rat(c * w)
-
 def _merged(runs, others):
-    """One term per state, degree by degree: the runs and the sorted other
-    images of a degree merged by state descending, equal states added and
-    zero sums dropped."""
+    """Degree by degree, the run merged with the nonzero sums, sorted."""
     for deg in sorted(runs.keys() | others.keys()):
-        streams = runs.get(deg, [])
-        if deg in others:
-            streams.append(sorted(others[deg], reverse=True))
-        held = None
-        for term in merge(*streams, reverse=True):
-            if held is not None:
-                if term[0] == held[0]:
-                    held = (held[0], rat(held[1] + term[1]))
-                    continue
-                if held[1]:
-                    yield held
-            held = term
-        if held is not None and held[1]:
-            yield held
+        terms = [(st, rat(c)) for st, c in others.get(deg, {}).items() if c]
+        yield from merge(runs.get(deg, ()), sorted(terms, reverse=True),
+                         reverse=True)
 
 def virasoro(p: int, v: FockVector, channel: int = 1) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on one channel."""

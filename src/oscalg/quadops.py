@@ -198,6 +198,11 @@ def _series_add(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
     return DiagonalSeries(s1.d, poly, exc)
 
 
+def _wrong_type(name: str, value, kind) -> TypeError:
+    """The error for an argument `name` that is not a `kind`."""
+    return TypeError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 class QuadraticElement:
     """central * K + sum of b_m modes + (1/2) sum c(a,b) :b_a b_b:.
 
@@ -210,14 +215,21 @@ class QuadraticElement:
 
     def __init__(self, central=0, linear: LaurentPoly | None = None, quad=None):
         self.central = rat(central)
-        linear = linear if linear is not None else LaurentPoly.zero()
+        if linear is None:
+            linear = LaurentPoly.zero()
+        elif not isinstance(linear, LaurentPoly):
+            raise _wrong_type("linear", linear, LaurentPoly)
         if 0 in linear.coeffs:
             raise ValueError("linear part must not contain the constant mode; "
                              "use the central coordinate instead")
         self.linear = linear
         clean = {}
         if quad:
+            if not isinstance(quad, dict):
+                raise _wrong_type("quad", quad, dict)
             for d, series in quad.items():
+                if not isinstance(series, DiagonalSeries):
+                    raise _wrong_type(f"quad[{d!r}]", series, DiagonalSeries)
                 if series.d != index(d):
                     raise ValueError(f"series of offset {series.d} at key {d}")
                 if not series.is_zero():
@@ -683,6 +695,9 @@ class WittElement:
     def __init__(self, f: LaurentPoly | None = None, g: LaurentPoly | None = None):
         self.f = f if f is not None else LaurentPoly.zero()
         g = g if g is not None else LaurentPoly.zero()
+        for name, value in (("f", self.f), ("g", g)):
+            if not isinstance(value, LaurentPoly):
+                raise _wrong_type(name, value, LaurentPoly)
         if g.coeff(0):
             raise ValueError("the translation part lives in H'; no constant term")
         self.g = g

@@ -654,6 +654,35 @@ def test_verify_all_argv_sweep(options):
     _assert_clean_exit(["verify-all", *(arg for opt in options for arg in opt)])
 
 
+# \u0663 is ARABIC-INDIC DIGIT THREE, which parse_int reads as 3;
+# \u00b2 is SUPERSCRIPT TWO, a digit to str.isdigit but not to int
+_PART = st.sampled_from(["1", "2", "0", "+3", "\u0663", "\u00b2", "", " ", "-1"])
+_PARTITION = st.one_of(
+    st.just("-"),
+    st.lists(_PART, max_size=3).map(lambda parts: "[" + ",".join(parts) + "]"),
+    st.lists(st.sampled_from(["[", "]", "(", ")", "|", ",", "-", " ", "0",
+                              "+3", "\u0663", "\u00b2"]),
+             min_size=1, max_size=5).map("".join))
+_STATE_LABEL = st.one_of(
+    _PARTITION,
+    st.lists(_PARTITION, min_size=2, max_size=3).map(
+        lambda channels: "(" + "|".join(channels) + ")"),
+    st.builds(str.__add__, st.sampled_from([" ", "  "]), _PARTITION))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["T(-3)", "b(-1) + 2*K", ":b(-2)b(1):", "T(2) - T(2)"]),
+       _STATE_LABEL, st.sampled_from(["text", "json"]))
+def test_fock_apply_label_sweep(expr, label, form):
+    argv = ["fock-apply", expr, label, "--format", form]
+    code, out, err = _run_quiet(argv)
+    if code == 0:
+        assert out.count("\n") == 1 and out.endswith("\n") and err == "", argv
+    else:
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert err.startswith(("error: ", "usage: oscalg ")), argv
+
+
 @pytest.mark.parametrize("argv, message", [
     (["coinv", "--gaps", "a"], "--gaps: 'a' is not an integer"),
     (["coinv", "--gaps", "1,,2"], "--gaps: '' is not an integer"),
@@ -915,6 +944,14 @@ def test_only_coinv_runs_the_schedule():
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
     assert not named & {"default_schedule", "stabilize", "CoinvReduction",
                         "check_state_space"}
+
+
+def test_cli_does_not_build_fock_vectors():
+    # fock-apply hands its parsed label to fock.iter_terms as a state
+    tree = ast.parse(Path(oscalg.cli.__file__).read_text())
+    named = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if hasattr(node, attr)}
+    assert "FockVector" not in named
 
 
 def test_package_holds_no_assert():

@@ -131,6 +131,26 @@ def test_truncation_preconditions():
         coinvariants_A(1, FPoint(()), 2, 6, 4)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: default_schedule(1.5, 3, 3), id="schedule-N"),
+    pytest.param(lambda: default_schedule(1, 2.0, 3), id="schedule-M"),
+    pytest.param(lambda: default_schedule(1, 3, 3.5), id="schedule-W"),
+    pytest.param(lambda: check_state_space(1.0, 2), id="state-space-rank"),
+    pytest.param(lambda: check_state_space(1, 2.5), id="state-space-M"),
+])
+def test_truncation_sizes_are_integers(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+@pytest.mark.parametrize("compute", [coinvariants_A, coinvariants_X])
+def test_report_carries_the_checked_integers(compute):
+    # True passes operator.index as 1, and the report says 1
+    rep = compute(True, FPoint([1]), True, 3, 3)
+    assert type(rep.rank) is int and type(rep.N) is int
+    assert '"rank": 1, "N": 1,' in rep.to_json()
+
+
 # -- stabilization ---------------------------------------------------------------
 
 def test_stabilize_constant_sequence():

@@ -416,6 +416,20 @@ def test_witt_element_errors():
         WittElement.mode(0)
 
 
+@pytest.mark.parametrize("make, name", [
+    pytest.param(lambda: QuadraticElement(linear=5), "linear", id="linear"),
+    pytest.param(lambda: QuadraticElement(quad=[1]), "quad", id="quad"),
+    pytest.param(lambda: QuadraticElement(quad={2: 5}), r"quad\[2\]",
+                 id="quad-series"),
+    pytest.param(lambda: WittElement(f=3), "f", id="witt-f"),
+    pytest.param(lambda: WittElement(g=3), "g", id="witt-g"),
+])
+def test_wrong_argument_types_name_the_argument(make, name):
+    # refused where it is passed, not as an AttributeError in a later use
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
+        make()
+
+
 def test_sigma_examples():
     L = WittElement.L
     assert sigma(L(0)) == tau(0)
