@@ -7,13 +7,14 @@ rescaling.  Quadratic elements act per anti-diagonal by the finitely many
 terms whose annihilation indices occur as parts, which keeps every
 computation finite and exact.
 
-apply_quadratic returns the image of a vector as a FockVector.  iter_terms
+apply_quadratic returns the image of a vector as a FockVector; a mode b_n
+acts as apply_quadratic(b(n), v) and L_p as virasoro(p, v).  iter_terms
 yields the image of one basis state on channel 1 term by term in print
-order, degree ascending and then state descending (terms_sorted's order),
-so a caller that only prints it, like the CLI's fock-apply, holds none of
-it: the run of floor(|d|/2) images where both indices of a diagonal create
-comes out in that order and stays lazy, and the few other images are
-summed, sorted and merged into it.  Both read a state's images from _images.
+order, degree ascending and then state descending (terms_sorted's order), so
+a caller that only prints it, like the CLI's fock-apply, holds none of it:
+the run of floor(|d|/2) images where both indices of a diagonal create comes
+out in that order and stays lazy, and the few other images are summed,
+sorted and merged into it.  Both read a state's images from _images.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from numbers import Rational
 from operator import index
 
 from .laurent import parse_int, rat, ratio, signed_sum_chunks
-from .quadops import QuadraticElement, b, tau
+from .quadops import QuadraticElement, tau
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +76,9 @@ class FockVector:
         return cls(rank, {tuple(() for _ in range(rank)): 1})
 
     @classmethod
-    def basis(cls, state, coeff=1) -> "FockVector":
+    def basis(cls, state) -> "FockVector":
         state = canon_state(state)
-        return cls(len(state), {state: coeff})
+        return cls(len(state), {state: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,10 +128,6 @@ def _mode_on_partition(n: int, lam: tuple):
     out = list(lam)
     out.remove(n)
     return [(tuple(out), n * mult)]
-
-def apply_mode(n: int, channel: int, v: FockVector) -> FockVector:
-    """Action of b_n on the given channel (1-based)."""
-    return apply_quadratic(b(n), v, channel)
 
 def _pair_on_partition(a: int, bb: int, lam: tuple):
     """Images of :b_a b_b: on one partition, a <= b: b_b acts first."""
@@ -259,9 +256,9 @@ def _merged(runs, others):
         yield from merge(runs.get(deg, ()), sorted(terms, reverse=True),
                          reverse=True)
 
-def virasoro(p: int, v: FockVector, channel: int = 1) -> FockVector:
-    """L_p as the normal-ordered quadratic tau(p) on one channel."""
-    return apply_quadratic(tau(p), v, channel)
+def virasoro(p: int, v: FockVector) -> FockVector:
+    """L_p as the normal-ordered quadratic tau(p) on channel 1."""
+    return apply_quadratic(tau(p), v)
 
 def virasoro_all(p: int, v: FockVector) -> FockVector:
     """L_p summed over every channel of the tensor power."""
@@ -275,17 +272,15 @@ def virasoro_all(p: int, v: FockVector) -> FockVector:
 # central charge and exponentials
 # ---------------------------------------------------------------------------
 
-def measure_central_charge(p: int, vectors, apply_L=None) -> Rational:
+def measure_central_charge(p: int, vectors, apply_L=virasoro) -> Rational:
     """Solve ([L_p, L_-p] - 2p L_0) v = (c/12)(p^3 - p) v for c.
 
-    apply_L(q, v) defaults to the distinguished-channel virasoro; pass
+    apply_L(q, v) defaults to virasoro, on channel 1; pass
     virasoro_all for a diagonal tensor action.  Inconsistency across the
     supplied vectors is an error naming a witnessing vector.
     """
     if p in (-1, 0, 1):
         raise ValueError("p must satisfy p^3 - p != 0")
-    if apply_L is None:
-        apply_L = virasoro
     denom = ratio(p ** 3 - p, 12)
     c_found = None
     for v in vectors:
@@ -331,6 +326,9 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
             if mu.denominator != 1:
                 raise ValueError(f"non-integral eigenvalue {mu} on "
                                  f"{format_label(state)}")
+            if mu < 0 and not a:
+                raise ValueError(f"negative eigenvalue {mu} on "
+                                 f"{format_label(state)} with group scalar 0")
             out[state] = c * Fraction(a) ** mu
         return FockVector(v.rank, out)
     if any(e < 0 for e in A.linear.coeffs):

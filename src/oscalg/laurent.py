@@ -72,10 +72,6 @@ class LaurentPoly:
     def t(cls, exp: int) -> "LaurentPoly":
         return cls({exp: 1})
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -129,9 +125,6 @@ class LaurentPoly:
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly({e - 1: e * c for e, c in self.coeffs.items() if e != 0})
 
-    def residue(self) -> Rational:
-        return self.coeffs.get(-1, 0)
-
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"
 
@@ -141,19 +134,14 @@ class LaurentPoly:
 
 def residue(f: LaurentPoly) -> Rational:
     """Coefficient of t^-1."""
-    return f.residue()
-
-
-def derivative(f: LaurentPoly) -> LaurentPoly:
-    """Term-by-term t-derivative."""
-    return f.derivative()
+    return f.coeffs.get(-1, 0)
 
 
 def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Rational:
     """<f, g> = -Res f dg.  Satisfies <t^a, t^b> = a * delta_{a+b,0}."""
     if not f.coeffs or not g.coeffs:
         return 0
-    return -residue(f * derivative(g))
+    return -residue(f * g.derivative())
 
 
 def signed_sum_chunks(terms, zero: str):

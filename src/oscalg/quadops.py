@@ -76,11 +76,11 @@ class Poly:
         s = rat(s)
         return Poly([s * x for x in self.c])
 
-    def affine(self, s: int, h: int) -> "Poly":
-        """P(s*a + h) as a polynomial in a."""
+    def affine(self, h: int) -> "Poly":
+        """P(a + h) as a polynomial in a."""
         out = Poly()
         power = Poly((1,))
-        base = Poly((h, s))
+        base = Poly((h, 1))
         for coeff in self.c:
             out = out + power.scale(coeff)
             power = power * base
@@ -216,7 +216,7 @@ class QuadraticElement:
     def __init__(self, central=0, linear: LaurentPoly | None = None, quad=None):
         self.central = rat(central)
         if linear is None:
-            linear = LaurentPoly.zero()
+            linear = LaurentPoly()
         elif not isinstance(linear, LaurentPoly):
             raise _wrong_type("linear", linear, LaurentPoly)
         if 0 in linear.coeffs:
@@ -465,12 +465,12 @@ def b(m: int, coeff=1) -> QuadraticElement:
     return QuadraticElement(linear=LaurentPoly.term(coeff, m))
 
 
-def pair(a: int, bb: int, coeff=1) -> QuadraticElement:
+def pair(a: int, bb: int) -> QuadraticElement:
     """The normal-ordered pair :b_a b_b:, a, b != 0."""
     if a == 0 or bb == 0:
         raise ValueError("index 0 is not allowed in quadratic parts")
     d = a + bb
-    exc = {a: 2 * rat(coeff)} if a == bb else {a: rat(coeff), bb: rat(coeff)}
+    exc = {a: 2} if a == bb else {a: 1, bb: 1}
     return QuadraticElement(quad={d: DiagonalSeries(d, POLY_ZERO, exc)})
 
 
@@ -568,8 +568,8 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
         return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s1, s2, 1))
     if p2.is_zero():
         return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s2, s1, -1))
-    generic = (p1 * Poly((d1, -1)) * p2.affine(1, -d1)
-               + p1.affine(1, -d2) * Poly((-d2, 1)) * p2)
+    generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
+               + p1.affine(-d2) * Poly((-d2, 1)) * p2)
     e1 = set(s1.exc) | {0, d1}
     e2 = set(s2.exc) | {0, d2}
     exc = {}
@@ -693,8 +693,8 @@ class WittElement:
     __slots__ = ("f", "g")
 
     def __init__(self, f: LaurentPoly | None = None, g: LaurentPoly | None = None):
-        self.f = f if f is not None else LaurentPoly.zero()
-        g = g if g is not None else LaurentPoly.zero()
+        self.f = f if f is not None else LaurentPoly()
+        g = g if g is not None else LaurentPoly()
         for name, value in (("f", self.f), ("g", g)):
             if not isinstance(value, LaurentPoly):
                 raise _wrong_type(name, value, LaurentPoly)

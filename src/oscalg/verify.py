@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
+from operator import index
 
 from .coinv import FPoint, sp_f_generators
 from .fock import FockVector, graded_basis, measure_central_charge, virasoro_all
@@ -39,6 +40,13 @@ def _check(what: str, probe, expected, actual) -> list:
     return [f"{what} {_show(probe)}: expected {_show(expected)}, "
             f"got {_show(actual)}"]
 
+def _at_least_one(name: str, n) -> int:
+    """n as an int, or a ValueError naming the parameter if it is below 1."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return n
+
 
 # ---------------------------------------------------------------------------
 # cocycle handles and defects
@@ -63,9 +71,12 @@ class CocycleHandle:
         return self.evaluate(u, v)
 
 
-def _cyclic_triples(elements):
+def _cyclic_triples(elements, name: str):
     """Each triple (x, y, z) of elements in combinations order, with its
     brackets ([y, z], [z, x], [x, y]) from one table of all ordered pairs."""
+    if len(elements) < 3:
+        raise ValueError(f"{name} must hold at least three elements, "
+                         f"not {len(elements)}")
     table = {(i, j): bracket(x, y) for i, x in enumerate(elements)
              for j, y in enumerate(elements) if i != j}
     for (i, x), (j, y), (k, z) in combinations(enumerate(elements), 3):
@@ -89,7 +100,7 @@ def cocycle_defect(c, x: QuadraticElement, y: QuadraticElement,
 def check_cocycle_defects(elements) -> list:
     """alpha and beta have zero defect on every triple of the central-free
     elements; gamma has defect 2 on (:b(1)b(1):, :b(-2)b(1):, b(-1))."""
-    triples = list(_cyclic_triples(elements))
+    triples = list(_cyclic_triples(elements, "elements"))
     bad = []
     for handle in (CocycleHandle("alpha"), CocycleHandle("beta")):
         for triple, brackets in triples:
@@ -107,12 +118,15 @@ def check_cocycle_defects(elements) -> list:
 def check_splitting(F: FPoint, W: int) -> list:
     """alpha vanishes on all stabilizer generator pairs and beta on all
     pairs from F itself, so the central extension splits over sp_F x| F."""
+    W = index(W)
+    fmodes = [b(-s) for s in F.semigroup(W)]
+    if not fmodes:
+        raise ValueError(f"W: the window [1, {W}] holds no element of S")
     bad = []
     gens = sp_f_generators(F, W)
     for i, X in enumerate(gens):
         for Y in gens[i:]:
             bad += _check("alpha at", (X, Y), 0, alpha(X, Y))
-    fmodes = [b(-s) for s in F.semigroup(W)]
     for f in fmodes:
         for g in fmodes:
             bad += _check("beta at", (f, g), 0,
@@ -152,13 +166,14 @@ def _lift_witnesses(bound: int) -> tuple:
     square's pairs (L(p), L(q)) are probe pairs of the pullback, so each
     lift defect is computed once for both, and each probe element is lifted
     once for all its pairs."""
+    bound = _at_least_one("bound", bound)
     pullback, diagram = [], []
     for p in range(-bound, bound + 1):
         X = tau(p).quad
         for m in range(-12, 13):
             if m == 0:
                 continue
-            direct = LaurentPoly.zero() if m + p == 0 else LaurentPoly.term(-m, m + p)
+            direct = LaurentPoly() if m + p == 0 else LaurentPoly.term(-m, m + p)
             diagram += _check(f"T({p}) on", f"t^{m}", direct,
                               _quad_apply_laurent(X, LaurentPoly.t(m)))
     lifts = [(name, x, sigma(x)) for name, x in witt_probe_elements(bound)]
@@ -280,6 +295,7 @@ def check_closed_forms(bound: int = 5) -> list:
     """The closed residue forms, and alpha on the quadratic lifts T(p),
     agree with the trace psi_trace of honest derivations and
     multiplications (the expected values) on the L_p, b_q grid."""
+    bound = _at_least_one("bound", bound)
     bad = []
     for p in range(-bound, bound + 1):
         Lp = WittElement.L(p)
@@ -364,7 +380,7 @@ def small_generator_set():
 def check_jacobi(gens) -> list:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on every triple of gens."""
     bad = []
-    for (x, y, z), (yz, zx, xy) in _cyclic_triples(gens):
+    for (x, y, z), (yz, zx, xy) in _cyclic_triples(gens, "gens"):
         total = bracket(x, yz) + bracket(y, zx) + bracket(z, xy)
         if not total.is_zero():     # cheaper than _check on a passing triple
             bad += _check("Jacobi sum at", (x, y, z), unit(0), total)
@@ -378,8 +394,7 @@ def check_lift_diagram(bound: int = 5) -> list:
 
 def verify_all(probe_bound: int = 4) -> list:
     """Run the whole identity battery; returns a list of verdicts."""
-    if probe_bound < 1:
-        raise ValueError("probe bound must be at least 1")
+    probe_bound = _at_least_one("probe bound", probe_bound)
     gens = small_generator_set()
     central_free = [g for g in gens if not g.central]
     bound = {"bound": probe_bound}

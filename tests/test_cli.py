@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 import oscalg
 import oscalg.cli
 from oscalg.cli import format_expression, main, parse_expression
-from oscalg.fock import FockVector, apply_quadratic, format_label, parse_label
+from oscalg.fock import (FockVector, apply_quadratic, format_label, parse_label,
+                         virasoro)
+from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (
     DiagonalSeries,
     ExpressionError,
@@ -846,6 +849,38 @@ def test_config_values_are_checked_even_when_unused(capsys, tmp_path, argv):
         2, "", f"error: {cfg}:2: key 'side': invalid choice 'Z'\n")
 
 
+# config lines: every key in both spellings of probe-bound, good and bad
+# integers and choices, an unknown key, a line without `=`, a comment and a
+# blank line; drawn lines may repeat a key
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(["N", "M", "W", "rank", "probe_bound",
+                               "probe-bound"]),
+              st.sampled_from(["0", "1", "2", "4", "-1", "x", "", "\u0662"])
+              ).map(" = ".join),
+    st.sampled_from(["gaps = 1,3", "gaps = ", "gaps = 0", "gaps = 1,,2",
+                     "side = A", "side = X", "side = Y", "format = json",
+                     "format = text", "format = xml", "colour = red",
+                     "rank 2", "# comment", ""]))
+_CONFIG_COMMANDS = st.sampled_from([
+    ["bracket", "b(1)", "b(-1)"], ["cocycle", "psi", "T(2)", "T(-2)"],
+    ["fock-apply", "T(-2)", "[1]"], ["coinv"], ["verify-all"],
+    ["central-scalars"]])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=4), _CONFIG_COMMANDS,
+       st.sampled_from(["before", "after", "after="]))
+def test_config_line_sweep(tmp_path_factory, lines, command, placement):
+    cfg = tmp_path_factory.getbasetemp() / "sweep.cfg"
+    # verify-all reads a probe bound of 1 unless a drawn line overrides it
+    head = ["probe_bound = 1"] if command[0] == "verify-all" else []
+    cfg.write_text("\n".join(head + lines) + "\n")
+    argv = {"before": ["--config", str(cfg), *command],
+            "after": [*command, "--config", str(cfg)],
+            "after=": [*command, f"--config={cfg}"]}[placement]
+    _assert_clean_exit(argv)
+
+
 def test_only_entry_points_import_cli():
     pkg = Path(oscalg.__file__).parent
     for path in sorted(pkg.glob("*.py")):
@@ -952,6 +987,20 @@ def test_cli_does_not_build_fock_vectors():
     named = {getattr(node, attr) for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
     assert "FockVector" not in named
+
+
+def test_one_spelling_per_operation():
+    # b_n acts through apply_quadratic(b(n), v, channel), the derivative is
+    # f.derivative(), the residue laurent.residue(f) and zero LaurentPoly();
+    # no parameter holds a value that every caller leaves at its default
+    for module in (oscalg, oscalg.fock, oscalg.laurent):
+        assert not hasattr(module, "apply_mode")
+        assert not hasattr(module, "derivative")
+    assert not hasattr(LaurentPoly, "residue")
+    assert not hasattr(LaurentPoly, "zero")
+    for function in (FockVector.basis, pair, Poly.affine, virasoro):
+        named = set(inspect.signature(function).parameters)
+        assert not named & {"coeff", "s", "channel"}, function
 
 
 def test_package_holds_no_assert():

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oscalg.fock import (FockVector, apply_mode, apply_quadratic, canon_state,
-                         exp_apply, format_label, format_vector, graded_basis,
-                         iter_terms, measure_central_charge, parse_label,
-                         state_degree, virasoro, virasoro_all)
+from oscalg.fock import (FockVector, apply_quadratic, canon_state, exp_apply,
+                         format_label, format_vector, graded_basis, iter_terms,
+                         measure_central_charge, parse_label, state_degree,
+                         virasoro, virasoro_all)
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
                             pair, tau, unit)
@@ -32,14 +32,14 @@ def vac(rank=1):
 
 def test_mode_examples():
     v0 = vac()
-    assert apply_mode(1, 1, apply_mode(-1, 1, v0)) == v0
-    assert apply_mode(2, 1, v0).is_zero()
+    assert apply_quadratic(b(1), apply_quadratic(b(-1), v0)) == v0
+    assert apply_quadratic(b(2), v0).is_zero()
     v22 = FockVector.basis(((2, 2),))
-    assert apply_mode(2, 1, v22) == FockVector.basis(((2,),)).scale(4)
+    assert apply_quadratic(b(2), v22) == FockVector.basis(((2,),)).scale(4)
     with pytest.raises(ValueError):
-        apply_mode(0, 1, v0)
+        apply_quadratic(b(0), v0)
     with pytest.raises(ValueError):
-        apply_mode(1, 2, v0)
+        apply_quadratic(b(1), v0, 2)
 
 
 def test_heisenberg_relations():
@@ -50,17 +50,17 @@ def test_heisenberg_relations():
                 continue
             want = Fraction(m) if m + n == 0 else Fraction(0)
             for v in vs:
-                got = (apply_mode(m, 1, apply_mode(n, 1, v))
-                       - apply_mode(n, 1, apply_mode(m, 1, v)))
+                got = (apply_quadratic(b(m), apply_quadratic(b(n), v))
+                       - apply_quadratic(b(n), apply_quadratic(b(m), v)))
                 assert got == v.scale(want)
 
 
 def test_modes_respect_channels():
     v = vac(2)
-    w = apply_mode(-2, 1, apply_mode(-1, 2, v))
+    w = apply_quadratic(b(-2), apply_quadratic(b(-1), v, 2))
     assert w == FockVector.basis(((2,), (1,)))
     # modes on distinct channels commute
-    w2 = apply_mode(-1, 2, apply_mode(-2, 1, v))
+    w2 = apply_quadratic(b(-1), apply_quadratic(b(-2), v), 2)
     assert w == w2
 
 
@@ -80,7 +80,7 @@ def test_actions_emit_canonical_states():
                 for A in gens:
                     assert_canonical(apply_quadratic(A, v, channel), rank)
                 for n in (-3, -2, -1, 1, 2, 3):
-                    assert_canonical(apply_mode(n, channel, v), rank)
+                    assert_canonical(apply_quadratic(b(n), v, channel), rank)
                 for A in lowering:
                     assert_canonical(exp_apply(A, v, channel=channel), rank)
                 assert_canonical(exp_apply(pair(-1, 1), v, group_scalar=2,
@@ -246,6 +246,18 @@ def test_diagonal_action_matches_oracle_pairs(d, c0, c1, exceptions, v):
     assert got == oracle_diagonal_action(series, v)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(-5, 5),
+       st.sampled_from([lam for d in range(7) for lam in oracles.partitions(d)]),
+       st.integers(1, 3))
+def test_virasoro_matches_oracle(p, lam, spare):
+    # tau(p) against the oracle's sum of weighted mode pairs; its mixed pairs
+    # stop at degcap, which lies above the source degree
+    got = apply_quadratic(tau(p), FockVector.basis((lam,)))
+    want = oracles.o_virasoro(p, oracles.st(lam), sum(lam) + spare)
+    assert got.terms == {(mu,): c for mu, c in want.items()}
+
+
 @SETTINGS
 @given(BOUNDED, BOUNDED, st.sampled_from(basis_upto(5)))
 def test_action_intertwines_brackets(x, y, v):
@@ -319,8 +331,8 @@ def test_measure_central_charge_rank1():
 
 def test_measure_central_charge_rank3():
     v = vac(3)
-    vecs = [v, apply_mode(-1, 2, v), apply_mode(-2, 3, v),
-            apply_mode(-1, 1, apply_mode(-1, 3, v))]
+    vecs = [v, apply_quadratic(b(-1), v, 2), apply_quadratic(b(-2), v, 3),
+            apply_quadratic(b(-1), apply_quadratic(b(-1), v, 3))]
     assert measure_central_charge(2, vecs, virasoro_all) == 3
 
 
@@ -382,6 +394,16 @@ def test_exp_negative_eigenvalue_is_exact():
     got = exp_apply(tau(0).scale(-1), FockVector.basis(((1,),)), 3)
     assert got.terms == {((1,),): Fraction(1, 3)}
     assert format_vector(got) == "1/3*[1]"
+
+
+def test_exp_zero_group_scalar():
+    # 0 ** mu is 1 at mu = 0, 0 above and undefined below
+    A = pair(-1, 1).scale(-1)
+    assert exp_apply(A, vac(), group_scalar=0) == vac()
+    assert exp_apply(pair(-1, 1), FockVector.basis(((1,),)), 0).is_zero()
+    with pytest.raises(ValueError, match=r"^negative eigenvalue -1 on \[1\] "
+                                         r"with group scalar 0$"):
+        exp_apply(A, FockVector.basis(((1,),)), group_scalar=0)
 
 
 def test_exp_rejections():

@@ -56,7 +56,7 @@ def element(terms, window=K):
             quad = oracles.mat_add(quad, oracles.mat_scale(
                 c, oracles.mat_tau(atom[1], window)))
         elif atom[0] == "pair":
-            A = A + pair(atom[1], atom[2], c)
+            A = A + pair(atom[1], atom[2]).scale(c)
             quad = oracles.mat_add(quad, oracles.mat_scale(
                 c, oracles.mat_pair(atom[1], atom[2], window)))
         else:

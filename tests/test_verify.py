@@ -1,6 +1,7 @@
 """Tests for the verification helpers: defects, splitting, pullback, fits."""
 
 import ast
+import json
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -191,6 +192,35 @@ def test_verify_all_passes():
     for v in verdicts:
         assert v["pass"] is True, v
         assert v["witnesses"] == [], v
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (check_pullback_sigma, (-2,), "bound must be at least 1"),
+    (check_pullback_sigma, (0,), "bound must be at least 1"),
+    (check_lift_diagram, (-1,), "bound must be at least 1"),
+    (check_closed_forms, (-1,), "bound must be at least 1"),
+    (check_splitting, (FPoint([1]), 1),
+     r"W: the window \[1, 1\] holds no element of S"),
+    (check_splitting, (FPoint([]), 0),
+     r"W: the window \[1, 0\] holds no element of S"),
+    (check_jacobi, ([],), "gens must hold at least three elements, not 0"),
+    (check_cocycle_defects, ([b(1)],),
+     "elements must hold at least three elements, not 1"),
+])
+def test_checks_refuse_an_empty_grid(check, args, message):
+    # an empty probe grid would read as a pass
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(*args)
+
+
+def test_verify_all_reads_its_bound_as_an_integer(monkeypatch):
+    # the report carries the int, and a non-integer fails before any check
+    assert json.dumps(verify_all(True)[3]["parameters"]) == '{"bound": 1}'
+    monkeypatch.setattr(verify, "check_jacobi",
+                        lambda gens: pytest.fail("a check ran"))
+    for bound in (2.5, Fraction(3)):
+        with pytest.raises(TypeError):
+            verify_all(bound)
 
 
 def test_broken_lift_is_a_fail_verdict(monkeypatch, capsys):
