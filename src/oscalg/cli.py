@@ -16,11 +16,11 @@ from itertools import islice
 # coinv is called through this module's names, which perfbench/tracer.py
 # swaps to time it.
 from .coinv import FPoint, coinvariants_A, coinvariants_X
-from .fock import format_label, iter_terms, parse_label, vector_chunks
-# Unused here since fock-apply streams its terms, but perfbench/tracer.py
-# swaps these names on this module to time them.
+from .fock import parse_label, term_labels
+# Not called here, but perfbench/tracer.py swaps these names on this module
+# to time them.
 from .fock import apply_quadratic, format_vector
-from .laurent import parse_int
+from .laurent import parse_int, signed_sum_chunks
 # bracket and the expression language are called through this module's
 # names, which perfbench/tracer.py swaps to time them.
 from .quadops import bracket, format_expression, opens_term, parse_expression
@@ -43,6 +43,15 @@ def _as_text(x):
 
 def _dump(data) -> str:
     return json.dumps(data)
+
+# Pieces of a streamed output joined into one write.
+BLOCK = 1024
+
+def _blocks(pieces):
+    """The pieces of an output, BLOCK at a time, each run joined."""
+    pieces = iter(pieces)
+    while block := "".join(islice(pieces, BLOCK)):
+        yield block
 
 def _parse_gaps(text: str):
     if not text.strip():
@@ -71,10 +80,10 @@ def _cmd_cocycle(args):
     return 0, str(value)
 
 def _cmd_fock_apply(args):
-    terms = iter_terms(parse_expression(args.expr), parse_label(args.state))
+    terms = term_labels(parse_expression(args.expr), parse_label(args.state))
     if args.format == "json":
         return 0, _fock_json_chunks(args, terms)
-    return 0, vector_chunks(terms)
+    return 0, signed_sum_chunks(terms, "0")
 
 def _fock_json_chunks(args, terms):
     """The bytes of _dump of the fock-apply report, one result entry at a
@@ -82,8 +91,8 @@ def _fock_json_chunks(args, terms):
     yield (f'{{"command": "fock-apply", "expr": {_dump(args.expr)}, '
            f'"state": {_dump(args.state)}, "result": [')
     sep = ""
-    for st, c in terms:
-        yield sep + _dump({"label": format_label(st), "coeff": str(c)})
+    for c, label in terms:
+        yield sep + _dump({"label": label, "coeff": str(c)})
         sep = ", "
     yield "]}"
 
@@ -294,7 +303,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = sys.stdout
-    out.writelines((text,) if isinstance(text, str) else text)
+    out.writelines((text,) if isinstance(text, str) else _blocks(text))
     out.write("\n")
     return code
 

@@ -12,10 +12,9 @@ stabilization flag from repeated runs at growing truncation sizes.
 from __future__ import annotations
 
 import json
-from operator import index
 
 from .fock import FockVector, apply_quadratic, graded_basis
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, as_int
 from .quadops import QuadraticElement, b, maps_into, pair
 
 
@@ -25,7 +24,7 @@ class FPoint:
     __slots__ = ("gaps",)
 
     def __init__(self, gaps=()):
-        gaps = frozenset(map(index, gaps))
+        gaps = frozenset(as_int(g, "gaps") for g in gaps)
         if any(g < 1 for g in gaps):
             raise ValueError("gaps are positive integers")
         self.gaps = gaps
@@ -44,8 +43,8 @@ class FPoint:
 
 def fperp_basis(F: FPoint, W: int):
     """Window basis of F-perp: all of H_- plus t^m for gap exponents m."""
-    out = [LaurentPoly.t(-m) for m in range(1, W + 1)]
-    out += [LaurentPoly.t(m) for m in sorted(F.gaps) if m <= W]
+    out = [LaurentPoly.term(1, -m) for m in range(1, W + 1)]
+    out += [LaurentPoly.term(1, m) for m in sorted(F.gaps) if m <= W]
     return out
 
 
@@ -98,7 +97,7 @@ def check_state_space(rank: int, M: int):
     partitions of n, the r-fold convolution of partition counts, satisfies
     n a(n) = r sum_k sigma(k) a(n-k); counting stops at the first degree
     past the limit."""
-    rank, M = index(rank), index(M)
+    rank, M = as_int(rank, "rank"), as_int(M, "M")
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     sigma = [0]       # sigma[k]: sum of the divisors of k
@@ -135,7 +134,7 @@ def default_schedule(N: int, M: int, W: int):
     """Three truncation sizes ending at the checked (M, W); the earlier
     steps are clamped up to stay legal, and each step is strictly larger
     than the one before."""
-    N, M, W = index(N), index(M), index(W)
+    N, M, W = as_int(N, "N"), as_int(M, "M"), as_int(W, "W")
     if N < 0:
         raise ValueError("top degree N must be nonnegative")
     if N > M:
@@ -175,7 +174,7 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
     whose channel 1 has no part m.  A target of degree <= N holds no part
     s > N, and a source of degree <= M no part m > M, so only keys with
     s <= N, m - s >= -N and m <= M can act, and only those are visited."""
-    rank, N = index(rank), index(N)
+    rank, N = as_int(rank, "rank"), as_int(N, "N")
     steps = default_schedule(N, M, W)
     check_state_space(rank, M)
     bases = {}        # degree -> (states, {part: states holding it})

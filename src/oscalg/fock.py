@@ -10,23 +10,28 @@ computation finite and exact.
 apply_quadratic returns the image of a vector as a FockVector; a mode b_n
 acts as apply_quadratic(b(n), v) and L_p as virasoro(p, v).  iter_terms
 yields the image of one basis state on channel 1 term by term in print
-order, degree ascending and then state descending (terms_sorted's order), so
-a caller that only prints it, like the CLI's fock-apply, holds none of it:
-the run of floor(|d|/2) images where both indices of a diagonal create comes
-out in that order and stays lazy, and the few other images are summed,
-sorted and merged into it.  Both read a state's images from _images.
+order, degree ascending and then state descending (terms_sorted's order),
+as (state, coefficient); term_labels yields the same terms as
+(coefficient, label), the text that the CLI's fock-apply prints.  Neither
+holds the image: the run of floor(|d|/2) images where both indices of a
+diagonal create comes out in print order and stays lazy, as (a,
+coefficient) pairs, and the few other images are summed, sorted and merged
+into it by the one merge, _merged, which compares run states with them only
+while one is pending.  term_labels cuts a run's labels from cached text:
+between two parts of the channel the created parts -a and a - d go in at
+fixed places, so only their digits change from label to label.  All of
+these read a state's images from _images.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from heapq import merge
 from math import factorial
 from numbers import Rational
-from operator import index
+from operator import index, neg
 
-from .laurent import parse_int, rat, ratio, signed_sum_chunks
+from .laurent import format_signed_sum, parse_int, rat, ratio
 from .quadops import QuadraticElement, tau
 
 
@@ -134,24 +139,20 @@ def _pair_on_partition(a: int, bb: int, lam: tuple):
     return [(lam3, w * w2) for lam2, w in _mode_on_partition(bb, lam)
             for lam3, w2 in _mode_on_partition(a, lam2)]
 
-def _created_images(series, state, ch: int):
-    """Images of one diagonal series on a basis state with both indices
-    creating, made lazily: a in [d+1, d//2] puts in the parts -a >= a - d,
-    with no per-index polynomial evaluation when the generic part is
-    constant, and only at the exceptions in range when it is zero.  They
-    come out strictly in print order (state descending): from a to a + 1
-    one unit moves from the larger created part to the smaller, which
-    lowers the partition in dominance order and so lexicographically.
-    Empty unless d < -1."""
+def _created_run(series):
+    """The both-creating run of one diagonal series: (a, coefficient) for
+    the a in [d+1, d//2] whose pair puts the parts -a >= a - d into the
+    channel, made lazily, with no per-index polynomial evaluation when the
+    generic part is constant, and only at the exceptions in range when it
+    is zero.  Their states (_run_state) come out strictly in print order,
+    state descending: from a to a + 1 one unit moves from the larger
+    created part to the smaller, which lowers the partition in dominance
+    order and so lexicographically.  Empty unless d < -1."""
     d = series.d
-    lam = state[ch]
-    head, tail = state[:ch], state[ch + 1:]
     poly, exc = series.poly, series.exc
     const = poly.constant_value() if poly.is_constant() else None
     run = (sorted(a for a in exc if d < a <= d // 2) if poly.is_zero()
            else range(d + 1, d // 2 + 1))
-    # neg, the negated parts, is ascending for bisect
-    neg = [-p for p in lam]
     for a in run:
         c = exc.get(a)
         if c is None:
@@ -159,10 +160,16 @@ def _created_images(series, state, ch: int):
         if c:
             if 2 * a == d:
                 c = ratio(c, 2)
-            i = bisect_left(neg, a)
-            j = bisect_left(neg, d - a, i)
-            lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
-            yield head + (lam2,) + tail, c
+            yield a, c
+
+def _run_state(state, ch: int, d: int, a: int) -> tuple:
+    """The state that the run's pair at a makes from state: the parts
+    -a >= a - d put into channel ch in order."""
+    lam = state[ch]
+    i = bisect_left(lam, a, key=neg)            # parts above -a
+    j = bisect_left(lam, d - a, i, key=neg)     # parts above a - d
+    lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
+    return state[:ch] + (lam2,) + state[ch + 1:]
 
 def _annihilating_images(series, state, ch: int) -> list:
     """Images of one diagonal series on a basis state in which an index
@@ -194,12 +201,12 @@ def _annihilating_images(series, state, ch: int) -> list:
     return out
 
 def _images(A: QuadraticElement, state, ch: int):
-    """The images of A on one basis state, as (shift, terms, ordered)
-    triples: each term (state, coefficient) lies `shift` degrees below
-    `state`.  The central part, the modes and the annihilating images of
-    each diagonal come as lists in no particular order; the both-creating
-    run of a diagonal with d < -1 comes lazily and in print order, with
-    `ordered` true."""
+    """The images of A on one basis state, as (shift, terms, run) triples:
+    each image lies `shift` degrees below `state`.  The central part, the
+    modes and the annihilating images of each diagonal come as lists of
+    (state, coefficient) in no particular order; the both-creating run of a
+    diagonal with d < -1 comes as _created_run's lazy (a, coefficient)
+    pairs, with `run` true, and _run_state makes the state of each."""
     if A.central:
         yield 0, [(state, A.central)], False
     for e, ce in A.linear.coeffs.items():
@@ -208,7 +215,7 @@ def _images(A: QuadraticElement, state, ch: int):
     for d, series in A.quad.items():
         yield d, _annihilating_images(series, state, ch), False
         if d < -1:
-            yield d, _created_images(series, state, ch), True
+            yield d, _created_run(series), True
 
 def apply_quadratic(A: QuadraticElement, v: FockVector,
                     channel: int = 1) -> FockVector:
@@ -218,7 +225,9 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
     ch = channel - 1
     out = {}
     for state, c in v.terms.items():
-        for _, images, _ in _images(A, state, ch):
+        for d, images, run in _images(A, state, ch):
+            if run:
+                images = ((_run_state(state, ch, d, a), w) for a, w in images)
             if c != 1:
                 images = [(st2, c * w) for st2, w in images]
             for st2, w in images:
@@ -229,32 +238,99 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
 def iter_terms(A: QuadraticElement, state):
     """The terms of A on channel 1 of one basis state, in print order and
     with nonzero canonical coefficients: apply_quadratic(A,
-    FockVector.basis(state)).terms_sorted(), made one at a time.  The state
-    is canonicalized and checked by basis, and only the both-creating runs
-    are lazy, so an error is raised at the call.
+    FockVector.basis(state)).terms_sorted(), made one at a time as
+    (state, coefficient).  The state is canonicalized and checked by basis,
+    and only the both-creating runs are lazy, so an error is raised at the
+    call."""
+    state, runs, others = _by_degree(A, state)
+    return _merged(state, runs, others, _state_term, _run_terms)
+
+def term_labels(A: QuadraticElement, state):
+    """iter_terms(A, state) as (coefficient, format_label(state)) pairs,
+    the text that fock-apply prints; a run's labels are cut from cached
+    text (_run_labels)."""
+    state, runs, others = _by_degree(A, state)
+    return _merged(state, runs, others, _label_term, _run_labels)
+
+def _by_degree(A: QuadraticElement, state):
+    """The canonical state and the images of A on its channel 1 by target
+    degree: the run of each degree as (d, pairs) and the other images
+    summed in a dict.
 
     Each diagonal has its own offset, so a target degree holds at most one
     run.  No other image of that degree shares a state with it: a run adds
-    two parts to the channel, any other image at most one.  So the other
-    images are summed in a dict and merged into the run."""
+    two parts to the channel, any other image at most one."""
     (state,) = FockVector.basis(state).terms
     deg = state_degree(state)
-    runs, others = {}, {}      # target degree -> lazy run / summed images
-    for shift, images, ordered in _images(A, state, 0):
-        if ordered:
-            runs[deg - shift] = images
+    runs, others = {}, {}
+    for shift, images, run in _images(A, state, 0):
+        if run:
+            runs[deg - shift] = shift, images
         else:
             sums = others.setdefault(deg - shift, {})
             for st2, w in images:
                 sums[st2] = sums.get(st2, 0) + w
-    return _merged(runs, others)
+    return state, runs, others
 
-def _merged(runs, others):
-    """Degree by degree, the run merged with the nonzero sums, sorted."""
+def _merged(state, runs, others, term, run_terms):
+    """Degree by degree, each run merged with the nonzero sums, sorted, in
+    print order: term(state, coefficient) renders one image and
+    run_terms(state, d, pairs) the rest of a run.  A run's states are
+    compared with the sums only while one of them is pending."""
     for deg in sorted(runs.keys() | others.keys()):
-        terms = [(st, rat(c)) for st, c in others.get(deg, {}).items() if c]
-        yield from merge(runs.get(deg, ()), sorted(terms, reverse=True),
-                         reverse=True)
+        rest = sorted(((st, rat(c)) for st, c in others.get(deg, {}).items()
+                       if c), reverse=True)
+        k = 0
+        if deg in runs:
+            d, pairs = runs[deg]
+            pairs = iter(pairs)
+            for a, c in pairs:
+                st = _run_state(state, 0, d, a)
+                while k < len(rest) and rest[k][0] > st:
+                    yield term(*rest[k])
+                    k += 1
+                yield term(st, c)
+                if k == len(rest):
+                    break
+            yield from run_terms(state, d, pairs)
+        for st, c in rest[k:]:
+            yield term(st, c)
+
+def _state_term(st, c):
+    return st, c
+
+def _label_term(st, c):
+    return c, format_label(st)
+
+def _run_terms(state, d: int, pairs):
+    return ((_run_state(state, 0, d, a), c) for a, c in pairs)
+
+def _run_labels(state, d: int, pairs):
+    """(coefficient, label) for the (a, coefficient) pairs of a run on
+    channel 1 of state.  Between two parts of the channel the insertion
+    points i of -a and j of a - d stay fixed, so there each label is
+    pre + str(-a) + mid + str(a - d) + post, three strings cut from the
+    state's text once per (i, j); that pair changes at most len(lam) + 1
+    times in a run."""
+    lam = state[0]
+    if len(state) == 1:
+        left, right = "[", "]"
+    else:
+        left = "(["
+        right = "]|" + "|".join(map(format_partition, state[1:])) + ")"
+    end = d             # the a at which (i, j) next changes
+    for a, c in pairs:
+        if a >= end:
+            i = bisect_left(lam, a, key=neg)
+            j = bisect_left(lam, d - a, i, key=neg)
+            # i grows once a >= 1 - lam[i], j falls once a >= lam[j-1] + d;
+            # every a of the run is below 0
+            end = min(1 - lam[i] if i < len(lam) else 0,
+                      lam[j - 1] + d if j else 0)
+            pre = left + "".join(f"{p}," for p in lam[:i])
+            mid = "".join(f",{p}" for p in lam[i:j]) + ","
+            post = "".join(f",{p}" for p in lam[j:]) + right
+        yield c, f"{pre}{-a}{mid}{a - d}{post}"
 
 def virasoro(p: int, v: FockVector) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on channel 1."""
@@ -416,10 +492,6 @@ def parse_label(text: str) -> tuple:
         return tuple(parse_partition(p) for p in text[1:-1].split("|"))
     return (parse_partition(text),)
 
-def vector_chunks(terms):
-    """The text of a sum of (state, coefficient) terms in print order, in
-    pieces: one per term, or "0" for the empty sum."""
-    return signed_sum_chunks(((c, format_label(st)) for st, c in terms), "0")
-
 def format_vector(v: FockVector) -> str:
-    return "".join(vector_chunks(v.terms_sorted()))
+    return format_signed_sum(((c, format_label(st))
+                              for st, c in v.terms_sorted()), "0")

@@ -45,6 +45,14 @@ def parse_int(text: str, what: str) -> int:
         raise ValueError(f"{what}: {text.strip()!r} is not an integer") from None
 
 
+def as_int(x, what: str) -> int:
+    """operator.index(x), or a TypeError that names what x was given for."""
+    try:
+        return index(x)
+    except TypeError as e:
+        raise TypeError(f"{what}: {e}") from None
+
+
 class LaurentPoly:
     """Finite-support Laurent polynomial; exponent -> nonzero coefficient.
 
@@ -67,10 +75,6 @@ class LaurentPoly:
     @classmethod
     def term(cls, coeff, exp: int) -> "LaurentPoly":
         return cls({exp: coeff})
-
-    @classmethod
-    def t(cls, exp: int) -> "LaurentPoly":
-        return cls({exp: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -679,7 +679,7 @@ def maps_into(A: QuadraticElement, sources, allowed) -> bool:
 
 def is_in_sp_plus(A: QuadraticElement, W: int) -> bool:
     """X(H'_+) stays inside H'_+ on the window; X is in sp by construction."""
-    return maps_into(A, [LaurentPoly.t(m) for m in range(1, W + 1)],
+    return maps_into(A, [LaurentPoly.term(1, m) for m in range(1, W + 1)],
                      lambda e: e >= 1)
 
 
@@ -712,7 +712,7 @@ class WittElement:
         """The translation b_q, q != 0."""
         if q == 0:
             raise ValueError("b_0 vanishes in H'")
-        return cls(g=LaurentPoly.t(q))
+        return cls(g=LaurentPoly.term(1, q))
 
     def scale(self, s) -> "WittElement":
         return WittElement(self.f.scale(s), self.g.scale(s))

@@ -12,11 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
-from operator import index
 
 from .coinv import FPoint, sp_f_generators
 from .fock import FockVector, graded_basis, measure_central_charge, virasoro_all
-from .laurent import LaurentPoly, ratio, residue, symplectic_form
+from .laurent import LaurentPoly, as_int, ratio, residue, symplectic_form
 from .quadops import (Poly, QuadraticElement, WittElement, _quad_apply_laurent,
                       alpha, b, beta, bracket, format_expression, gamma, pair,
                       psi, sigma, tau, unit, witt_bracket)
@@ -42,7 +41,7 @@ def _check(what: str, probe, expected, actual) -> list:
 
 def _at_least_one(name: str, n) -> int:
     """n as an int, or a ValueError naming the parameter if it is below 1."""
-    n = index(n)
+    n = as_int(n, name)
     if n < 1:
         raise ValueError(f"{name} must be at least 1")
     return n
@@ -118,7 +117,7 @@ def check_cocycle_defects(elements) -> list:
 def check_splitting(F: FPoint, W: int) -> list:
     """alpha vanishes on all stabilizer generator pairs and beta on all
     pairs from F itself, so the central extension splits over sp_F x| F."""
-    W = index(W)
+    W = as_int(W, "W")
     fmodes = [b(-s) for s in F.semigroup(W)]
     if not fmodes:
         raise ValueError(f"W: the window [1, {W}] holds no element of S")
@@ -175,7 +174,7 @@ def _lift_witnesses(bound: int) -> tuple:
                 continue
             direct = LaurentPoly() if m + p == 0 else LaurentPoly.term(-m, m + p)
             diagram += _check(f"T({p}) on", f"t^{m}", direct,
-                              _quad_apply_laurent(X, LaurentPoly.t(m)))
+                              _quad_apply_laurent(X, LaurentPoly.term(1, m)))
     lifts = [(name, x, sigma(x)) for name, x in witt_probe_elements(bound)]
     for nu, u, su in lifts:
         for nv, v, sv in lifts:

@@ -362,13 +362,16 @@ def test_fock_apply_json_is_json_dumps(capsys, expr, state):
 
 
 class _ByteCount(io.TextIOBase):
-    """A stdout that keeps only the number of characters written."""
+    """A stdout that keeps only the number of characters written and of
+    write calls."""
 
     def __init__(self):
         self.count = 0
+        self.writes = 0
 
     def write(self, text):
         self.count += len(text)
+        self.writes += 1
         return len(text)
 
 
@@ -387,6 +390,8 @@ def test_fock_apply_streams_its_terms(monkeypatch):
         tracemalloc.stop()
     assert (code, sink.count) == (0, len(text) + 1)
     assert peak < 2 * 2 ** 20
+    # one write per block of pieces, not one per term
+    assert sink.writes <= -(-20001 // oscalg.cli.BLOCK) + 2
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
@@ -982,7 +987,7 @@ def test_only_coinv_runs_the_schedule():
 
 
 def test_cli_does_not_build_fock_vectors():
-    # fock-apply hands its parsed label to fock.iter_terms as a state
+    # fock-apply hands its parsed label to fock.term_labels as a state
     tree = ast.parse(Path(oscalg.cli.__file__).read_text())
     named = {getattr(node, attr) for node in ast.walk(tree)
              for attr in ("id", "attr", "name") if hasattr(node, attr)}
@@ -991,13 +996,15 @@ def test_cli_does_not_build_fock_vectors():
 
 def test_one_spelling_per_operation():
     # b_n acts through apply_quadratic(b(n), v, channel), the derivative is
-    # f.derivative(), the residue laurent.residue(f) and zero LaurentPoly();
-    # no parameter holds a value that every caller leaves at its default
+    # f.derivative(), the residue laurent.residue(f), zero LaurentPoly() and
+    # t^e LaurentPoly.term(1, e); no parameter holds a value that every
+    # caller leaves at its default
     for module in (oscalg, oscalg.fock, oscalg.laurent):
         assert not hasattr(module, "apply_mode")
         assert not hasattr(module, "derivative")
     assert not hasattr(LaurentPoly, "residue")
     assert not hasattr(LaurentPoly, "zero")
+    assert not hasattr(LaurentPoly, "t")
     for function in (FockVector.basis, pair, Poly.affine, virasoro):
         named = set(inspect.signature(function).parameters)
         assert not named & {"coeff", "s", "channel"}, function

@@ -44,7 +44,7 @@ def test_fperp_is_the_symplectic_perp():
     for gaps in ((), (1,), (1, 3), (2,)):
         F = FPoint(gaps)
         W = 6
-        fmodes = [LaurentPoly.t(-s) for s in F.semigroup(W)]
+        fmodes = [LaurentPoly.term(1, -s) for s in F.semigroup(W)]
         perp = fperp_basis(F, W)
         for u in perp:
             for f in fmodes:
@@ -54,7 +54,8 @@ def test_fperp_is_the_symplectic_perp():
         for m in range(-W, W + 1):
             if m == 0 or m in perp_exps:
                 continue
-            assert any(symplectic_form(LaurentPoly.t(m), f) for f in fmodes)
+            tm = LaurentPoly.term(1, m)
+            assert any(symplectic_form(tm, f) for f in fmodes)
 
 
 def test_generator_counts():

@@ -9,7 +9,7 @@ import oracles
 from oscalg.fock import (FockVector, apply_quadratic, canon_state, exp_apply,
                          format_label, format_vector, graded_basis, iter_terms,
                          measure_central_charge, parse_label, state_degree,
-                         virasoro, virasoro_all)
+                         term_labels, virasoro, virasoro_all)
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
                             pair, tau, unit)
@@ -306,11 +306,18 @@ def diagonal_element(central, modes, diagonals):
 @example(-1, {}, [(0, 1, 0, {})], ((1,),))
 @example(Fraction(2, 3), {-2: Fraction(-1, 2)}, [(-9, 1, HALF, {-3: 2})],
          ((2, 2), (), (1, 1)))
+# the run of d = -12 puts in the parts 11..6 and 1..6, so both insertion
+# points cross channel 1's parts, and its label text is recut mid-run
+@example(0, {}, [(-12, 1, HALF, {-4: 3})], ((9, 5, 3, 3, 1), (2,), ()))
+# the midpoint a = -4 of d = -8 halves the fractional coefficient 1/3
+@example(0, {}, [(-8, Fraction(1, 3), 0, {})], ((1,),))
 @given(COEFF, MODES, DIAGONALS, STATES)
 def test_term_stream_is_the_sorted_image(central, modes, diagonals, state):
     A = diagonal_element(central, modes, diagonals)
-    assert list(iter_terms(A, state)) == (
-        apply_quadratic(A, FockVector.basis(state)).terms_sorted())
+    image = apply_quadratic(A, FockVector.basis(state)).terms_sorted()
+    assert list(iter_terms(A, state)) == image
+    assert list(term_labels(A, state)) == [(c, format_label(st))
+                                           for st, c in image]
 
 
 def test_term_stream_checks_the_state_before_the_first_term():

@@ -104,7 +104,8 @@ def test_bracket_of_finite_elements_matches_window_commutator(x, y):
     commutator = oracles.mat_commutator(a_quad, b_quad, BRACKET_WINDOW)
     for c in range(-6, 7):
         if c:
-            assert _quad_apply_laurent(C.quad, LaurentPoly.t(c)) == LaurentPoly(
+            image = _quad_apply_laurent(C.quad, LaurentPoly.term(1, c))
+            assert image == LaurentPoly(
                 {r: v for (r, col), v in commutator.items() if col == c})
     assert C.linear == (window_image(a_quad, B.linear)
                         - window_image(b_quad, A.linear))

@@ -42,7 +42,7 @@ def windowed(K):
 
 def action(A, m):
     """The library's S^2 action of A on t^m."""
-    return _quad_apply_laurent(A.quad, LaurentPoly.t(m))
+    return _quad_apply_laurent(A.quad, LaurentPoly.term(1, m))
 
 
 def column(mat, m):
@@ -72,10 +72,11 @@ def test_pair_is_symmetric_and_index_zero_rejected():
 
 
 def test_normal_order_lift_matches_pair():
-    assert normal_order_lift(LaurentPoly.t(1), LaurentPoly.t(-2)) == pair(1, -2)
-    assert normal_order_lift(LaurentPoly.t(1), LaurentPoly.t(1)) == pair(1, 1)
-    f = LaurentPoly.t(1) + LaurentPoly.t(-2)
-    g = LaurentPoly.t(3)
+    t1, t_2 = LaurentPoly.term(1, 1), LaurentPoly.term(1, -2)
+    assert normal_order_lift(t1, t_2) == pair(1, -2)
+    assert normal_order_lift(t1, t1) == pair(1, 1)
+    f = t1 + t_2
+    g = LaurentPoly.term(1, 3)
     assert normal_order_lift(f, g) == pair(1, 3) + pair(-2, 3)
     with pytest.raises(ValueError):
         normal_order_lift(LaurentPoly.term(1, 0), g)
@@ -386,7 +387,7 @@ def test_membership_requires_pure_quadratic():
 
 def test_repr_without_canonical_expression():
     # a(2 - a) is symmetric on the d = 2 diagonal but not constant
-    A = QuadraticElement(central=3, linear=LaurentPoly.t(-2),
+    A = QuadraticElement(central=3, linear=LaurentPoly.term(1, -2),
                          quad={2: DiagonalSeries(2, Poly((0, 2, -1)))})
     assert repr(A) == ("QuadraticElement(central=3, linear=LaurentPoly('t^-2'), "
                        "quad={2: DiagonalSeries(d=2, poly=Poly([0, 2, -1]), "

@@ -10,7 +10,8 @@ import pytest
 
 from oscalg import verify
 from oscalg.cli import main
-from oscalg.coinv import FPoint
+from oscalg.coinv import (FPoint, check_state_space, coinvariants_A,
+                          coinvariants_X, default_schedule)
 from oscalg.fock import virasoro
 from oscalg.quadops import (
     QuadraticElement,
@@ -221,6 +222,25 @@ def test_verify_all_reads_its_bound_as_an_integer(monkeypatch):
     for bound in (2.5, Fraction(3)):
         with pytest.raises(TypeError):
             verify_all(bound)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: verify_all(2.5), "probe bound", id="verify_all"),
+    pytest.param(lambda: check_closed_forms(2.5), "bound", id="closed-forms"),
+    pytest.param(lambda: check_lift_diagram(2.5), "bound", id="lift-diagram"),
+    pytest.param(lambda: check_splitting(FPoint(()), 2.5), "W", id="splitting"),
+    pytest.param(lambda: coinvariants_A(1.5, FPoint(()), 2, 4, 4), "rank",
+                 id="coinv-rank"),
+    pytest.param(lambda: coinvariants_X(1, FPoint(()), 2.0, 4, 4), "N",
+                 id="coinv-N"),
+    pytest.param(lambda: default_schedule(1, 3.5, 4), "M", id="schedule-M"),
+    pytest.param(lambda: check_state_space(1, 2.5), "M", id="state-space-M"),
+    pytest.param(lambda: FPoint([1.5]), "gaps", id="gaps"),
+])
+def test_integer_errors_name_the_parameter(call, name):
+    with pytest.raises(TypeError, match=f"^{name}: 'float' object cannot "
+                                        f"be interpreted as an integer$"):
+        call()
 
 
 def test_broken_lift_is_a_fail_verdict(monkeypatch, capsys):
