@@ -87,12 +87,13 @@ def _cmd_fock_apply(args):
 
 def _fock_json_chunks(args, terms):
     """The bytes of _dump of the fock-apply report, one result entry at a
-    time."""
+    time.  A label, or a coefficient as the str of an int or a Fraction,
+    holds no character that JSON escapes."""
     yield (f'{{"command": "fock-apply", "expr": {_dump(args.expr)}, '
            f'"state": {_dump(args.state)}, "result": [')
     sep = ""
     for c, label in terms:
-        yield sep + _dump({"label": label, "coeff": str(c)})
+        yield f'{sep}{{"label": "{label}", "coeff": "{c}"}}'
         sep = ", "
     yield "]}"
 

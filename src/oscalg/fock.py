@@ -8,19 +8,18 @@ terms whose annihilation indices occur as parts, which keeps every
 computation finite and exact.
 
 apply_quadratic returns the image of a vector as a FockVector; a mode b_n
-acts as apply_quadratic(b(n), v) and L_p as virasoro(p, v).  iter_terms
+acts as apply_quadratic(b(n), v) and L_p as virasoro(p, v).  term_labels
 yields the image of one basis state on channel 1 term by term in print
 order, degree ascending and then state descending (terms_sorted's order),
-as (state, coefficient); term_labels yields the same terms as
-(coefficient, label), the text that the CLI's fock-apply prints.  Neither
-holds the image: the run of floor(|d|/2) images where both indices of a
+as (coefficient, label), the text that the CLI's fock-apply prints.  It
+holds no image: the run of floor(|d|/2) images where both indices of a
 diagonal create comes out in print order and stays lazy, as (a,
 coefficient) pairs, and the few other images are summed, sorted and merged
-into it by the one merge, _merged, which compares run states with them only
-while one is pending.  term_labels cuts a run's labels from cached text:
-between two parts of the channel the created parts -a and a - d go in at
-fixed places, so only their digits change from label to label.  All of
-these read a state's images from _images.
+into it by _merged, which compares run states with them only while one is
+pending.  A run's labels are cut from cached text: between two parts of
+the channel the created parts -a and a - d go in at fixed places, so only
+their digits change from label to label.  apply_quadratic and term_labels
+read a state's images from _images.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from math import factorial
 from numbers import Rational
 from operator import index, neg
 
-from .laurent import format_signed_sum, parse_int, rat, ratio
+from .laurent import as_int, format_signed_sum, parse_int, rat, ratio
 from .quadops import QuadraticElement, tau
 
 
@@ -235,31 +234,15 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 out[st2] = w if got is None else got + w
     return FockVector(v.rank, out)
 
-def iter_terms(A: QuadraticElement, state):
-    """The terms of A on channel 1 of one basis state, in print order and
-    with nonzero canonical coefficients: apply_quadratic(A,
-    FockVector.basis(state)).terms_sorted(), made one at a time as
-    (state, coefficient).  The state is canonicalized and checked by basis,
-    and only the both-creating runs are lazy, so an error is raised at the
-    call."""
-    state, runs, others = _by_degree(A, state)
-    return _merged(state, runs, others, _state_term, _run_terms)
-
 def term_labels(A: QuadraticElement, state):
-    """iter_terms(A, state) as (coefficient, format_label(state)) pairs,
-    the text that fock-apply prints; a run's labels are cut from cached
-    text (_run_labels)."""
-    state, runs, others = _by_degree(A, state)
-    return _merged(state, runs, others, _label_term, _run_labels)
-
-def _by_degree(A: QuadraticElement, state):
-    """The canonical state and the images of A on its channel 1 by target
-    degree: the run of each degree as (d, pairs) and the other images
-    summed in a dict.
+    """The terms of A on channel 1 of one basis state as fock-apply prints
+    them: apply_quadratic(A, FockVector.basis(state)).terms_sorted(), one
+    at a time as (coefficient, format_label(state)).  The state is checked
+    by basis at the call; only the both-creating runs are lazy.
 
     Each diagonal has its own offset, so a target degree holds at most one
-    run.  No other image of that degree shares a state with it: a run adds
-    two parts to the channel, any other image at most one."""
+    run, and no other image of that degree shares a state with it: a run
+    adds two parts to the channel, any other image at most one."""
     (state,) = FockVector.basis(state).terms
     deg = state_degree(state)
     runs, others = {}, {}
@@ -270,13 +253,13 @@ def _by_degree(A: QuadraticElement, state):
             sums = others.setdefault(deg - shift, {})
             for st2, w in images:
                 sums[st2] = sums.get(st2, 0) + w
-    return state, runs, others
+    return _merged(state, runs, others)
 
-def _merged(state, runs, others, term, run_terms):
+def _merged(state, runs, others):
     """Degree by degree, each run merged with the nonzero sums, sorted, in
-    print order: term(state, coefficient) renders one image and
-    run_terms(state, d, pairs) the rest of a run.  A run's states are
-    compared with the sums only while one of them is pending."""
+    print order, as (coefficient, label); _run_labels renders the rest of a
+    run.  A run's states are compared with the sums only while one of them
+    is pending."""
     for deg in sorted(runs.keys() | others.keys()):
         rest = sorted(((st, rat(c)) for st, c in others.get(deg, {}).items()
                        if c), reverse=True)
@@ -287,23 +270,14 @@ def _merged(state, runs, others, term, run_terms):
             for a, c in pairs:
                 st = _run_state(state, 0, d, a)
                 while k < len(rest) and rest[k][0] > st:
-                    yield term(*rest[k])
+                    yield rest[k][1], format_label(rest[k][0])
                     k += 1
-                yield term(st, c)
+                yield c, format_label(st)
                 if k == len(rest):
                     break
-            yield from run_terms(state, d, pairs)
+            yield from _run_labels(state, d, pairs)
         for st, c in rest[k:]:
-            yield term(st, c)
-
-def _state_term(st, c):
-    return st, c
-
-def _label_term(st, c):
-    return c, format_label(st)
-
-def _run_terms(state, d: int, pairs):
-    return ((_run_state(state, 0, d, a), c) for a, c in pairs)
+            yield c, format_label(st)
 
 def _run_labels(state, d: int, pairs):
     """(coefficient, label) for the (a, coefficient) pairs of a run on
@@ -409,6 +383,9 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
         return FockVector(v.rank, out)
     if any(e < 0 for e in A.linear.coeffs):
         raise ValueError("creation mode: exp is not locally nilpotent")
+    if group_scalar is not None:
+        raise ValueError("group_scalar is given, but A is not a number "
+                         "operator")
     acc = v
     w = v
     k = 1
@@ -438,6 +415,7 @@ def _partitions(n: int, maxpart: int | None = None):
 def graded_basis(d: int, r: int):
     """All rank-r basis states of total degree d, leading channels heaviest
     first and partitions in descending lexicographic order."""
+    d, r = as_int(d, "degree"), as_int(r, "rank")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if r < 1:

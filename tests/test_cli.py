@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -349,6 +351,12 @@ def test_cmd_central_scalars(capsys):
     ("T(4) - T(4)", "[1]"),
     # whitespace that JSON escapes, in both echoed inputs
     ("T(-3)\t+\u00a0b(-1)", " [2,2]\t"),
+    # a fractional coefficient, halved again at the midpoint of d = -8
+    ("1/3*T(-8)", "[1]"),
+    # a rank-3 state with an empty channel written -
+    ("T(-5)", "([2]|-|[1,1])"),
+    # the empty result
+    ("0*K", "[1]"),
 ])
 def test_fock_apply_json_is_json_dumps(capsys, expr, state):
     # the streamed report has the bytes json.dumps gives the whole report
@@ -1005,9 +1013,27 @@ def test_one_spelling_per_operation():
     assert not hasattr(LaurentPoly, "residue")
     assert not hasattr(LaurentPoly, "zero")
     assert not hasattr(LaurentPoly, "t")
+    # the image of one basis state streams only as term_labels
+    assert not hasattr(oscalg.fock, "iter_terms")
     for function in (FockVector.basis, pair, Poly.affine, virasoro):
         named = set(inspect.signature(function).parameters)
         assert not named & {"coeff", "s", "channel"}, function
+
+
+def test_readme_modules_table_names_what_each_module_has():
+    # every backticked call `name(...)` in a row of the README's Modules
+    # table whose name has no dot is an attribute of the row's module
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    calls = []
+    for row in table.splitlines():
+        head = re.match(r"\| `(oscalg\.\w+)` \|", row)
+        if head:
+            calls += [(head[1], name) for name in re.findall(r"`([\w.]+)\(", row)
+                      if "." not in name]
+    assert ("oscalg.fock", "term_labels") in calls
+    assert [(module, name) for module, name in calls
+            if not hasattr(importlib.import_module(module), name)] == []
 
 
 def test_package_holds_no_assert():

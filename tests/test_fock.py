@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oscalg.fock import (FockVector, apply_quadratic, canon_state, exp_apply,
-                         format_label, format_vector, graded_basis, iter_terms,
+                         format_label, format_vector, graded_basis,
                          measure_central_charge, parse_label, state_degree,
                          term_labels, virasoro, virasoro_all)
 from oscalg.laurent import LaurentPoly
@@ -143,7 +143,7 @@ def test_finite_diagonal_creates_only_at_its_exceptions():
     assert apply_quadratic(A, v1) == FockVector.basis(((10 ** 6, 1, 1),))
     assert series.exc.reads <= 2 * len(series.exc)
     series.exc.reads = 0
-    assert list(iter_terms(A, ((1,),))) == [(((10 ** 6, 1, 1),), 1)]
+    assert list(term_labels(A, ((1,),))) == [(1, "[1000000,1,1]")]
     assert series.exc.reads <= 2 * len(series.exc)
 
 
@@ -315,7 +315,6 @@ def diagonal_element(central, modes, diagonals):
 def test_term_stream_is_the_sorted_image(central, modes, diagonals, state):
     A = diagonal_element(central, modes, diagonals)
     image = apply_quadratic(A, FockVector.basis(state)).terms_sorted()
-    assert list(iter_terms(A, state)) == image
     assert list(term_labels(A, state)) == [(c, format_label(st))
                                            for st, c in image]
 
@@ -323,9 +322,9 @@ def test_term_stream_is_the_sorted_image(central, modes, diagonals, state):
 def test_term_stream_checks_the_state_before_the_first_term():
     # a plain function: the error comes at the call, not at the first next()
     with pytest.raises(ValueError, match="part"):
-        iter_terms(tau(-2), ((0,),))
+        term_labels(tau(-2), ((0,),))
     with pytest.raises(ValueError, match="rank"):
-        iter_terms(tau(-2), ())
+        term_labels(tau(-2), ())
 
 
 # -- central charge ------------------------------------------------------------
@@ -427,6 +426,17 @@ def test_exp_rejections():
         exp_apply(unit(), v)
 
 
+def test_exp_nilpotent_refuses_a_group_scalar():
+    # a group scalar acts only through a number operator's eigenvalues;
+    # exp of a degree-lowering A has no use for one
+    v11 = FockVector.basis(((1, 1),))
+    with pytest.raises(ValueError, match="group_scalar"):
+        exp_apply(pair(1, 1), v11, group_scalar=5)
+    with pytest.raises(ValueError, match="group_scalar"):
+        exp_apply(QuadraticElement(), v11, 1)
+    assert exp_apply(pair(1, 1), v11) == v11 + vac().scale(2)
+
+
 # -- bases and labels -----------------------------------------------------------
 
 def test_graded_basis_counts_and_order():
@@ -438,6 +448,15 @@ def test_graded_basis_counts_and_order():
                                   ((2, 1, 1),), ((1, 1, 1, 1),)]
     with pytest.raises(ValueError):
         graded_basis(-1, 1)
+
+
+def test_graded_basis_names_a_bad_argument():
+    with pytest.raises(TypeError, match="^degree: "):
+        graded_basis(2.5, 1)
+    with pytest.raises(TypeError, match="^degree: "):
+        graded_basis("3", 1)
+    with pytest.raises(TypeError, match="^rank: "):
+        graded_basis(3, 1.0)
 
 
 def test_graded_basis_matches_channel_recursion():
