@@ -51,25 +51,43 @@ def canon_state(state) -> tuple:
 def state_degree(state) -> int:
     return sum(sum(lam) for lam in state)
 
+def _is_canonical(state, rank: int) -> bool:
+    """Whether state is as canon_state returns it, with `rank` channels."""
+    if type(state) is not tuple or len(state) != rank:
+        return False
+    for lam in state:
+        if type(lam) is not tuple:
+            return False
+        last = None
+        for part in lam:
+            if type(part) is not int or part < 1:
+                return False
+            if last is not None and part > last:
+                return False
+            last = part
+    return True
+
 class FockVector:
     """Finite rational combination of partition-tuple basis states, with
     coefficients canonical as laurent.rat makes them.
 
-    The constructor expects canonical keys: each state is a tuple of `rank`
-    weakly decreasing partitions, as canon_state returns it.  The actions in
-    this module only emit such states; labels from outside enter through
-    basis or parse_label, which canonicalize and check them.
+    Each key must be a canonical state, `rank` weakly decreasing partitions
+    with positive parts as canon_state returns them; any other key is a
+    ValueError that names it.
     """
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
-        self.rank = index(rank)
+        self.rank = as_int(rank, "rank")
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
         clean = {}
         if terms:
             for state, c in terms.items():
+                if not _is_canonical(state, self.rank):
+                    raise ValueError(f"not a canonical rank-{self.rank} "
+                                     f"state: {state!r}")
                 c = rat(c)
                 if c:
                     clean[state] = c
@@ -77,7 +95,7 @@ class FockVector:
 
     @classmethod
     def vacuum(cls, rank: int = 1) -> "FockVector":
-        return cls(rank, {tuple(() for _ in range(rank)): 1})
+        return cls(rank, {((),) * as_int(rank, "rank"): 1})
 
     @classmethod
     def basis(cls, state) -> "FockVector":
@@ -219,6 +237,7 @@ def _images(A: QuadraticElement, state, ch: int):
 def apply_quadratic(A: QuadraticElement, v: FockVector,
                     channel: int = 1) -> FockVector:
     """Action of a quadratic element on one channel (1-based)."""
+    channel = as_int(channel, "channel")
     if not 1 <= channel <= v.rank:
         raise ValueError("channel out of range")
     ch = channel - 1
@@ -308,13 +327,13 @@ def _run_labels(state, d: int, pairs):
 
 def virasoro(p: int, v: FockVector) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on channel 1."""
-    return apply_quadratic(tau(p), v)
+    return apply_quadratic(tau(as_int(p, "p")), v)
 
 def virasoro_all(p: int, v: FockVector) -> FockVector:
     """L_p summed over every channel of the tensor power."""
     out = FockVector(v.rank)
     for channel in range(1, v.rank + 1):
-        out = out + apply_quadratic(tau(p), v, channel)
+        out = out + apply_quadratic(tau(as_int(p, "p")), v, channel)
     return out
 
 
@@ -357,6 +376,7 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
               channel: int = 1) -> FockVector:
     """exp(A) v for strictly degree-lowering A, or the eigenvalue
     exponential a^mu for a pure number-operator A and a group scalar a."""
+    channel = as_int(channel, "channel")
     if A.central:
         raise ValueError("a central summand would exponentiate to e^c")
     offsets = set(A.quad)

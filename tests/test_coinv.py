@@ -11,7 +11,8 @@ from oscalg import cli, coinv
 from oscalg.coinv import (MAX_STATE_SLOTS, FPoint, check_state_space,
                           coinvariants_A, coinvariants_X, default_schedule,
                           fperp_basis, is_in_sp_F, sp_f_generators)
-from oscalg.fock import FockVector, apply_quadratic, canon_state, graded_basis
+from oscalg.fock import (FockVector, _mode_on_partition, _pair_on_partition,
+                         apply_quadratic, canon_state, graded_basis)
 from oscalg.laurent import LaurentPoly, symplectic_form
 from oscalg.quadops import b, pair
 
@@ -250,6 +251,21 @@ def test_dims_follow_the_gap_series(gaps, N, dM, dW, side, rank):
     assert rep.dims == gap_series(gaps, rank, N)
 
 
+@pytest.mark.parametrize("gaps", [(), (1,), (1, 3), (2,), (3, 5),
+                                  (1, 2, 3, 5, 7), (1, 2, 4, 5, 7, 8, 10, 13)])
+def test_dims_follow_the_gap_series_on_a_small_grid(gaps):
+    # every truncation with N <= 6 and M - N, W - M <= 2, N = M = W included
+    F = FPoint(gaps)
+    for rank in (1, 2):
+        for N in range(7):
+            series = gap_series(gaps, rank, N)
+            for M in range(N, N + 3):
+                for W in range(M, M + 3):
+                    for side, compute in SIDES.items():
+                        got = compute(rank, F, N, M, W).dims
+                        assert got == series, (rank, N, M, W, side)
+
+
 def test_image_of_more_than_one_state_raises(monkeypatch):
     apply = coinv.apply_quadratic
 
@@ -286,6 +302,10 @@ def test_target_is_the_one_state_of_the_image(channels, s, m):
     X = pair(-s, m) if m else b(-s)
     image = apply_quadratic(X, FockVector.basis(st0))
     assert list(image.terms) == [coinv._target(st0, s, m)]
+    # fock's action on the partition of channel 1 makes that state and weight
+    moved = (_pair_on_partition(min(-s, m), max(-s, m), st0[0]) if m
+             else _mode_on_partition(-s, st0[0]))
+    assert {(lam,) + st0[1:]: w for lam, w in moved} == image.terms
 
 
 # -- the state-space cap -------------------------------------------------------

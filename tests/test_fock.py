@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,46 @@ def test_exp_nilpotent_refuses_a_group_scalar():
     with pytest.raises(ValueError, match="group_scalar"):
         exp_apply(QuadraticElement(), v11, 1)
     assert exp_apply(pair(1, 1), v11) == v11 + vac().scale(2)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: FockVector(1.5), "rank", id="vector-rank"),
+    pytest.param(lambda: FockVector("2"), "rank", id="vector-rank-str"),
+    pytest.param(lambda: FockVector.vacuum(1.5), "rank", id="vacuum-rank"),
+    pytest.param(lambda: virasoro(1.5, vac()), "p", id="virasoro-p"),
+    pytest.param(lambda: virasoro_all(1.5, vac(2)), "p", id="virasoro-all-p"),
+    # 1 <= 1.5 <= 2 passes the range test of a rank-2 vector
+    pytest.param(lambda: apply_quadratic(tau(-1), vac(2), 1.5), "channel",
+                 id="apply-channel"),
+    pytest.param(lambda: apply_quadratic(tau(-1), vac(2), "1"), "channel",
+                 id="apply-channel-str"),
+    pytest.param(lambda: exp_apply(b(2), vac(2), channel=1.5), "channel",
+                 id="exp-channel"),
+    pytest.param(lambda: exp_apply(pair(-1, 1), FockVector(2), 2,
+                                   channel=1.5), "channel",
+                 id="exp-channel-zero-vector"),
+])
+def test_integer_arguments_name_their_parameter(call, name):
+    with pytest.raises(TypeError, match=f"^{name}: "):
+        call()
+
+
+@pytest.mark.parametrize("state", [
+    pytest.param(((1, 2),), id="unsorted"),
+    pytest.param(((1,), (2,)), id="two-channels-at-rank-1"),
+    pytest.param(((0,),), id="part-0"),
+    pytest.param(((-1,),), id="negative-part"),
+    pytest.param(((1.0,),), id="float-part"),
+    pytest.param((), id="no-channel"),
+    pytest.param("[1]", id="label-text"),
+])
+def test_vector_refuses_a_non_canonical_key(state):
+    # apply_quadratic(tau(-3), .) of the unsorted key used to print
+    # [2,1,2,1], a state that never combines with [2,2,1,1]
+    with pytest.raises(ValueError, match=r"^not a canonical rank-1 state: "
+                       + re.escape(repr(state))):
+        FockVector(1, {state: 1})
+    assert FockVector(2, {((2, 2, 1), ()): 1}).terms == {((2, 2, 1), ()): 1}
 
 
 # -- bases and labels -----------------------------------------------------------
