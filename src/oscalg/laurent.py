@@ -12,6 +12,7 @@ every constructor, and ratio the one true division.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from numbers import Rational
 from operator import index
 
@@ -141,11 +142,21 @@ def residue(f: LaurentPoly) -> Rational:
     return f.coeffs.get(-1, 0)
 
 
+def residue_of_derivative(f: LaurentPoly, g: LaurentPoly, k: int) -> Rational:
+    """Res f g^(k), read off the coefficients: t^a meets the k-th derivative
+    of t^b, b (b-1) ... (b-k+1) t^(b-k), when a + b - k = -1."""
+    total = 0
+    for a, c in f.coeffs.items():
+        e = k - 1 - a
+        y = g.coeffs.get(e)
+        if y:
+            total += c * y * prod(range(e, e - k, -1))
+    return rat(total)
+
+
 def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Rational:
     """<f, g> = -Res f dg.  Satisfies <t^a, t^b> = a * delta_{a+b,0}."""
-    if not f.coeffs or not g.coeffs:
-        return 0
-    return -residue(f * g.derivative())
+    return -residue_of_derivative(f, g, 1)
 
 
 def signed_sum_chunks(terms, zero: str):

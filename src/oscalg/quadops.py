@@ -458,11 +458,11 @@ def unit(c=1) -> QuadraticElement:
     return QuadraticElement(central=c)
 
 
-def b(m: int, coeff=1) -> QuadraticElement:
+def b(m: int) -> QuadraticElement:
     """The mode b_m = t^m, m != 0."""
     if m == 0:
         raise ValueError("b_0 is central; use unit()")
-    return QuadraticElement(linear=LaurentPoly.term(coeff, m))
+    return QuadraticElement(linear=LaurentPoly.term(1, m))
 
 
 def pair(a: int, bb: int) -> QuadraticElement:
@@ -526,88 +526,104 @@ def _quad_trace(qa: dict, qb: dict) -> Rational:
     return total
 
 
-def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
-    """Action of a quadratic part on a finite mode sum: t^m -> -m c(-m) t^(m+d)."""
-    out = {}
+def _act_into(out: dict, quad: dict, f: LaurentPoly, sign: int) -> dict:
+    """out with sign * (action of a quadratic part on a finite mode sum)
+    added into it: t^m -> -m c(-m) t^(m+d)."""
     for m, cm in f.coeffs.items():
         for d, series in quad.items():
-            w = -m * series.coeff(-m)
+            w = series.coeff(-m)
             if w:
                 e = m + d
-                out[e] = out.get(e, 0) + cm * w
-    return LaurentPoly(out)
+                out[e] = out.get(e, 0) - sign * m * cm * w
+    return out
 
 
-def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries,
-                  sign: int) -> dict:
-    """sign * the exceptions of [s, other]'s diagonal for s with a zero
+def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
+    """Action of a quadratic part on a finite mode sum."""
+    return LaurentPoly(_act_into({}, quad, f, 1))
+
+
+def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries, sign: int,
+                  dev: dict) -> None:
+    """Add sign * [s, other]'s diagonal into dev for s with a zero
     polynomial: c vanishes off exc(s) and exc(s) + d_other, and exception i
     of s adds x (d - i) c_other(i - d) at i and x i c_other(i + d_other) at
     i + d_other, two reads of the other side."""
     d, e = s.d, other.d
-    exc = {}
     for i, x in s.exc.items():
         for a, k, j in ((i, sign * (d - i), i - d), (i + e, sign * i, i + e)):
             y = other.coeff(j)
             if y:
-                exc[a] = exc.get(a, 0) + x * k * y
-    return exc
+                dev[a] = dev.get(a, 0) + x * k * y
 
 
-def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
-    """Diagonal part of the endomorphism commutator of two diagonals.  Both
-    terms of c(a) = c1(a) (d1 - a) c2(a - d1) + c1(a - d2) (a - d2) c2(a)
-    carry c1 and c2, so a side with a zero polynomial makes the generic
-    polynomial zero, and that side scatters its own exceptions (the
-    commutator is antisymmetric, so s2 scatters with sign -1).  Two nonzero
-    polynomials give the generic part and the candidates where c may differ
-    from it."""
+def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
+                  devs: dict) -> None:
+    """Add the diagonal part of the endomorphism commutator of two diagonals
+    into the accumulators of offset d1 + d2: its generic polynomial into
+    polys and its deviations actual - generic into devs.  Both terms of
+    c(a) = c1(a) (d1 - a) c2(a - d1) + c1(a - d2) (a - d2) c2(a) carry c1
+    and c2, so a side with a zero polynomial makes the generic polynomial
+    zero, and that side scatters its own exceptions (the commutator is
+    antisymmetric, so s2 scatters with sign -1).  Two nonzero polynomials
+    give the generic part and the candidates where c may differ from it."""
     d1, d2 = s1.d, s2.d
+    d = d1 + d2
+    dev = devs.setdefault(d, {})
     p1, p2 = s1.poly, s2.poly
     if p1.is_zero():
-        return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s1, s2, 1))
+        return _scatter_diag(s1, s2, 1, dev)
     if p2.is_zero():
-        return DiagonalSeries(d1 + d2, POLY_ZERO, _scatter_diag(s2, s1, -1))
+        return _scatter_diag(s2, s1, -1, dev)
     generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
                + p1.affine(-d2) * Poly((-d2, 1)) * p2)
+    polys[d] = polys[d] + generic if d in polys else generic
     e1 = set(s1.exc) | {0, d1}
     e2 = set(s2.exc) | {0, d2}
-    exc = {}
     for a in e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}:
-        val = 0
+        if a == 0 or a == d:
+            continue
+        val = -generic(a)
         for i, j, k in ((a, a - d1, d1 - a), (a - d2, a, a - d2)):
             if (x := s1.coeff(i)) and (y := s2.coeff(j)):
                 val += x * y * k
-        exc[a] = val
-    return DiagonalSeries(d1 + d2, generic, exc)
+        if val:
+            dev[a] = dev.get(a, 0) + val
 
 
-def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
-    """Commutator in the quadratic Weyl algebra.
+def bracket_sum(pairs) -> QuadraticElement:
+    """Sum of the commutators [A, B] of the pairs (A, B), built once.
 
     Central corrections: -1/2 psi on quadratic-quadratic pairs and <f,g> K
     on linear-linear pairs; quadratic-linear brackets are purely linear.
-    Central parts commute with everything, so an argument with neither a
-    linear nor a quadratic part gives zero at once.
+    Central parts commute with everything, so a pair with a central-only
+    argument adds nothing.  The sum is kept in one scalar, one mode dict
+    and, per offset, a generic polynomial and the deviations actual -
+    generic, which add linearly; one series per offset is built at the end.
     """
-    if not (A.linear.coeffs or A.quad) or not (B.linear.coeffs or B.quad):
-        return QuadraticElement()
-    central = symplectic_form(A.linear, B.linear)
-    trace = _quad_trace(A.quad, B.quad)
-    if trace:
-        central -= ratio(trace, 2)
-    # a quadratic part acts on modes only, so no mode in means none out
-    linear = None
-    if A.linear.coeffs or B.linear.coeffs:
-        linear = (_quad_apply_laurent(A.quad, B.linear)
-                  - _quad_apply_laurent(B.quad, A.linear))
+    central, modes, polys, devs = 0, {}, {}, {}
+    for A, B in pairs:
+        if not (A.linear.coeffs or A.quad) or not (B.linear.coeffs or B.quad):
+            continue
+        central += symplectic_form(A.linear, B.linear)
+        trace = _quad_trace(A.quad, B.quad)
+        if trace:
+            central -= ratio(trace, 2)
+        _act_into(modes, A.quad, B.linear, 1)
+        _act_into(modes, B.quad, A.linear, -1)
+        for s1 in A.quad.values():
+            for s2 in B.quad.values():
+                _bracket_diag(s1, s2, polys, devs)
     quad = {}
-    for s1 in A.quad.values():
-        for s2 in B.quad.values():
-            s3 = _bracket_diag(s1, s2)
-            d = s3.d
-            quad[d] = _series_add(quad[d], s3) if d in quad else s3
-    return QuadraticElement(central, linear, quad)
+    for d, dev in devs.items():
+        poly = polys.get(d, POLY_ZERO)
+        quad[d] = DiagonalSeries(d, poly, {a: poly(a) + v for a, v in dev.items()})
+    return QuadraticElement(central, LaurentPoly(modes), quad)
+
+
+def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:
+    """Commutator in the quadratic Weyl algebra: bracket_sum of one pair."""
+    return bracket_sum(((A, B),))
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +752,10 @@ def witt_bracket(u: WittElement, v: WittElement) -> WittElement:
 
 def sigma(x: WittElement) -> QuadraticElement:
     """L_p -> tau(L_p) - ((p+1)/2) b_p (no linear term at p = 0), g -> g."""
-    out = QuadraticElement(linear=x.g)
+    linear, quad = dict(x.g.coeffs), {}
     for n, c in x.f.coeffs.items():
         p = n - 1
-        out = out + tau(p).scale(-c)
+        quad[p] = DiagonalSeries(p, Poly((-c,)))
         if p != 0:
-            out = out + b(p, ratio(c * n, 2))
-    return out
+            linear[p] = linear.get(p, 0) + ratio(c * n, 2)
+    return QuadraticElement(linear=LaurentPoly(linear), quad=quad)

@@ -141,6 +141,22 @@ def diag_mixed_sum(d, c):
 
 
 # ---------------------------------------------------------------------------
+# residues of Laurent polynomials, given as dicts exponent -> coefficient
+# ---------------------------------------------------------------------------
+
+def residue_of_derivative(f, g, k):
+    """Res f g^(k): differentiate g k times term by term, multiply the two
+    sums out, and read the coefficient of t^-1."""
+    for _ in range(k):
+        g = {e - 1: e * c for e, c in g.items() if e}
+    product = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            product[e1 + e2] = product.get(e1 + e2, F0) + c1 * c2
+    return product.get(-1, F0)
+
+
+# ---------------------------------------------------------------------------
 # the commutator of two anti-diagonals by the candidate gather.  A diagonal
 # is raw data (d, coefficient list, exception dict): c(a) = 0 at a in
 # {0, d}, else exc.get(a, poly(a)) with poly(a) = sum_k coeffs[k] a^k.

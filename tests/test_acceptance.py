@@ -251,7 +251,7 @@ def _cli_corpus():
             if kind == 0:
                 A = A + unit(coeff)
             elif kind == 1:
-                A = A + b(rng.choice(idx), coeff)
+                A = A + b(rng.choice(idx)).scale(coeff)
             elif kind == 2:
                 A = A + pair(rng.choice(idx), rng.choice(idx)).scale(coeff)
             else:

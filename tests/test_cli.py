@@ -160,7 +160,7 @@ def _random_element(rng):
         if kind == 0:
             A = A + unit(coeff)
         elif kind == 1:
-            A = A + b(rng.choice([m for m in range(-5, 6) if m]), coeff)
+            A = A + b(rng.choice([m for m in range(-5, 6) if m])).scale(coeff)
         elif kind == 2:
             a = rng.choice([m for m in range(-4, 5) if m])
             bb = rng.choice([m for m in range(-4, 5) if m])
@@ -1015,7 +1015,7 @@ def test_one_spelling_per_operation():
     assert not hasattr(LaurentPoly, "t")
     # the image of one basis state streams only as term_labels
     assert not hasattr(oscalg.fock, "iter_terms")
-    for function in (FockVector.basis, pair, Poly.affine, virasoro):
+    for function in (FockVector.basis, b, pair, Poly.affine, virasoro):
         named = set(inspect.signature(function).parameters)
         assert not named & {"coeff", "s", "channel"}, function
 

@@ -136,7 +136,7 @@ def test_integral_values_are_ints():
 
 
 @pytest.mark.parametrize("make, value", [
-    (lambda: b(1, 0.5), 0.5),
+    (lambda: b(1).scale(0.5), 0.5),
     (lambda: LaurentPoly({1: 0.1}), 0.1),
     (lambda: FockVector(1, {((1,),): 0.25}), 0.25),
     (lambda: DiagonalSeries(2, exc={1: 0.75}), 0.75),

@@ -26,9 +26,10 @@ from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _mixed_trace, _psi_diag_pair,
                             _quad_apply_laurent, alpha, b, beta, bracket,
-                            gamma, is_in_sp_plus, pair, psi, sigma, tau, unit)
-from oscalg.verify import (check_cocycle_defects, check_jacobi,
-                           cocycle_defect, d_cocycle)
+                            bracket_sum, gamma, is_in_sp_plus, pair, psi,
+                            sigma, tau, unit)
+from oscalg.verify import (alpha_closed, check_cocycle_defects, check_jacobi,
+                           cocycle_defect, d_cocycle, gamma_closed)
 
 # Shifts stay within 12, so a window of 14 holds every entry the traces see.
 K = 14
@@ -60,7 +61,7 @@ def element(terms, window=K):
             quad = oracles.mat_add(quad, oracles.mat_scale(
                 c, oracles.mat_pair(atom[1], atom[2], window)))
         else:
-            A = A + b(atom[1], c)
+            A = A + b(atom[1]).scale(c)
             lin = oracles.mat_add(lin, oracles.mat_scale(
                 c, oracles.mat_mult(atom[1], window)))
     return A, quad, lin
@@ -190,6 +191,21 @@ def test_d_cocycle_matches_window_trace(f, g, h, k):
     assert d_cocycle(u, v) == oracles.psi_mat(mu, mv, K)
 
 
+@SETTINGS
+@given(LAURENT, LAURENT, LAURENT, LAURENT)
+def test_closed_forms_match_derivative_residues(f, g, h, k):
+    g, k = ({e: c for e, c in x.items() if e} for x in (g, k))
+    u = WittElement(LaurentPoly(f), LaurentPoly(g))
+    v = WittElement(LaurentPoly(h), LaurentPoly(k))
+    res = oracles.residue_of_derivative
+    alpha_want = Fraction(1, 6) * res(f, h, 3)
+    gamma_want = -Fraction(1, 2) * (res(f, k, 2) - res(h, g, 2))
+    assert alpha_closed(u, v) == alpha_want
+    assert gamma_closed(u, v) == gamma_want
+    # <g, k> = -Res g dk
+    assert d_cocycle(u, v) == alpha_want - gamma_want - res(g, k, 1)
+
+
 ATOM = st.one_of(QUAD_ATOM, MODE_ATOM, st.just(("K",)))
 PRINTABLE = st.lists(st.tuples(COEFF, ATOM), min_size=1, max_size=5)
 
@@ -226,6 +242,31 @@ def test_jacobi_on_random_triples(x, y, z):
              + bracket(z, bracket(x, y)))
     assert total.is_zero()
     assert check_jacobi([x, y, z]) == []
+
+
+# Lists of bracket pairs, the empty one included, with arguments that may
+# be central-only or zero, and optionally [c T(p), T(-p)] + [T(-p), c T(p)]
+# appended: opposite offsets whose generic parts and deviations cancel.
+OPPOSITE_TAUS = st.tuples(st.integers(-6, 6), COEFF).map(
+    lambda t: [(tau(t[0]).scale(t[1]), tau(-t[0])),
+               (tau(-t[0]), tau(t[0]).scale(t[1]))])
+PAIR_LISTS = st.tuples(st.lists(st.tuples(BOUNDED, BOUNDED), max_size=3),
+                       st.one_of(st.just([]), OPPOSITE_TAUS)).map(
+    lambda t: t[0] + t[1])
+
+
+@SETTINGS
+@example([])
+@example([(unit(2), tau(1)), (b(1), unit(-1)), (QuadraticElement(), b(2))])
+@example([(tau(3), tau(-3)), (tau(-3), tau(3))])
+@example([(tau(2), tau(-1)), (tau(-1), tau(2)), (pair(1, 1), tau(-2))])
+@given(PAIR_LISTS)
+def test_bracket_sum_is_the_sum_of_its_brackets(pairs):
+    total = QuadraticElement()
+    for x, y in pairs:
+        total = total + bracket(x, y)
+    assert bracket_sum(pairs) == total
+    assert bracket_sum(pairs + [(y, x) for x, y in pairs]).is_zero()
 
 
 @SETTINGS

@@ -11,8 +11,9 @@ from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (POLY_ZERO, DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _bracket_diag, _quad_apply_laurent,
-                            alpha, b, beta, bracket, gamma, is_in_sp_plus,
-                            normal_order_lift, pair, psi, sigma, tau, unit,
+                            alpha, b, beta, bracket, format_expression, gamma,
+                            is_in_sp_plus, normal_order_lift, pair,
+                            parse_expression, psi, sigma, tau, unit,
                             witt_bracket)
 from oscalg.verify import d_cocycle
 
@@ -231,7 +232,7 @@ def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
     for s1 in diagonals:
         for s2 in diagonals:
             del calls[:]
-            _bracket_diag(s1, s2)
+            _bracket_diag(s1, s2, {}, {})
             assert len(calls) <= 2 * len(s1.exc), (s1, s2)
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
 
@@ -268,8 +269,11 @@ DIAGONAL_PAIRS = st.integers(-6, 6).flatmap(lambda d1: st.tuples(
 def test_bracket_diag_matches_candidate_gather(pair_of_raw):
     r1, r2 = pair_of_raw
     s1, s2 = (DiagonalSeries(d, Poly(c), exc) for d, c, exc in (r1, r2))
-    got = _bracket_diag(s1, s2)
     d, generic, exc = oracles.diag_bracket(r1, r2)
+    # the bracket of two one-diagonal elements is their diagonal bracket,
+    # built from _bracket_diag's generic polynomial and deviations
+    got = bracket(*(QuadraticElement(quad={s.d: s}) for s in (s1, s2)))
+    got = got.quad.get(d, DiagonalSeries(d))
     assert (got.d, got.poly.c, got.exc) == (d, tuple(generic), exc)
 
 
@@ -436,6 +440,21 @@ def test_sigma_examples():
     assert sigma(L(0)) == tau(0)
     assert sigma(WittElement.mode(3)) == b(3)
     assert sigma(L(2)) == tau(2) + b(2).scale(Fraction(-3, 2))
+
+
+def test_sigma_of_a_witt_sum_is_frozen():
+    # sigma(L(p) + b(q)) = T(p) - (p+1)/2 b(p) + b(q), built in one element:
+    # no linear term at p = 0, and at q = p = 1 the two mode terms cancel
+    def L_plus_b(p, q):
+        return WittElement(LaurentPoly.term(-1, p + 1), LaurentPoly.term(1, q))
+
+    for (p, q), text in (((2, -3), "T(2) + b(-3) - 3/2*b(2)"),
+                         ((0, 2), "T(0) + b(2)"), ((1, 1), "T(1)"),
+                         ((-3, 4), "T(-3) + b(-3) + b(4)"),
+                         ((-1, 5), "T(-1) + b(5)")):
+        got = sigma(L_plus_b(p, q))
+        assert format_expression(got) == text, (p, q)
+        assert got == parse_expression(text)
 
 
 def test_sigma_is_a_homomorphism():

@@ -287,14 +287,13 @@ def test_cocycle_defect_witness(monkeypatch):
 
 
 def test_jacobi_makes_every_bracket(monkeypatch):
-    # zero and central-only arguments are skipped inside bracket, never by
-    # its caller: the 2652 ordered pairs of the 52 acceptance generators,
-    # then three outer brackets for each of their 22100 triples
+    # zero and central-only arguments are skipped inside the kernel, never
+    # by its caller: the 2652 ordered pairs of the 52 acceptance generators,
+    # then three outer brackets for each of their 22100 triples, handed to
+    # bracket_sum as one sum per triple
     gens = acceptance_generators()
-    calls = []
     bracket = verify.bracket
-    monkeypatch.setattr(verify, "bracket",
-                        lambda u, v: calls.append(1) or bracket(u, v))
+    calls = _count_brackets(monkeypatch)
     assert check_jacobi(gens) == []
     assert len(calls) == 52 * 51 + 3 * comb(52, 3) == 2652 + 3 * 22100
     zero = QuadraticElement()
@@ -391,14 +390,22 @@ def test_lift_diagram_witnesses(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _count_brackets(monkeypatch):
+    """The (u, v) of every bracket verify makes: each bracket call and each
+    pair handed to bracket_sum."""
     calls = []
-    bracket = verify.bracket
+    bracket, bracket_sum = verify.bracket, verify.bracket_sum
 
     def counted(u, v):
         calls.append((u, v))
         return bracket(u, v)
 
+    def counted_sum(pairs):
+        pairs = tuple(pairs)
+        calls.extend(pairs)
+        return bracket_sum(pairs)
+
     monkeypatch.setattr(verify, "bracket", counted)
+    monkeypatch.setattr(verify, "bracket_sum", counted_sum)
     return calls
 
 
@@ -413,11 +420,17 @@ def test_cocycle_defects_read_one_bracket_table(monkeypatch):
 
 
 def test_jacobi_brackets_per_triple(monkeypatch):
-    # n(n-1) table brackets, then three outer brackets per triple
+    # n(n-1) table brackets, then the three outer brackets of each triple,
+    # summed by one bracket_sum call
     gens = small_generator_set()
     calls = _count_brackets(monkeypatch)
+    sums = []
+    bracket_sum = verify.bracket_sum
+    monkeypatch.setattr(verify, "bracket_sum",
+                        lambda pairs: sums.append(len(pairs)) or bracket_sum(pairs))
     assert check_jacobi(gens) == []
     assert len(calls) == 20 * 19 + 3 * comb(20, 3)
+    assert sums == [3] * comb(20, 3)
 
 
 def test_only_the_triple_generator_calls_combinations():
