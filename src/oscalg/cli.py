@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 # coinv is called through this module's names, which perfbench/tracer.py
 # swaps to time it.
@@ -44,15 +43,6 @@ def _as_text(x):
 def _dump(data) -> str:
     return json.dumps(data)
 
-# Pieces of a streamed output joined into one write.
-BLOCK = 1024
-
-def _blocks(pieces):
-    """The pieces of an output, BLOCK at a time, each run joined."""
-    pieces = iter(pieces)
-    while block := "".join(islice(pieces, BLOCK)):
-        yield block
-
 def _parse_gaps(text: str):
     if not text.strip():
         return ()
@@ -80,20 +70,23 @@ def _cmd_cocycle(args):
     return 0, str(value)
 
 def _cmd_fock_apply(args):
-    terms = term_labels(parse_expression(args.expr), parse_label(args.state))
+    groups = term_labels(parse_expression(args.expr), parse_label(args.state))
     if args.format == "json":
-        return 0, _fock_json_chunks(args, terms)
-    return 0, signed_sum_chunks(terms, "0")
+        return 0, _fock_json_chunks(args, groups)
+    return 0, signed_sum_chunks(groups, "0")
 
-def _fock_json_chunks(args, terms):
-    """The bytes of _dump of the fock-apply report, one result entry at a
-    time.  A label, or a coefficient as the str of an int or a Fraction,
-    holds no character that JSON escapes."""
+def _fock_json_chunks(args, groups):
+    """The bytes of _dump of the fock-apply report, one piece per block of
+    result entries.  A label, or a coefficient as the str of an int or a
+    Fraction, holds no character that JSON escapes."""
     yield (f'{{"command": "fock-apply", "expr": {_dump(args.expr)}, '
            f'"state": {_dump(args.state)}, "result": [')
     sep = ""
-    for c, label in terms:
-        yield f'{sep}{{"label": "{label}", "coeff": "{c}"}}'
+    for c, labels in groups:
+        # the entries {"label": "<label>", "coeff": "<c>"} of one block
+        close = f'", "coeff": "{c}"}}'
+        entries = f'{close}, {{"label": "'.join(labels)
+        yield f'{sep}{{"label": "{entries}{close}'
         sep = ", "
     yield "]}"
 
@@ -279,7 +272,9 @@ def _dashed_expressions_last(argv, table):
                 named = [s for s in actions if s.startswith(arg)]
                 arg = named[0] if len(named) == 1 else arg
             if arg in actions and actions[arg].nargs != 0:
-                options += islice(rest, 1)
+                value = next(rest, None)
+                if value is not None:
+                    options.append(value)
         else:
             positionals.append(arg)
     if "--" not in argv and not any(arg.startswith("-") for arg in positionals):
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = sys.stdout
-    out.writelines((text,) if isinstance(text, str) else _blocks(text))
+    out.writelines((text,) if isinstance(text, str) else text)
     out.write("\n")
     return code
 

@@ -9,17 +9,17 @@ computation finite and exact.
 
 apply_quadratic returns the image of a vector as a FockVector; a mode b_n
 acts as apply_quadratic(b(n), v) and L_p as virasoro(p, v).  term_labels
-yields the image of one basis state on channel 1 term by term in print
-order, degree ascending and then state descending (terms_sorted's order),
-as (coefficient, label), the text that the CLI's fock-apply prints.  It
-holds no image: the run of floor(|d|/2) images where both indices of a
-diagonal create comes out in print order and stays lazy, as (a,
-coefficient) pairs, and the few other images are summed, sorted and merged
-into it by _merged, which compares run states with them only while one is
-pending.  A run's labels are cut from cached text: between two parts of
-the channel the created parts -a and a - d go in at fixed places, so only
-their digits change from label to label.  apply_quadratic and term_labels
-read a state's images from _images.
+yields the image of one basis state on channel 1 in print order, degree
+ascending and then state descending (terms_sorted's order), in blocks
+(coefficient, labels) of at most BLOCK terms that share a coefficient,
+which the CLI's fock-apply prints one piece each.  It holds no image: the
+run of floor(|d|/2) images where both indices of a diagonal create stays
+lazy, as segments of consecutive indices with one coefficient, and the few
+other images of its degree are summed and sorted, and all come before it.
+A run's labels are cut from cached text: between two parts of the channel
+the created parts -a and a - d go in at fixed places, so only their digits
+change from label to label, and one list comprehension makes them.
+apply_quadratic and term_labels read a state's images from _images.
 """
 
 from __future__ import annotations
@@ -157,27 +157,34 @@ def _pair_on_partition(a: int, bb: int, lam: tuple):
             for lam3, w2 in _mode_on_partition(a, lam2)]
 
 def _created_run(series):
-    """The both-creating run of one diagonal series: (a, coefficient) for
-    the a in [d+1, d//2] whose pair puts the parts -a >= a - d into the
-    channel, made lazily, with no per-index polynomial evaluation when the
-    generic part is constant, and only at the exceptions in range when it
-    is zero.  Their states (_run_state) come out strictly in print order,
+    """The both-creating run of one diagonal series, the a in [d+1, d//2]
+    whose pair puts the parts -a >= a - d into the channel, as (run,
+    coefficient) segments: run is a range of a with that nonzero
+    coefficient.  A constant generic part is cut only at the exceptions in
+    range and at the halved midpoint; a non-constant one gives one-index
+    segments.  The states (_run_state) come out strictly in print order,
     state descending: from a to a + 1 one unit moves from the larger
     created part to the smaller, which lowers the partition in dominance
     order and so lexicographically.  Empty unless d < -1."""
     d = series.d
     poly, exc = series.poly, series.exc
-    const = poly.constant_value() if poly.is_constant() else None
-    run = (sorted(a for a in exc if d < a <= d // 2) if poly.is_zero()
-           else range(d + 1, d // 2 + 1))
-    for a in run:
+    lo, hi = d + 1, d // 2
+    const, cuts = None, range(lo, hi + 1)
+    if poly.is_constant():
+        const = poly.constant_value()
+        cuts = {a for a in exc if lo <= a <= hi}
+        cuts = sorted(cuts | {hi} if 2 * hi == d else cuts)
+    for a in cuts:
+        if const and lo < a:
+            yield range(lo, a), const
         c = exc.get(a)
         if c is None:
             c = rat(poly(a)) if const is None else const
         if c:
-            if 2 * a == d:
-                c = ratio(c, 2)
-            yield a, c
+            yield range(a, a + 1), ratio(c, 2) if 2 * a == d else c
+        lo = a + 1
+    if const and lo <= hi:
+        yield range(lo, hi + 1), const
 
 def _run_state(state, ch: int, d: int, a: int) -> tuple:
     """The state that the run's pair at a makes from state: the parts
@@ -222,8 +229,8 @@ def _images(A: QuadraticElement, state, ch: int):
     each image lies `shift` degrees below `state`.  The central part, the
     modes and the annihilating images of each diagonal come as lists of
     (state, coefficient) in no particular order; the both-creating run of a
-    diagonal with d < -1 comes as _created_run's lazy (a, coefficient)
-    pairs, with `run` true, and _run_state makes the state of each."""
+    diagonal with d < -1 comes as _created_run's lazy (run, coefficient)
+    segments, with `run` true, and _run_state makes the state of each a."""
     if A.central:
         yield 0, [(state, A.central)], False
     for e, ce in A.linear.coeffs.items():
@@ -245,7 +252,8 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
     for state, c in v.terms.items():
         for d, images, run in _images(A, state, ch):
             if run:
-                images = ((_run_state(state, ch, d, a), w) for a, w in images)
+                images = ((_run_state(state, ch, d, a), w)
+                          for segment, w in images for a in segment)
             if c != 1:
                 images = [(st2, c * w) for st2, w in images]
             for st2, w in images:
@@ -253,11 +261,17 @@ def apply_quadratic(A: QuadraticElement, v: FockVector,
                 out[st2] = w if got is None else got + w
     return FockVector(v.rank, out)
 
+# Labels per block of term_labels; the CLI writes each block at once.
+BLOCK = 1024
+
 def term_labels(A: QuadraticElement, state):
     """The terms of A on channel 1 of one basis state as fock-apply prints
-    them: apply_quadratic(A, FockVector.basis(state)).terms_sorted(), one
-    at a time as (coefficient, format_label(state)).  The state is checked
-    by basis at the call; only the both-creating runs are lazy.
+    them, apply_quadratic(A, FockVector.basis(state)).terms_sorted(), as
+    blocks (coefficient, labels): labels is a non-empty list of at most
+    BLOCK format_label texts of consecutive terms, in print order, that
+    share the coefficient, and a block ends only where the coefficient
+    changes or at BLOCK labels.  The state is checked by basis at the
+    call; the stream holds one block at a time.
 
     Each diagonal has its own offset, so a target degree holds at most one
     run, and no other image of that degree shares a state with it: a run
@@ -272,58 +286,67 @@ def term_labels(A: QuadraticElement, state):
             sums = others.setdefault(deg - shift, {})
             for st2, w in images:
                 sums[st2] = sums.get(st2, 0) + w
-    return _merged(state, runs, others)
+    return _blocks(state, _merged(state, runs, others))
 
 def _merged(state, runs, others):
-    """Degree by degree, each run merged with the nonzero sums, sorted, in
-    print order, as (coefficient, label); _run_labels renders the rest of a
-    run.  A run's states are compared with the sums only while one of them
-    is pending."""
+    """Degree by degree, the nonzero sums, sorted, and then the run, in
+    print order, as spans (coefficient, d, terms): terms is the one-label
+    list of a sum, with d None, or a range of a in the run of offset d.
+    No sum falls inside a run: the mode b_d and the pairs of offset d that
+    annihilate a part put in a part of at least -d, and the run's created
+    parts -a and a - d are both below -d, so each sum is the larger state
+    at the first place where its channel 1 differs from the run state's."""
     for deg in sorted(runs.keys() | others.keys()):
-        rest = sorted(((st, rat(c)) for st, c in others.get(deg, {}).items()
-                       if c), reverse=True)
-        k = 0
-        if deg in runs:
-            d, pairs = runs[deg]
-            pairs = iter(pairs)
-            for a, c in pairs:
-                st = _run_state(state, 0, d, a)
-                while k < len(rest) and rest[k][0] > st:
-                    yield rest[k][1], format_label(rest[k][0])
-                    k += 1
-                yield c, format_label(st)
-                if k == len(rest):
-                    break
-            yield from _run_labels(state, d, pairs)
-        for st, c in rest[k:]:
-            yield c, format_label(st)
+        for st, c in sorted(others.get(deg, {}).items(), reverse=True):
+            if c:
+                yield rat(c), None, [format_label(st)]
+        d, segments = runs.get(deg, (None, ()))
+        for run, c in segments:
+            yield c, d, run
 
-def _run_labels(state, d: int, pairs):
-    """(coefficient, label) for the (a, coefficient) pairs of a run on
-    channel 1 of state.  Between two parts of the channel the insertion
-    points i of -a and j of a - d stay fixed, so there each label is
-    pre + str(-a) + mid + str(a - d) + post, three strings cut from the
-    state's text once per (i, j); that pair changes at most len(lam) + 1
-    times in a run."""
+def _blocks(state, spans):
+    """The spans of _merged as term_labels' blocks: a span joins the open
+    block while its coefficient stays and the block has room, and a run's
+    labels are made only as many at a time as fit."""
+    c0, block = None, []
+    for c, d, terms in spans:
+        while terms:
+            if block and (c != c0 or len(block) == BLOCK):
+                yield c0, block
+                block = []
+            c0, room = c, BLOCK - len(block)
+            take, terms = terms[:room], terms[room:]
+            block += take if d is None else _run_labels(state, d, take)
+    if block:
+        yield c0, block
+
+def _run_labels(state, d: int, run: range) -> list:
+    """The labels of the states of the run of offset d on channel 1 of
+    state, for a in run.  Between two parts of the channel the insertion
+    points i of -a and j of a - d stay fixed, so there each label is pre +
+    str(-a) + mid + str(a - d) + post, three strings cut from the state's
+    text once per (i, j), and one list comprehension makes them all."""
     lam = state[0]
     if len(state) == 1:
         left, right = "[", "]"
     else:
         left = "(["
         right = "]|" + "|".join(map(format_partition, state[1:])) + ")"
-    end = d             # the a at which (i, j) next changes
-    for a, c in pairs:
-        if a >= end:
-            i = bisect_left(lam, a, key=neg)
-            j = bisect_left(lam, d - a, i, key=neg)
-            # i grows once a >= 1 - lam[i], j falls once a >= lam[j-1] + d;
-            # every a of the run is below 0
-            end = min(1 - lam[i] if i < len(lam) else 0,
-                      lam[j - 1] + d if j else 0)
-            pre = left + "".join(f"{p}," for p in lam[:i])
-            mid = "".join(f",{p}" for p in lam[i:j]) + ","
-            post = "".join(f",{p}" for p in lam[j:]) + right
-        yield c, f"{pre}{-a}{mid}{a - d}{post}"
+    labels = []
+    while run:
+        a = run[0]
+        i = bisect_left(lam, a, key=neg)
+        j = bisect_left(lam, d - a, i, key=neg)
+        # i grows once a >= 1 - lam[i], j falls once a >= lam[j-1] + d;
+        # every a of the run is below 0
+        end = min(1 - lam[i] if i < len(lam) else 0,
+                  lam[j - 1] + d if j else 0)
+        pre = left + "".join(f"{p}," for p in lam[:i])
+        mid = "".join(f",{p}" for p in lam[i:j]) + ","
+        post = "".join(f",{p}" for p in lam[j:]) + right
+        window, run = run[:end - a], run[end - a:]
+        labels += [f"{pre}{-a}{mid}{a - d}{post}" for a in window]
+    return labels
 
 def virasoro(p: int, v: FockVector) -> FockVector:
     """L_p as the normal-ordered quadratic tau(p) on channel 1."""

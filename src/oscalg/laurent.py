@@ -159,29 +159,31 @@ def symplectic_form(f: LaurentPoly, g: LaurentPoly) -> Rational:
     return -residue_of_derivative(f, g, 1)
 
 
-def signed_sum_chunks(terms, zero: str):
-    """The text of a sum of (coefficient, atom) pairs with nonzero
-    coefficients, one piece per term: the first term takes a bare '-',
-    later ones are joined by '+ '/'- ', a unit coefficient is left out, an
-    empty atom prints the bare magnitude, and the empty sum prints as
-    `zero`."""
-    sep = ""
-    for c, atom in terms:
-        if c > 0:
-            sign = "+ " if sep else ""
-        else:
-            sign = "- " if sep else "-"
+def signed_sum_chunks(groups, zero: str):
+    """The text of a sum of (coefficient, atoms) groups, one piece per
+    group: atoms is a non-empty sequence of atoms that share the nonzero
+    coefficient.  The first term takes a bare '-', later ones are joined by
+    '+ '/'- ', a unit coefficient is left out, an empty atom, which stands
+    alone in its group, prints the bare magnitude, and the empty sum prints
+    as `zero`.  The sign and the joiner are made once per group."""
+    lead = None
+    for c, atoms in groups:
+        joiner = " " + ("+ " if c > 0 else "- ")
+        lead = joiner if lead is not None else ("" if c > 0 else "-")
+        if c < 0:
             c = -c
-        body = str(c) if not atom else (atom if c == 1 else f"{c}*{atom}")
-        yield sep + sign + body
-        sep = " "
-    if not sep:
+        if c != 1 or not atoms[0]:
+            atoms = [f"{c}*{atom}" if atom else str(c) for atom in atoms]
+        yield lead + joiner.join(atoms)
+    if lead is None:
         yield zero
 
 
 def format_signed_sum(terms, zero: str) -> str:
-    """signed_sum_chunks joined into one string."""
-    return "".join(signed_sum_chunks(terms, zero))
+    """signed_sum_chunks of (coefficient, atom) terms, each a group of its
+    own, joined into one string."""
+    return "".join(signed_sum_chunks(((c, (atom,)) for c, atom in terms),
+                                     zero))
 
 
 def format_laurent(f: LaurentPoly) -> str:

@@ -302,10 +302,8 @@ def tau_pairs(p, degcap):
 
 
 def o_virasoro(p, state, degcap):
-    out = {}
-    for w, a, b in tau_pairs(p, degcap):
-        out = st_add(out, st_scale(w, o_pair(a, b, state)))
-    return out
+    return st_add(*(st_scale(w, o_pair(a, b, state))
+                    for w, a, b in tau_pairs(p, degcap)))
 
 
 def partitions(n, maxp=None):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import oscalg
 import oscalg.cli
+import oscalg.fock
 from oscalg.cli import format_expression, main, parse_expression
 from oscalg.fock import (FockVector, apply_quadratic, format_label, parse_label,
                          virasoro)
@@ -383,23 +384,44 @@ class _ByteCount(io.TextIOBase):
         return len(text)
 
 
+def _stream_to_counter(monkeypatch, argv):
+    """main(argv) with stdout a _ByteCount: (exit code, characters
+    written, write calls, peak traced bytes)."""
+    sink = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, sink.count, sink.writes, peak
+
+
 def test_fock_apply_streams_its_terms(monkeypatch):
     # T(-40000) on [1] prints 20001 terms, 0.35 MB, holding none of them;
     # building the image whole traces about 6.6 MiB
     text = " + ".join(label if c == "1" else f"{c}*{label}"
                       for label, c in fock_apply_closed_form(40000))
-    sink = _ByteCount()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        code = main(["fock-apply", "T(-40000)", "[1]"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (code, sink.count) == (0, len(text) + 1)
+    code, count, writes, peak = _stream_to_counter(
+        monkeypatch, ["fock-apply", "T(-40000)", "[1]"])
+    assert (code, count) == (0, len(text) + 1)
     assert peak < 2 * 2 ** 20
     # one write per block of pieces, not one per term
-    assert sink.writes <= -(-20001 // oscalg.cli.BLOCK) + 2
+    assert writes <= -(-20001 // oscalg.fock.BLOCK) + 2
+
+
+def test_fock_apply_streams_its_json(monkeypatch):
+    # the same 20001 terms as JSON, 0.93 MB, also held a block at a time;
+    # the report's opening and its closing are one write each
+    report = {"command": "fock-apply", "expr": "T(-40000)", "state": "[1]",
+              "result": [{"label": label, "coeff": c}
+                         for label, c in fock_apply_closed_form(40000)]}
+    code, count, writes, peak = _stream_to_counter(
+        monkeypatch, ["fock-apply", "T(-40000)", "[1]", "--format", "json"])
+    assert (code, count) == (0, len(json.dumps(report)) + 1)
+    assert peak < 2 * 2 ** 20
+    assert writes <= -(-20001 // oscalg.fock.BLOCK) + 2 + 2
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oscalg.fock import (FockVector, apply_quadratic, canon_state, exp_apply,
-                         format_label, format_vector, graded_basis,
+from oscalg.cli import main
+from oscalg.fock import (BLOCK, FockVector, apply_quadratic, canon_state,
+                         exp_apply, format_label, format_vector, graded_basis,
                          measure_central_charge, parse_label, state_degree,
                          term_labels, virasoro, virasoro_all)
 from oscalg.laurent import LaurentPoly
@@ -144,7 +145,7 @@ def test_finite_diagonal_creates_only_at_its_exceptions():
     assert apply_quadratic(A, v1) == FockVector.basis(((10 ** 6, 1, 1),))
     assert series.exc.reads <= 2 * len(series.exc)
     series.exc.reads = 0
-    assert list(term_labels(A, ((1,),))) == [(1, "[1000000,1,1]")]
+    assert list(term_labels(A, ((1,),))) == [(1, ["[1000000,1,1]"])]
     assert series.exc.reads <= 2 * len(series.exc)
 
 
@@ -312,12 +313,49 @@ def diagonal_element(central, modes, diagonals):
 @example(0, {}, [(-12, 1, HALF, {-4: 3})], ((9, 5, 3, 3, 1), (2,), ()))
 # the midpoint a = -4 of d = -8 halves the fractional coefficient 1/3
 @example(0, {}, [(-8, Fraction(1, 3), 0, {})], ((1,),))
+# runs of BLOCK + 2 and 2 BLOCK + 2 terms whose insertion points move
+# inside a block: -a passes 1500 (3000), a - d passes 3 and 700 (and 1500)
+@example(0, {}, [(-(2 * BLOCK + 5), 3, 0, {})], ((1500, 700, 3),))
+@example(0, {}, [(-(4 * BLOCK + 5), -1, 0, {})], ((3000, 1500, 700, 3), (2,)))
+# on an empty channel the first block of the run fills at a = -(BLOCK + 5),
+# and the exception at the next a opens the second block
+@example(0, {}, [(-(2 * BLOCK + 5), 1, 0, {-(BLOCK + 4): 2})], ((),))
 @given(COEFF, MODES, DIAGONALS, STATES)
 def test_term_stream_is_the_sorted_image(central, modes, diagonals, state):
     A = diagonal_element(central, modes, diagonals)
     image = apply_quadratic(A, FockVector.basis(state)).terms_sorted()
-    assert list(term_labels(A, state)) == [(c, format_label(st))
-                                           for st, c in image]
+    blocks = list(term_labels(A, state))
+    assert [(c, label) for c, labels in blocks for label in labels] == [
+        (c, format_label(st)) for st, c in image]
+    assert all(0 < len(labels) <= BLOCK for _, labels in blocks)
+    # a block ends only where the coefficient changes or at BLOCK labels
+    assert all(c != c2 or len(labels) == BLOCK
+               for (c, labels), (c2, _) in zip(blocks, blocks[1:]))
+
+
+def oracle_sum_text(terms):
+    """The fock-apply text of a rank-1 oracle image {parts: coefficient}
+    of one degree, written out term by term."""
+    pieces = []
+    for parts in sorted(terms, reverse=True):
+        c = terms[parts]
+        label = "[" + ",".join(map(str, parts)) + "]"
+        body = label if abs(c) == 1 else f"{abs(c)}*{label}"
+        if pieces:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+        else:
+            pieces.append(body if c > 0 else "-" + body)
+    return " ".join(pieces) or "0"
+
+
+@pytest.mark.parametrize("p", [BLOCK - 1, BLOCK, 2 * BLOCK + 1])
+def test_fock_apply_text_matches_the_oracle_across_blocks(capsys, p):
+    # the run of T(-p) crosses block edges, the halved midpoint when p is
+    # even, and parts of the state that its created parts pass
+    for parts in [(1,), (3 * p // 4, p // 3, 7, 1), (p - 2, p // 2, 2, 2)]:
+        want = oracles.o_virasoro(-p, {parts: 1}, sum(parts))
+        assert main(["fock-apply", f"T({-p})", format_label((parts,))]) == 0
+        assert capsys.readouterr().out == oracle_sum_text(want) + "\n"
 
 
 def test_term_stream_checks_the_state_before_the_first_term():

@@ -6,7 +6,7 @@ import pytest
 from oscalg.coinv import FPoint
 from oscalg.fock import FockVector, canon_state
 from oscalg.laurent import (LaurentPoly, format_laurent, rat, ratio, residue,
-                            symplectic_form)
+                            signed_sum_chunks, symplectic_form)
 from oscalg.quadops import DiagonalSeries, QuadraticElement, b, tau
 
 
@@ -123,6 +123,25 @@ def test_format_frozen_strings():
     ]
     for coeffs, text in cases:
         assert format_laurent(LaurentPoly(coeffs)) == text
+
+
+def test_signed_sum_groups():
+    # one piece per (coefficient, atoms) group, its sign and joiner shared
+    third = Fraction(1, 3)
+    cases = [
+        ([(-1, ["[a]", "[b]"])], ["-[a] - [b]"]),
+        ([(2, ["[a]", "[b]"]), (-third, ["[a]", "[b]"])],
+         ["2*[a] + 2*[b]", " - 1/3*[a] - 1/3*[b]"]),
+        ([(1, ["[a]"]), (1, ["[b]", "[c]"]), (-1, ["[d]"])],
+         ["[a]", " + [b] + [c]", " - [d]"]),
+        ([(1, [""]), (-3, [""]), (3, ["t^1"])], ["1", " - 3", " + 3*t^1"]),
+        ([], ["zero"]),
+    ]
+    for groups, pieces in cases:
+        assert list(signed_sum_chunks(groups, "zero")) == pieces
+    # format_laurent hands the constant term over as an empty atom
+    assert format_laurent(LaurentPoly({0: 1})) == "1"
+    assert format_laurent(LaurentPoly({0: 3, 1: -1})) == "3 - t^1"
 
 
 # -- exact numbers -----------------------------------------------------------
