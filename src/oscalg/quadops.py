@@ -548,11 +548,18 @@ def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries, sign: int,
     """Add sign * [s, other]'s diagonal into dev for s with a zero
     polynomial: c vanishes off exc(s) and exc(s) + d_other, and exception i
     of s adds x (d - i) c_other(i - d) at i and x i c_other(i + d_other) at
-    i + d_other, two reads of the other side."""
+    i + d_other, two reads of the other side.  The reads are
+    DiagonalSeries.coeff written out: this is the Jacobi sweep's hottest
+    loop."""
     d, e = s.d, other.d
+    exc, poly = other.exc, other.poly
     for i, x in s.exc.items():
         for a, k, j in ((i, sign * (d - i), i - d), (i + e, sign * i, i + e)):
-            y = other.coeff(j)
+            if j == 0 or j == e:
+                continue
+            y = exc.get(j)
+            if y is None:
+                y = poly(j)
             if y:
                 dev[a] = dev.get(a, 0) + x * k * y
 
@@ -596,28 +603,37 @@ def bracket_sum(pairs) -> QuadraticElement:
 
     Central corrections: -1/2 psi on quadratic-quadratic pairs and <f,g> K
     on linear-linear pairs; quadratic-linear brackets are purely linear.
-    Central parts commute with everything, so a pair with a central-only
-    argument adds nothing.  The sum is kept in one scalar, one mode dict
-    and, per offset, a generic polynomial and the deviations actual -
-    generic, which add linearly; one series per offset is built at the end.
+    Each piece runs only when both of its sides are present, so a central
+    part, which commutes with everything, adds nothing.  The sum is kept in
+    one scalar, one mode dict and, per offset, a generic polynomial and the
+    deviations actual - generic, which add linearly.  Only the offsets that
+    survive are built into series at the end: a zero polynomial with no
+    nonzero deviation is the zero series, which the element would drop, so
+    a vanishing sum builds no series.  No deviation sits at a = 0 or a = d:
+    both diagonal kernels skip the endpoints, where every c is zero.
     """
     central, modes, polys, devs = 0, {}, {}, {}
     for A, B in pairs:
-        if not (A.linear.coeffs or A.quad) or not (B.linear.coeffs or B.quad):
-            continue
-        central += symplectic_form(A.linear, B.linear)
-        trace = _quad_trace(A.quad, B.quad)
-        if trace:
-            central -= ratio(trace, 2)
-        _act_into(modes, A.quad, B.linear, 1)
-        _act_into(modes, B.quad, A.linear, -1)
-        for s1 in A.quad.values():
-            for s2 in B.quad.values():
-                _bracket_diag(s1, s2, polys, devs)
+        fa, fb, qa, qb = A.linear, B.linear, A.quad, B.quad
+        if fa.coeffs and fb.coeffs:
+            central += symplectic_form(fa, fb)
+        if qa and qb:
+            trace = _quad_trace(qa, qb)
+            if trace:
+                central -= ratio(trace, 2)
+            for s1 in qa.values():
+                for s2 in qb.values():
+                    _bracket_diag(s1, s2, polys, devs)
+        if qa and fb.coeffs:
+            _act_into(modes, qa, fb, 1)
+        if qb and fa.coeffs:
+            _act_into(modes, qb, fa, -1)
     quad = {}
     for d, dev in devs.items():
         poly = polys.get(d, POLY_ZERO)
-        quad[d] = DiagonalSeries(d, poly, {a: poly(a) + v for a, v in dev.items()})
+        if poly.c or any(dev.values()):
+            quad[d] = DiagonalSeries(d, poly,
+                                     {a: poly(a) + v for a, v in dev.items()})
     return QuadraticElement(central, LaurentPoly(modes), quad)
 
 

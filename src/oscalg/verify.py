@@ -183,7 +183,7 @@ def _lift_witnesses(bound: int) -> tuple:
             value = d_cocycle(u, v)
             defect = _lift_defect(u, v, su, sv)
             pullback += _check("-1/2 alpha + beta of the lifts at", (nu, nv),
-                               value, -HALF * alpha(su, sv) + beta(su, sv))
+                               value, ratio(-alpha(su, sv), 2) + beta(su, sv))
             pullback += _check("lift defect at", (nu, nv), unit(value), defect)
             if u.g.is_zero() and v.g.is_zero():
                 diagram += _check("lift defect mod K at", (nu, nv),
@@ -236,12 +236,12 @@ def check_fit_psi() -> list:
 
 def alpha_closed(u: WittElement, v: WittElement) -> Rational:
     """(1/6) Res f d(h'') for the vector-field parts f, h."""
-    return Fraction(1, 6) * residue_of_derivative(u.f, v.f, 3)
+    return ratio(residue_of_derivative(u.f, v.f, 3), 6)
 
 def gamma_closed(u: WittElement, v: WittElement) -> Rational:
     """-1/2 Res(f d(k') - h d(g')) for (f d/dt + g, h d/dt + k)."""
-    return -HALF * (residue_of_derivative(u.f, v.g, 2)
-                    - residue_of_derivative(v.f, u.g, 2))
+    return ratio(residue_of_derivative(v.f, u.g, 2)
+                 - residue_of_derivative(u.f, v.g, 2), 2)
 
 def d_cocycle(u: WittElement, v: WittElement) -> Rational:
     """Trace cocycle of f d/dt - g on H in residue form, d = alpha_closed -

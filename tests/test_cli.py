@@ -2,6 +2,8 @@
 
 import ast
 import contextlib
+import functools
+import hashlib
 import importlib
 import inspect
 import io
@@ -332,6 +334,39 @@ def test_cmd_verify_all(capsys):
     verdicts = json.loads(out)
     assert len(verdicts) == 8
     assert all(v["pass"] for v in verdicts)
+
+
+# SHA-256 of verify-all's stdout at --probe-bound 1..8, text then json.
+VERIFY_ALL_DIGESTS = {
+    1: ("b6160b1fdbeca8aecc1b0c829e2e6ee2f1a33d4d989860d30688df4140fd8f38",
+        "ef0f1ec0b0860a22e70c1325ae0f153ec27e3a1f34a9a6fbeff9b79bfc868524"),
+    2: ("a9bd1c865b2791032fcd3751fdd92f23da03b35fd1d191011c4c0c15d5cd042f",
+        "789c67109447cccd7d6415565d29f46f8bb7d6c75108d2f596a77bd616d77989"),
+    3: ("d1397f01940424560b3d8568bc1487a252b88cd9859865059b028eda98998a29",
+        "2089149f90e131cfbf5325b85ca18c0833f5093b3d5efe5cd35dd9ab9f22399b"),
+    4: ("3d9dcb069d1f3753f224a95457d097275199d90c369c49fffe75f8becfc32889",
+        "e980b2be01ac616c466f6fc9c67750e09becf2b6d6ad88fc4e5adfdd9bf07cec"),
+    5: ("625d7bf1431bf9b7ce828e598644f0d51cc6466311e982e0a8f42fd4a504b17c",
+        "2a13ced3f4ffd582ff88d74826f8602d13c5908a4b7b2d444013fe23dda0fbee"),
+    6: ("a38874f690023124b387766a69d4122cdf81930a109ea0faa3bff110ed1b494d",
+        "e578b6431db904a3d1048a678d2640f1a4b99f9d282893200676c7abf59ded58"),
+    7: ("1ab8f63d2f335674528cfc9fabc59741919d498b355365f883acf7ebc90f5f06",
+        "72d8d670c0695a907a195dc4d707825bd1dba7df0e7268c1dde352e348fd9c20"),
+    8: ("de7c598bec1a4688debc260e7dddf0ed3ddaa7d9c72642e4b398bbc5ffd65cd4",
+        "e97d268710429cb8a5c1514628dbeec3a0dacfdcb709137b6f7869b50125c0b4"),
+}
+
+
+def test_verify_all_bytes_are_frozen(capsys, monkeypatch):
+    # each bound's verdicts are computed once and printed in both formats
+    monkeypatch.setattr(oscalg.cli, "verify_all",
+                        functools.cache(oscalg.cli.verify_all))
+    for bound, digests in VERIFY_ALL_DIGESTS.items():
+        for fmt, digest in zip(("text", "json"), digests):
+            code, out, _ = run_cli(capsys, ["verify-all", "--probe-bound",
+                                            str(bound), "--format", fmt])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (bound, fmt)
 
 
 def test_cmd_central_scalars(capsys):

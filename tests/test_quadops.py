@@ -7,15 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oscalg import quadops
 from oscalg.coinv import FPoint, is_in_sp_F
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (POLY_ZERO, DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _bracket_diag, _quad_apply_laurent,
-                            alpha, b, beta, bracket, format_expression, gamma,
-                            is_in_sp_plus, normal_order_lift, pair,
-                            parse_expression, psi, sigma, tau, unit,
-                            witt_bracket)
-from oscalg.verify import d_cocycle
+                            alpha, b, beta, bracket, bracket_sum,
+                            format_expression, gamma, is_in_sp_plus,
+                            normal_order_lift, pair, parse_expression, psi,
+                            sigma, tau, unit, witt_bracket)
+from oscalg.verify import check_jacobi, d_cocycle, small_generator_set
 
 HALF = Fraction(1, 2)
 
@@ -219,22 +220,56 @@ def test_bracket_matches_endo_commutator_on_window():
         assert got == {c: action(C, c) for c in got}
 
 
-def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
+def test_finite_diagonal_bracket_reads_only_its_support():
     # a pair diagonal s1 confines the bracket to exc(s1) and exc(s1) + d2:
-    # each exception scatters to those two indices, reading s2 once for each
+    # each exception scatters to those two indices, reading s2 at most once
+    # for each; every read of a pair diagonal is one lookup in its exceptions
+    calls = []
+
+    class Reads(dict):
+        def get(self, a, default=None):
+            calls.append(a)
+            return super().get(a, default)
+
     ids = [m for m in range(-3, 4) if m]
     diagonals = [d for i, a in enumerate(ids) for bb in ids[i:]
                  for d in pair(a, bb).quad.values()]
-    calls = []
-    coeff = DiagonalSeries.coeff
-    monkeypatch.setattr(DiagonalSeries, "coeff",
-                        lambda s, a: calls.append(a) or coeff(s, a))
+    for s in diagonals:
+        s.exc = Reads(s.exc)
+    reads = 0
     for s1 in diagonals:
         for s2 in diagonals:
             del calls[:]
             _bracket_diag(s1, s2, {}, {})
             assert len(calls) <= 2 * len(s1.exc), (s1, s2)
+            reads += len(calls)
+    assert reads > 0
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
+
+
+def test_vanishing_bracket_sum_builds_no_series(monkeypatch):
+    elements = (pair(1, -3), tau(2), tau(-1).scale(3) + pair(2, 2) + b(4))
+    gens = small_generator_set()
+    table = sum(len(bracket(x, y).quad) for i, x in enumerate(gens)
+                for j, y in enumerate(gens) if i != j)
+    built = []      # the offset of every series quadops builds from here on
+
+    class Counted(DiagonalSeries):
+        __slots__ = ()
+
+        def __init__(self, d, *args):
+            built.append(d)
+            super().__init__(d, *args)
+
+    monkeypatch.setattr(quadops, "DiagonalSeries", Counted)
+    for x in elements:
+        for y in elements:
+            assert bracket_sum([(x, y), (y, x)]).is_zero()
+    assert built == []
+    # the pair table builds one series per offset of each of its brackets,
+    # and the 1140 triples, whose sums all vanish, build none
+    assert check_jacobi(gens) == []
+    assert len(built) == table > 0
 
 
 # Symmetric diagonals with a zero, constant or degree-2 polynomial c0 +
