@@ -106,6 +106,8 @@ class FockVector:
         return not self.terms
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        if not isinstance(other, FockVector):
+            return NotImplemented
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         out = dict(self.terms)
@@ -114,6 +116,8 @@ class FockVector:
         return FockVector(self.rank, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
+        if not isinstance(other, FockVector):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, s) -> "FockVector":
@@ -436,7 +440,7 @@ def exp_apply(A: QuadraticElement, v: FockVector, group_scalar=None,
         w = apply_quadratic(A, w, channel)
         if w.is_zero():
             return acc
-        acc = acc + w.scale(Fraction(1, factorial(k)))
+        acc = acc + w.scale(ratio(1, factorial(k)))
         k += 1
 
 

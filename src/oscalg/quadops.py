@@ -169,13 +169,6 @@ class DiagonalSeries:
     def is_zero(self) -> bool:
         return self.poly.is_zero() and not self.exc
 
-    def scaled(self, s) -> "DiagonalSeries":
-        s = rat(s)
-        if not s:
-            return DiagonalSeries(self.d)
-        return DiagonalSeries(self.d, self.poly.scale(s),
-                              {a: s * v for a, v in self.exc.items()})
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiagonalSeries) and self.d == other.d
                 and self.poly == other.poly and self.exc == other.exc)
@@ -184,18 +177,35 @@ class DiagonalSeries:
         return f"DiagonalSeries(d={self.d}, poly={self.poly!r}, exc={self.exc!r})"
 
 
-def _series_add(s1: DiagonalSeries, s2: DiagonalSeries) -> DiagonalSeries:
-    if s1.poly.is_zero() and s2.poly.is_zero():
-        # finite series: the sum lives on the union of the exceptions
-        exc = dict(s1.exc)
-        for a, v in s2.exc.items():
-            exc[a] = exc.get(a, 0) + v
-        return DiagonalSeries(s1.d, POLY_ZERO, exc)
-    poly = s1.poly + s2.poly
-    exc = {}
-    for a in set(s1.exc) | set(s2.exc):
-        exc[a] = s1.coeff(a) + s2.coeff(a)
-    return DiagonalSeries(s1.d, poly, exc)
+def _element(central, modes: dict, polys: dict, devs: dict) -> QuadraticElement:
+    """central * K + sum of modes[m] b_m + per offset d of devs the series
+    with generic polynomial polys.get(d) and deviations actual - generic
+    devs[d], built only if it survives: a zero polynomial with no nonzero
+    deviation is the zero series, which the element would drop."""
+    quad = {}
+    for d, dev in devs.items():
+        poly = polys.get(d, POLY_ZERO)
+        if poly.c or any(dev.values()):
+            quad[d] = DiagonalSeries(d, poly,
+                                     {a: poly(a) + v for a, v in dev.items()})
+    return QuadraticElement(central, LaurentPoly(modes), quad)
+
+
+def _combine(terms) -> QuadraticElement:
+    """Sum of c * A over the (c, A) terms, built once by _element."""
+    central, modes, polys, devs = 0, {}, {}, {}
+    for c, A in terms:
+        c = rat(c)
+        central += c * A.central
+        for m, x in A.linear.coeffs.items():
+            modes[m] = modes.get(m, 0) + c * x
+        for d, series in A.quad.items():
+            poly = series.poly.scale(c)
+            polys[d] = polys[d] + poly if d in polys else poly
+            dev = devs.setdefault(d, {})
+            for a, v in series.exc.items():
+                dev[a] = dev.get(a, 0) + c * (v - series.poly(a))
+    return _element(central, modes, polys, devs)
 
 
 def _wrong_type(name: str, value, kind) -> TypeError:
@@ -242,30 +252,25 @@ class QuadraticElement:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "QuadraticElement") -> "QuadraticElement":
-        # elements are immutable by convention, so a zero side can hand
-        # back the other operand itself
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        quad = dict(self.quad)
-        for d, series in other.quad.items():
-            quad[d] = _series_add(quad[d], series) if d in quad else series
-        return QuadraticElement(self.central + other.central,
-                                self.linear + other.linear, quad)
+        if not isinstance(other, QuadraticElement):
+            return NotImplemented
+        return _combine(((1, self), (1, other)))
 
     def __neg__(self) -> "QuadraticElement":
         return self.scale(-1)
 
     def __sub__(self, other: "QuadraticElement") -> "QuadraticElement":
-        return self + other.scale(-1)
+        if not isinstance(other, QuadraticElement):
+            return NotImplemented
+        return _combine(((1, self), (-1, other)))
 
     def scale(self, s) -> "QuadraticElement":
-        s = rat(s)
-        return QuadraticElement(s * self.central, self.linear.scale(s),
-                                {d: series.scaled(s) for d, series in self.quad.items()})
+        return _combine(((s, self),))
 
     def drop_central(self) -> "QuadraticElement":
+        # elements are immutable, so a central-free one is its own image
+        if not self.central:
+            return self
         return QuadraticElement(0, self.linear, self.quad)
 
     def __eq__(self, other) -> bool:
@@ -379,20 +384,20 @@ class _Parser:
         return tok
 
     def parse(self) -> QuadraticElement:
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.take(self.peek())[0] == "-" else 1
-        out = self.term().scale(sign)
-        while self.peek() != "END":
+        op = self.take(self.peek())[0] if self.peek() in "+-" else "+"
+        terms = []
+        while True:
+            coeff, atom = self.term()
+            terms.append((-coeff if op == "-" else coeff, atom))
             op = self.peek()
+            if op == "END":
+                return _combine(terms)
             if op not in "+-":
                 raise ExpressionError(f"expected '+' or '-', found {op!r}",
                                       self.toks[self.i][2])
             self.take(op)
-            out = out + self.term().scale(-1 if op == "-" else 1)
-        return out
 
-    def term(self) -> QuadraticElement:
+    def term(self) -> tuple[Rational, QuadraticElement]:
         coeff = 1
         if self.peek() == "INT":
             num = self.take("INT")[1]
@@ -404,7 +409,7 @@ class _Parser:
                     raise ExpressionError("zero denominator", self.toks[self.i - 1][2])
             coeff = ratio(num, den)
             self.take("*")
-        return self.atom().scale(coeff)
+        return coeff, self.atom()
 
     def integer(self) -> int:
         sign = 1
@@ -427,7 +432,7 @@ class _Parser:
         kind = self.peek()
         if kind == "K":
             self.take("K")
-            return QuadraticElement(central=1)
+            return unit()
         if kind == "b":
             return b(self._mode_index())
         if kind == ":":
@@ -478,15 +483,13 @@ def normal_order_lift(f: LaurentPoly, g: LaurentPoly) -> QuadraticElement:
     """:fg: with symmetric coefficient c(a,b) = f_a g_b + f_b g_a."""
     if f.coeff(0) or g.coeff(0):
         raise ValueError("normal_order_lift requires inputs without constant term")
-    acc = {}
+    devs = {}
     for e1, c1 in f.coeffs.items():
         for e2, c2 in g.coeffs.items():
-            d = e1 + e2
-            diag = acc.setdefault(d, {})
-            diag[e1] = diag.get(e1, 0) + c1 * c2
-            diag[e2] = diag.get(e2, 0) + c1 * c2
-    quad = {d: DiagonalSeries(d, POLY_ZERO, exc) for d, exc in acc.items()}
-    return QuadraticElement(quad=quad)
+            dev = devs.setdefault(e1 + e2, {})
+            dev[e1] = dev.get(e1, 0) + c1 * c2
+            dev[e2] = dev.get(e2, 0) + c1 * c2
+    return _element(0, {}, {}, devs)
 
 
 def tau(p: int) -> QuadraticElement:
@@ -606,11 +609,10 @@ def bracket_sum(pairs) -> QuadraticElement:
     Each piece runs only when both of its sides are present, so a central
     part, which commutes with everything, adds nothing.  The sum is kept in
     one scalar, one mode dict and, per offset, a generic polynomial and the
-    deviations actual - generic, which add linearly.  Only the offsets that
-    survive are built into series at the end: a zero polynomial with no
-    nonzero deviation is the zero series, which the element would drop, so
-    a vanishing sum builds no series.  No deviation sits at a = 0 or a = d:
-    both diagonal kernels skip the endpoints, where every c is zero.
+    deviations actual - generic, which add linearly, and _element builds
+    only the offsets that survive, so a vanishing sum builds no series.  No
+    deviation sits at a = 0 or a = d: both diagonal kernels skip the
+    endpoints, where every c is zero.
     """
     central, modes, polys, devs = 0, {}, {}, {}
     for A, B in pairs:
@@ -628,13 +630,7 @@ def bracket_sum(pairs) -> QuadraticElement:
             _act_into(modes, qa, fb, 1)
         if qb and fa.coeffs:
             _act_into(modes, qb, fa, -1)
-    quad = {}
-    for d, dev in devs.items():
-        poly = polys.get(d, POLY_ZERO)
-        if poly.c or any(dev.values()):
-            quad[d] = DiagonalSeries(d, poly,
-                                     {a: poly(a) + v for a, v in dev.items()})
-    return QuadraticElement(central, LaurentPoly(modes), quad)
+    return _element(central, modes, polys, devs)
 
 
 def bracket(A: QuadraticElement, B: QuadraticElement) -> QuadraticElement:

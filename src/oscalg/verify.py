@@ -9,7 +9,6 @@ actual value, so an empty list means pass.  verify_all wraps them in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from numbers import Rational
 
@@ -21,8 +20,6 @@ from .laurent import (LaurentPoly, as_int, ratio, residue,
 from .quadops import (Poly, QuadraticElement, WittElement, _quad_apply_laurent,
                       alpha, b, beta, bracket, bracket_sum, format_expression,
                       gamma, pair, psi, sigma, tau, unit, witt_bracket)
-
-HALF = Fraction(1, 2)
 
 
 def _show(x) -> str:
@@ -331,7 +328,7 @@ def central_scalars() -> dict:
     sides, c/2 and -c."""
     return {
         "mp_cocycle": "-1/2*alpha",
-        "mp_cocycle_on_tau2": -HALF * psi(tau(2), tau(-2)),
+        "mp_cocycle_on_tau2": ratio(-psi(tau(2), tau(-2)), 2),
         "u2_cocycle": "-1/2*alpha + beta",
         "lambda_fiber": LAMBDA_FIBER,
         "theta_fiber": THETA_FIBER,
@@ -343,8 +340,8 @@ def check_central_scalars() -> list:
     """The values the table stands on: -1/2 psi(T(2), T(-2)) is the Virasoro
     central term (p^3 - p)/12 at p = 2, and the diagonal Virasoro action on
     the rank-r Fock states of degree <= 2 has central charge r, r = 1, 2."""
-    bad = _check("-1/2 psi at", (tau(2), tau(-2)), Fraction(2 ** 3 - 2, 12),
-                 -HALF * psi(tau(2), tau(-2)))
+    bad = _check("-1/2 psi at", (tau(2), tau(-2)), ratio(2 ** 3 - 2, 12),
+                 ratio(-psi(tau(2), tau(-2)), 2))
     for r in (1, 2):
         states = [FockVector.basis(s)
                   for d in range(3) for s in graded_basis(d, r)]

@@ -1072,9 +1072,23 @@ def test_one_spelling_per_operation():
     assert not hasattr(LaurentPoly, "t")
     # the image of one basis state streams only as term_labels
     assert not hasattr(oscalg.fock, "iter_terms")
+    # a sum or multiple of elements is built by quadops._combine
+    assert not hasattr(oscalg.quadops, "_series_add")
+    assert not hasattr(DiagonalSeries, "scaled")
     for function in (FockVector.basis, b, pair, Poly.affine, virasoro):
         named = set(inspect.signature(function).parameters)
         assert not named & {"coeff", "s", "channel"}, function
+
+
+def test_only_element_builds_computed_series():
+    # every computed sum of series is built by quadops._element; the named
+    # elements pair, tau and sigma build their own one series per offset
+    pkg = Path(oscalg.__file__).parent
+    builders = {f"{path.name}:{where}" for path in sorted(pkg.glob("*.py"))
+                for where, call in _enclosed(ast.parse(path.read_text()), ast.Call)
+                if getattr(call.func, "id", None) == "DiagonalSeries"}
+    assert builders == {"quadops.py:_element", "quadops.py:pair",
+                        "quadops.py:tau", "quadops.py:sigma"}
 
 
 def test_readme_modules_table_names_what_each_module_has():

@@ -529,6 +529,15 @@ def test_graded_basis_counts_and_order():
         graded_basis(-1, 1)
 
 
+def test_wrong_type_operands_are_a_type_error():
+    v = FockVector.vacuum()
+    for other in (1, HALF, tau(1)):
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            v + other
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            v - other
+
+
 def test_graded_basis_names_a_bad_argument():
     with pytest.raises(TypeError, match="^degree: "):
         graded_basis(2.5, 1)

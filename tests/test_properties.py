@@ -141,6 +141,26 @@ def test_psi_diag_pair_matches_loop(d, p1, e1, p2, e2):
 
 
 @SETTINGS
+@given(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, SYMMETRIC_POLY, EXCEPTIONS, COEFF)
+def test_sums_and_multiples_add_coefficients(d, p1, e1, p2, e2, c):
+    # A.scale(c) + B adds the coefficient functions pointwise, A - A
+    # cancels, and no sum stores an exception that repeats its polynomial
+    A = QuadraticElement(quad={d: symmetric(d, p1, e1)})
+    B = QuadraticElement(quad={d: symmetric(d, p2, e2)})
+
+    def coeff(E, a):
+        return E.quad[d].coeff(a) if d in E.quad else 0
+
+    total = A.scale(c) + B
+    assert all(coeff(total, a) == c * coeff(A, a) + coeff(B, a)
+               for a in range(-130, 131))
+    assert A - A == QuadraticElement()
+    for E in (A, B, total, A - B):
+        assert all(v != s.poly(a) for s in E.quad.values()
+                   for a, v in s.exc.items())
+
+
+@SETTINGS
 @given(st.lists(st.tuples(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, COEFF),
                 min_size=1, max_size=2, unique_by=lambda t: t[0]))
 def test_mixed_trace_matches_loop(diagonals):

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -270,6 +271,42 @@ def test_vanishing_bracket_sum_builds_no_series(monkeypatch):
     # and the 1140 triples, whose sums all vanish, build none
     assert check_jacobi(gens) == []
     assert len(built) == table > 0
+
+
+def test_parsing_a_sum_builds_each_atom_and_the_sum_once(monkeypatch):
+    # each of the n atoms is one element and the n terms are summed into
+    # one more, with no scaled copy per term and no partial sums
+    text = "-T(2) + 1/2*:b(1)b(3): - 3*b(-2) + K - S(1) + T(2)"
+    expected = (pair(1, 3).scale(HALF) - b(-2).scale(3) + unit()
+                - sigma(WittElement.L(1)))
+    built = []
+    init = QuadraticElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticElement, "__init__", counted)
+    assert parse_expression(text) == expected
+    assert len(built) == 6 + 1
+
+
+def test_drop_central_hands_back_a_central_free_element():
+    x = tau(2) + b(1)
+    assert x.drop_central() is x
+    y = x + unit(3)
+    assert y.drop_central() == x
+    assert y.central == 3
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_wrong_type_operands_are_a_type_error(op):
+    for other in (5, HALF, LaurentPoly.term(1, 1)):
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            op(tau(1), other)
+    for other in (5, HALF):
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            op(other, tau(1))
 
 
 # Symmetric diagonals with a zero, constant or degree-2 polynomial c0 +
