@@ -248,7 +248,7 @@ _CONFIG_ACTIONS = {action.dest: action for sub in _SUBPARSERS.values()
                    for action in sub._actions
                    if action.option_strings and action.nargs != 0}
 
-def _dashed_expressions_last(argv, table):
+def _dashed_expressions_last(argv):
     """argv with the options of an expression subcommand moved before a
     `--` when one of its positionals starts with '-', which argparse would
     read as an option, or when argv holds a `--`, which argparse leaves
@@ -258,7 +258,7 @@ def _dashed_expressions_last(argv, table):
     argv come back as is."""
     if not argv or argv[0] not in ("bracket", "cocycle", "fock-apply"):
         return argv
-    actions = table[argv[0]]._option_string_actions
+    actions = _SUBPARSERS[argv[0]]._option_string_actions
     options, positionals = [], []
     rest = iter(argv[1:])
     for arg in rest:
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        args = _PARSER.parse_args(_dashed_expressions_last(argv, _SUBPARSERS))
+        args = _PARSER.parse_args(_dashed_expressions_last(argv))
     except SystemExit as e:    # usage errors and --help
         return e.code
     try:

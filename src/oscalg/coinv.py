@@ -3,17 +3,18 @@
 A point F is the span of t^-s for s outside a finite gap set.  The
 symplectic stabilizer meets S^2(H') in the span of products with one
 factor in F.  Each product is a monomial in the Heisenberg modes, so it
-sends a basis state of the Fock space to a multiple of one basis state;
-truncating the family to a window and counting the basis states its image
-hits gives graded dimensions of the quotient, reported together with a
-stabilization flag from repeated runs at growing truncation sizes.
+sends a basis state of the Fock space to a multiple of one basis state,
+which fock's partition move _moved names; truncating the family to a
+window and counting the basis states its image hits gives graded
+dimensions of the quotient, reported together with a stabilization flag
+from repeated runs at growing truncation sizes.
 """
 
 from __future__ import annotations
 
 import json
 
-from .fock import FockVector, apply_quadratic, graded_basis
+from .fock import FockVector, _moved, apply_quadratic, graded_basis
 from .laurent import LaurentPoly, as_int
 from .quadops import QuadraticElement, b, maps_into, pair
 
@@ -119,20 +120,6 @@ def check_state_space(rank: int, M: int):
                          f"{MAX_STATE_SLOTS}")
 
 
-def _target(st, s: int, m: int):
-    """The one state that :b_-s b_m: (b_-s for m = 0) sends st to, up to a
-    nonzero factor: channel 1 loses a part m if m > 0, gains the part -m
-    if m < 0, and gains the part s.  For m > 0, st holds a part m."""
-    lam = list(st[0])
-    if m > 0:
-        lam.remove(m)
-    elif m < 0:
-        lam.append(-m)
-    lam.append(s)
-    lam.sort(reverse=True)
-    return (tuple(lam),) + st[1:]
-
-
 def default_schedule(N: int, M: int, W: int):
     """Three truncation sizes ending at the checked (M, W); the earlier
     steps are clamped up to stay legal, and each step is strictly larger
@@ -164,9 +151,9 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
     state to zero or to a nonzero multiple of one basis state.  The image
     of the generators in a degree is therefore spanned by the basis states
     they hit, and the quotient's dimension there is the number of states
-    not hit.  _target names the state a generator sends a source to, and
-    the generator is applied only where that target is not hit yet; its
-    image must then be exactly the target.  The generator windows and
+    not hit.  fock._moved makes the state a generator sends a source to,
+    and the generator is applied only where that target is not hit yet;
+    its image must then be exactly the target.  The generator windows and
     source caps of the steps are nested, so each step applies only the
     generators and source degrees that earlier steps did not.  Each
     degree's basis is built once, with an index from each part to the
@@ -210,6 +197,8 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
                 continue
             applied[key] = hi
             X = pair(-s, m) if m else b(-s)
+            # channel 1 loses a part m if m > 0 and gains s, and -m if m < 0
+            gone, new = (m, (s,)) if m > 0 else (0, (s, -m) if m else (s,))
             for deg in range(lo, hi + 1):
                 hit = hits[deg - d]
                 dim = len(basis(deg - d)[0])
@@ -217,7 +206,7 @@ def _coinvariants(side: str, rank: int, F: FPoint, N: int, M: int,
                     continue
                 states, holders = basis(deg)
                 for st in (holders.get(m, ()) if m > 0 else states):
-                    target = _target(st, s, m)
+                    target = (_moved(st[0], gone, new),) + st[1:]
                     if target in hit:
                         continue
                     image = apply_quadratic(X, FockVector(rank, {st: 1}))

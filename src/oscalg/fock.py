@@ -142,18 +142,28 @@ class FockVector:
 # mode and quadratic actions
 # ---------------------------------------------------------------------------
 
+def _moved(lam: tuple, gone: int, new) -> tuple:
+    """lam with one part `gone` taken out (none when gone is 0) and the
+    parts of `new` put in, weakly decreasing: the one partition move of
+    the Fock action.  lam is weakly decreasing and holds a part gone."""
+    lam = list(lam)
+    if gone:
+        lam.remove(gone)
+    if new:
+        lam += new
+        lam.sort(reverse=True)
+    return tuple(lam)
+
 def _mode_on_partition(n: int, lam: tuple):
     """Images of b_n on one partition: list of (new partition, integer
-    coefficient).  A created part is inserted in order, so images stay
-    canonical."""
+    coefficient).  _moved takes the part n out or puts the part -n in, so
+    images stay canonical."""
     if n < 0:
-        return [(tuple(sorted(lam + (-n,), reverse=True)), 1)]
+        return [(_moved(lam, 0, (-n,)), 1)]
     mult = lam.count(n)
     if not mult:
         return []
-    out = list(lam)
-    out.remove(n)
-    return [(tuple(out), n * mult)]
+    return [(_moved(lam, n, ()), n * mult)]
 
 def _pair_on_partition(a: int, bb: int, lam: tuple):
     """Images of :b_a b_b: on one partition, a <= b: b_b acts first."""
@@ -191,13 +201,9 @@ def _created_run(series):
         yield range(lo, hi + 1), const
 
 def _run_state(state, ch: int, d: int, a: int) -> tuple:
-    """The state that the run's pair at a makes from state: the parts
-    -a >= a - d put into channel ch in order."""
-    lam = state[ch]
-    i = bisect_left(lam, a, key=neg)            # parts above -a
-    j = bisect_left(lam, d - a, i, key=neg)     # parts above a - d
-    lam2 = lam[:i] + (-a,) + lam[i:j] + (a - d,) + lam[j:]
-    return state[:ch] + (lam2,) + state[ch + 1:]
+    """The state that the run's pair at a makes from state: _moved puts
+    the parts -a >= a - d into channel ch."""
+    return state[:ch] + (_moved(state[ch], 0, (-a, a - d)),) + state[ch + 1:]
 
 def _annihilating_images(series, state, ch: int) -> list:
     """Images of one diagonal series on a basis state in which an index

@@ -52,6 +52,8 @@ class Poly:
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         n = max(len(self.c), len(other.c))
         return Poly([(self.c[i] if i < len(self.c) else 0)
                      + (other.c[i] if i < len(other.c) else 0)
@@ -61,9 +63,13 @@ class Poly:
         return Poly([-x for x in self.c])
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         if not self.c or not other.c:
             return Poly()
         out = [0] * (len(self.c) + len(other.c) - 1)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import oscalg
 import oscalg.cli
+import oscalg.coinv
 import oscalg.fock
 from oscalg.cli import format_expression, main, parse_expression
 from oscalg.fock import (FockVector, apply_quadratic, format_label, parse_label,
@@ -367,6 +368,48 @@ def test_verify_all_bytes_are_frozen(capsys, monkeypatch):
                                             str(bound), "--format", fmt])
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (bound, fmt)
+
+
+# The gap sets of perfbench/jobs.py: every numerical semigroup of genus <= 3
+# and {1,2,3,5,7}.
+COINV_GAP_SETS = ("", "1", "1,2", "1,3", "1,2,3", "1,2,4", "1,2,5", "1,3,5",
+                  "1,2,3,5,7")
+# Commands that exit 2: over the state-space cap, N > M, W < M, bad gaps.
+COINV_REFUSED = (
+    ["--N", "60", "--M", "60", "--W", "60"],
+    ["--rank", "1100", "--N", "2", "--M", "2", "--W", "2"],
+    ["--N", "5", "--M", "3", "--W", "3"],
+    ["--N", "2", "--M", "4", "--W", "3"],
+    ["--gaps", "1,x"],
+    ["--gaps", "0,2"],
+)
+COINV_DIGESTS = {
+    "answered": "83d23324bb531352f3f20627a1093936f75c62910e76f311a6e3f9281b1d02cb",
+    "refused": "4be52a54f773ea20985f7db606b9d820ed0c3487922817346ffa57cc413a3937",
+}
+
+
+def _coinv_digest(capsys, argvs) -> str:
+    """SHA-256 over each argv and the exit code, stdout and stderr it gives."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        digest.update(repr((argv, code, out, err)).encode())
+    return digest.hexdigest()
+
+
+def test_coinv_bytes_are_frozen(capsys):
+    answered = [["coinv", "--gaps", gaps, "--rank", str(rank), "--N", str(N),
+                 "--M", str(N + dM), "--W", str(N + dM + dW), "--side", side,
+                 "--format", fmt]
+                for gaps in COINV_GAP_SETS for rank in (1, 2, 3)
+                for side in "AX" for fmt in ("text", "json")
+                for N in (0, 3, 6) for dM in (0, 2) for dW in (0, 2)]
+    assert len(answered) == 1296
+    refused = [["coinv", *argv, "--format", fmt]
+               for argv in COINV_REFUSED for fmt in ("text", "json")]
+    assert _coinv_digest(capsys, answered) == COINV_DIGESTS["answered"]
+    assert _coinv_digest(capsys, refused) == COINV_DIGESTS["refused"]
 
 
 def test_cmd_central_scalars(capsys):
@@ -1078,6 +1121,21 @@ def test_one_spelling_per_operation():
     for function in (FockVector.basis, b, pair, Poly.affine, virasoro):
         named = set(inspect.signature(function).parameters)
         assert not named & {"coeff", "s", "channel"}, function
+
+
+def test_the_partition_move_is_coded_once():
+    # fock._moved takes a part out of a partition and puts parts in: fock's
+    # actions and coinv's targets are made by it alone
+    assert not hasattr(oscalg.coinv, "_target")
+    tree = ast.parse(Path(oscalg.coinv.__file__).read_text())
+    called = {getattr(call.func, "attr", getattr(call.func, "id", None))
+              for _, call in _enclosed(tree, ast.Call)}
+    assert not called & {"sort", "remove", "bisect_left"}
+    tree = ast.parse(Path(oscalg.fock.__file__).read_text())
+    removers = {where for where, node in _enclosed(tree, (ast.Call, ast.Delete))
+                if isinstance(node, ast.Delete)
+                or getattr(node.func, "attr", None) in ("remove", "pop", "index")}
+    assert removers == {"_moved"}
 
 
 def test_only_element_builds_computed_series():

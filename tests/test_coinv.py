@@ -11,10 +11,8 @@ from oscalg import cli, coinv
 from oscalg.coinv import (MAX_STATE_SLOTS, FPoint, check_state_space,
                           coinvariants_A, coinvariants_X, default_schedule,
                           fperp_basis, is_in_sp_F, sp_f_generators)
-from oscalg.fock import (FockVector, _mode_on_partition, _pair_on_partition,
-                         apply_quadratic, canon_state, graded_basis)
+from oscalg.fock import FockVector, apply_quadratic, graded_basis
 from oscalg.laurent import LaurentPoly, symplectic_form
-from oscalg.quadops import b, pair
 
 
 def exponents(fs):
@@ -285,27 +283,6 @@ def test_image_of_another_state_raises(monkeypatch):
     monkeypatch.setattr(coinv, "apply_quadratic", elsewhere)
     with pytest.raises(RuntimeError, match=r"expected exactly \(\("):
         coinvariants_A(1, FPoint(()), 2, 4, 4)
-
-
-_PARTS = st.lists(st.integers(1, 4), max_size=4)
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(channels=st.lists(_PARTS, min_size=1, max_size=3),
-       s=st.integers(1, 5), m=st.integers(-4, 4))
-def test_target_is_the_one_state_of_the_image(channels, s, m):
-    # :b_-s b_m: annihilates a state without a part m, so for m > 0 the
-    # source holds one; draws of four parts from 1..4 repeat parts often
-    if m > 0:
-        channels[0] = channels[0] + [m]
-    st0 = canon_state(channels)
-    X = pair(-s, m) if m else b(-s)
-    image = apply_quadratic(X, FockVector.basis(st0))
-    assert list(image.terms) == [coinv._target(st0, s, m)]
-    # fock's action on the partition of channel 1 makes that state and weight
-    moved = (_pair_on_partition(min(-s, m), max(-s, m), st0[0]) if m
-             else _mode_on_partition(-s, st0[0]))
-    assert {(lam,) + st0[1:]: w for lam, w in moved} == image.terms
 
 
 # -- the state-space cap -------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oscalg.cli import main
-from oscalg.fock import (BLOCK, FockVector, apply_quadratic, canon_state,
-                         exp_apply, format_label, format_vector, graded_basis,
-                         measure_central_charge, parse_label, state_degree,
-                         term_labels, virasoro, virasoro_all)
+from oscalg.fock import (BLOCK, FockVector, _moved, apply_quadratic,
+                         canon_state, exp_apply, format_label, format_vector,
+                         graded_basis, measure_central_charge, parse_label,
+                         state_degree, term_labels, virasoro, virasoro_all)
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
                             pair, tau, unit)
@@ -89,6 +89,37 @@ def test_actions_emit_canonical_states():
                                            channel=channel), rank)
             for p in range(-2, 3):
                 assert_canonical(virasoro_all(p, v), rank)
+
+
+_PARTS = st.lists(st.integers(1, 4), max_size=4)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(channels=st.lists(_PARTS, min_size=1, max_size=3),
+       s=st.integers(1, 5), m=st.integers(-4, 4))
+def test_moved_makes_the_one_state_of_a_monomial_image(channels, s, m):
+    # :b_-s b_m: (b_-s for m = 0) sends a state to a multiple of one state:
+    # channel 1 loses a part m if m > 0, gains -m if m < 0, and gains s.  It
+    # annihilates a state without a part m, so for m > 0 the source holds
+    # one; draws of four parts from 1..4 repeat parts often
+    if m > 0:
+        channels[0] = channels[0] + [m]
+    st0 = canon_state(channels)
+    gone, new = (m, (s,)) if m > 0 else (0, (s, -m) if m else (s,))
+    lam = _moved(st0[0], gone, new)
+    want = (oracles.o_pair(-s, m, {st0[0]: 1}) if m
+            else oracles.o_mode(-s, {st0[0]: 1}))
+    assert list(want) == [lam]
+    image = apply_quadratic(pair(-s, m) if m else b(-s), FockVector.basis(st0))
+    assert image.terms == {(lam,) + st0[1:]: want[lam]}
+
+
+def test_moved_examples():
+    assert _moved((3, 2, 2, 1), 2, ()) == (3, 2, 1)
+    assert _moved((3, 1), 0, (2,)) == (3, 2, 1)
+    assert _moved((3, 1), 0, (4, 1)) == (4, 3, 1, 1)
+    assert _moved((2, 2), 2, (5, 2, 1)) == (5, 2, 2, 1)
+    assert _moved((), 0, (1, 3)) == (3, 1)
 
 
 def test_basis_canonicalizes_outside_labels():

@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -307,6 +308,17 @@ def test_wrong_type_operands_are_a_type_error(op):
     for other in (5, HALF):
         with pytest.raises(TypeError, match="^unsupported operand"):
             op(other, tau(1))
+    # a LaurentPoly or a Poly on the left declines an operand of another
+    # type, so the error names the operator
+    symbol = re.escape({operator.add: "+", operator.sub: "-"}[op])
+    for left, other in ((LaurentPoly.term(1, 1), 5),
+                        (LaurentPoly.term(1, 1), tau(1)),
+                        (Poly((1,)), 5), (Poly((1,)), tau(1))):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) "
+                           rf"for {symbol}:"):
+            op(left, other)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*:"):
+        Poly((1,)) * 5
 
 
 # Symmetric diagonals with a zero, constant or degree-2 polynomial c0 +

@@ -370,6 +370,15 @@ def test_central_scalars_witnesses(monkeypatch):
     ]
 
 
+def test_the_printed_central_term_is_checked(monkeypatch):
+    # the check reads the value the table prints, not a second computation
+    table = central_scalars()
+    monkeypatch.setattr(verify, "central_scalars",
+                        lambda: {**table, "mp_cocycle_on_tau2": Fraction(3, 2)})
+    assert check_central_scalars() == [
+        "-1/2 psi at (T(2), T(-2)): expected 1/2, got 3/2"]
+
+
 def test_central_charge_failure_is_a_witness(monkeypatch):
     # one channel's Virasoro action on rank-2 states measures c = 1, not 2
     monkeypatch.setattr(verify, "virasoro_all", virasoro)
