@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from numbers import Rational
+from numbers import Number, Rational
 from operator import index
 
 
@@ -34,7 +34,11 @@ def rat(x) -> Rational:
 
 def ratio(a, b) -> Rational:
     """a / b for exact a and b, canonical as rat makes it.  This is the one
-    division in the package: / on two ints would give a float."""
+    division in the package: / on two ints would give a float.  Two ints
+    of which b divides a give a // b with no Fraction built; any other
+    input, a zero b included, goes through Fraction."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
     return rat(Fraction(a, b))
 
 
@@ -114,6 +118,9 @@ class LaurentPoly:
         return LaurentPoly({e: s * c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        """The product with a LaurentPoly, or the multiple by a number or a
+        string like '1/2' (an inexact number is scale's TypeError); any
+        other operand is declined."""
         if isinstance(other, LaurentPoly):
             out = {}
             for e1, c1 in self.coeffs.items():
@@ -121,6 +128,8 @@ class LaurentPoly:
                     e = e1 + e2
                     out[e] = out.get(e, 0) + c1 * c2
             return LaurentPoly(out)
+        if not isinstance(other, (Number, str)):
+            return NotImplemented
         return self.scale(other)
 
     __rmul__ = __mul__

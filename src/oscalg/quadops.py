@@ -104,6 +104,9 @@ class Poly:
 
 POLY_ZERO = Poly()
 POLY_ONE = Poly((1,))
+# the linear part of an element with no modes; values are immutable, so
+# every such element shares it
+_NO_MODES = LaurentPoly()
 
 
 def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Rational:
@@ -187,14 +190,18 @@ def _element(central, modes: dict, polys: dict, devs: dict) -> QuadraticElement:
     """central * K + sum of modes[m] b_m + per offset d of devs the series
     with generic polynomial polys.get(d) and deviations actual - generic
     devs[d], built only if it survives: a zero polynomial with no nonzero
-    deviation is the zero series, which the element would drop."""
+    deviation is the zero series, which the element would drop.  A sum with
+    no central, mode or offset entry is the zero element, built at once."""
+    if not (central or modes or devs):
+        return QuadraticElement()
     quad = {}
     for d, dev in devs.items():
         poly = polys.get(d, POLY_ZERO)
         if poly.c or any(dev.values()):
             quad[d] = DiagonalSeries(d, poly,
                                      {a: poly(a) + v for a, v in dev.items()})
-    return QuadraticElement(central, LaurentPoly(modes), quad)
+    return QuadraticElement(central, LaurentPoly(modes) if modes else _NO_MODES,
+                            quad)
 
 
 def _combine(terms) -> QuadraticElement:
@@ -232,7 +239,7 @@ class QuadraticElement:
     def __init__(self, central=0, linear: LaurentPoly | None = None, quad=None):
         self.central = rat(central)
         if linear is None:
-            linear = LaurentPoly()
+            linear = _NO_MODES
         elif not isinstance(linear, LaurentPoly):
             raise _wrong_type("linear", linear, LaurentPoly)
         if 0 in linear.coeffs:
@@ -558,19 +565,28 @@ def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries, sign: int,
     polynomial: c vanishes off exc(s) and exc(s) + d_other, and exception i
     of s adds x (d - i) c_other(i - d) at i and x i c_other(i + d_other) at
     i + d_other, two reads of the other side.  The reads are
-    DiagonalSeries.coeff written out: this is the Jacobi sweep's hottest
-    loop."""
+    DiagonalSeries.coeff written out, one after the other, and a constant
+    polynomial of the other side is read once per call: this is the Jacobi
+    sweep's hottest loop.  Exception keys avoid 0 and d, so the first read
+    never lands on 0 and the second never on d_other."""
     d, e = s.d, other.d
     exc, poly = other.exc, other.poly
+    const = poly.constant_value() if poly.is_constant() else None
     for i, x in s.exc.items():
-        for a, k, j in ((i, sign * (d - i), i - d), (i + e, sign * i, i + e)):
-            if j == 0 or j == e:
-                continue
+        j = i - d
+        if j != e:
             y = exc.get(j)
             if y is None:
-                y = poly(j)
+                y = const if const is not None else poly(j)
             if y:
-                dev[a] = dev.get(a, 0) + x * k * y
+                dev[i] = dev.get(i, 0) + x * sign * (d - i) * y
+        j = i + e
+        if j:
+            y = exc.get(j)
+            if y is None:
+                y = const if const is not None else poly(j)
+            if y:
+                dev[j] = dev.get(j, 0) + x * sign * i * y
 
 
 def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
@@ -582,17 +598,24 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
     and c2, so a side with a zero polynomial makes the generic polynomial
     zero, and that side scatters its own exceptions (the commutator is
     antisymmetric, so s2 scatters with sign -1).  Two nonzero polynomials
-    give the generic part and the candidates where c may differ from it."""
+    give the generic part and the candidates where c may differ from it;
+    two constants c1, c2 give it in closed form, c1 (d1 - a) c2 +
+    c1 (a - d2) c2 = c1 c2 (d1 - d2), with no polynomial product."""
     d1, d2 = s1.d, s2.d
     d = d1 + d2
-    dev = devs.setdefault(d, {})
+    dev = devs.get(d)
+    if dev is None:
+        dev = devs[d] = {}
     p1, p2 = s1.poly, s2.poly
-    if p1.is_zero():
+    if not p1.c:
         return _scatter_diag(s1, s2, 1, dev)
-    if p2.is_zero():
+    if not p2.c:
         return _scatter_diag(s2, s1, -1, dev)
-    generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
-               + p1.affine(-d2) * Poly((-d2, 1)) * p2)
+    if len(p1.c) == 1 and len(p2.c) == 1:
+        generic = Poly((p1.c[0] * p2.c[0] * (d1 - d2),))
+    else:
+        generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
+                   + p1.affine(-d2) * Poly((-d2, 1)) * p2)
     polys[d] = polys[d] + generic if d in polys else generic
     e1 = set(s1.exc) | {0, d1}
     e2 = set(s2.exc) | {0, d2}
@@ -612,9 +635,11 @@ def bracket_sum(pairs) -> QuadraticElement:
 
     Central corrections: -1/2 psi on quadratic-quadratic pairs and <f,g> K
     on linear-linear pairs; quadratic-linear brackets are purely linear.
-    Each piece runs only when both of its sides are present, so a central
-    part, which commutes with everything, adds nothing.  The sum is kept in
-    one scalar, one mode dict and, per offset, a generic polynomial and the
+    A pair one of whose sides has neither a linear nor a quadratic part
+    (zero, or central only: K commutes with everything) adds nothing and
+    is skipped before any other field is read; otherwise each piece runs
+    only when both of its sides are present.  The sum is kept in one
+    scalar, one mode dict and, per offset, a generic polynomial and the
     deviations actual - generic, which add linearly, and _element builds
     only the offsets that survive, so a vanishing sum builds no series.  No
     deviation sits at a = 0 or a = d: both diagonal kernels skip the
@@ -622,9 +647,14 @@ def bracket_sum(pairs) -> QuadraticElement:
     """
     central, modes, polys, devs = 0, {}, {}, {}
     for A, B in pairs:
-        fa, fb, qa, qb = A.linear, B.linear, A.quad, B.quad
-        if fa.coeffs and fb.coeffs:
-            central += symplectic_form(fa, fb)
+        fa, qa = A.linear.coeffs, A.quad
+        if not (fa or qa):
+            continue
+        fb, qb = B.linear.coeffs, B.quad
+        if not (fb or qb):
+            continue
+        if fa and fb:
+            central += symplectic_form(A.linear, B.linear)
         if qa and qb:
             trace = _quad_trace(qa, qb)
             if trace:
@@ -632,10 +662,10 @@ def bracket_sum(pairs) -> QuadraticElement:
             for s1 in qa.values():
                 for s2 in qb.values():
                     _bracket_diag(s1, s2, polys, devs)
-        if qa and fb.coeffs:
-            _act_into(modes, qa, fb, 1)
-        if qb and fa.coeffs:
-            _act_into(modes, qb, fa, -1)
+        if qa and fb:
+            _act_into(modes, qa, B.linear, 1)
+        if qb and fa:
+            _act_into(modes, qb, A.linear, -1)
     return _element(central, modes, polys, devs)
 
 

@@ -71,14 +71,15 @@ class CocycleHandle:
 
 def _cyclic_triples(elements, name: str):
     """Each triple (x, y, z) of elements in combinations order, with its
-    brackets ([y, z], [z, x], [x, y]) from one table of all ordered pairs."""
+    brackets ([y, z], [z, x], [x, y]) from one table of all ordered pairs,
+    table[i][j] = [elements[i], elements[j]], None on the diagonal."""
     if len(elements) < 3:
         raise ValueError(f"{name} must hold at least three elements, "
                          f"not {len(elements)}")
-    table = {(i, j): bracket(x, y) for i, x in enumerate(elements)
-             for j, y in enumerate(elements) if i != j}
+    table = [[bracket(x, y) if i != j else None
+              for j, y in enumerate(elements)] for i, x in enumerate(elements)]
     for (i, x), (j, y), (k, z) in combinations(enumerate(elements), 3):
-        yield (x, y, z), (table[j, k], table[k, i], table[i, j])
+        yield (x, y, z), (table[j][k], table[k][i], table[i][j])
 
 def _defect_sum(c, triple, brackets) -> Rational:
     """The defect sum of c(u, [v, w] mod K) over the cycle of the triple."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscalg import laurent
 from oscalg.coinv import FPoint
 from oscalg.fock import FockVector, canon_state
 from oscalg.laurent import (LaurentPoly, format_laurent, rat, ratio, residue,
@@ -152,6 +153,47 @@ def test_integral_values_are_ints():
                       (ratio(6, 3), 2), (ratio(-3, 6), Fraction(-1, 2)),
                       (ratio(Fraction(1, 2), Fraction(1, 4)), 2)):
         assert got == want and type(got) is type(want)
+
+
+def test_ratio_of_ints_divides_in_ints(monkeypatch):
+    # an integral quotient of two ints is a // b, value and type as the
+    # Fraction route gives them; every other quotient still takes that route
+    for a in range(-12, 13):
+        for bb in (*range(-6, 0), *range(1, 7)):
+            got, want = ratio(a, bb), rat(Fraction(a, bb))
+            assert got == want and type(got) is type(want), (a, bb)
+    for a in (0, 1, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            ratio(a, 0)
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(laurent, "Fraction", Counted)
+    assert [ratio(a, bb) for a, bb in ((6, 3), (-12, 4), (0, -5), (7, 1))] \
+        == [2, -3, 0, 7]
+    assert built == []
+    assert ratio(3, 6) == Fraction(1, 2)
+    assert built == [(3, 6)]
+
+
+def test_mul_declines_an_operand_that_is_no_number():
+    # a LaurentPoly times a quadratic element, either way round, is
+    # Python's own error; a number or a string like '1/2' scales, and an
+    # inexact number is still named
+    for left, right in ((t(1), tau(1)), (tau(1), t(1)), (t(1), {2: 1}),
+                        ({2: 1}, t(1))):
+        with pytest.raises(TypeError,
+                           match=r"^unsupported operand type\(s\) for \*:"):
+            left * right
+    assert t(1) * 3 == 3 * t(1) == t(1, 3)
+    assert t(1) * Fraction(1, 2) == "1/2" * t(1) == t(1, Fraction(1, 2))
+    for left, right in ((t(1), 0.5), (0.5, t(1))):
+        with pytest.raises(TypeError, match="^0.5 is not an exact rational"):
+            left * right
 
 
 @pytest.mark.parametrize("make, value", [

@@ -249,6 +249,52 @@ def test_finite_diagonal_bracket_reads_only_its_support():
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
 
 
+def test_constant_diagonals_bracket_in_closed_form(monkeypatch):
+    # two constant polynomials give the generic part c1 c2 (d1 - d2) with
+    # no polynomial product or shift; a non-constant one still takes them
+    calls = []
+
+    def counted(name):
+        method = getattr(Poly, name)
+        return lambda self, *args: calls.append(name) or method(self, *args)
+
+    for name in ("__mul__", "affine"):
+        monkeypatch.setattr(Poly, name, counted(name))
+    constants = [DiagonalSeries(2, Poly((3,)), {1: 5}),
+                 DiagonalSeries(-2, Poly((HALF,)), {-1: 0, 3: 4, -5: 4}),
+                 DiagonalSeries(5, Poly((-1,))), tau(-3).quad[-3]]
+    for s1 in constants:
+        for s2 in constants:
+            polys = {}
+            _bracket_diag(s1, s2, polys, {})
+            generic = s1.poly.c[0] * s2.poly.c[0] * (s1.d - s2.d)
+            assert polys == {s1.d + s2.d: Poly((generic,))}
+    assert calls == []
+    _bracket_diag(DiagonalSeries(2, Poly((0, 2, -1))), constants[0], {}, {})
+    assert calls.count("__mul__") >= 4 and calls.count("affine") == 2
+
+
+def test_idle_pairs_are_skipped_and_the_empty_sum_builds_nothing(monkeypatch):
+    # a side with neither a linear nor a quadratic part ends its pair before
+    # the other side is read, and a sum with no central, mode or offset
+    # entry is the zero element, built with no LaurentPoly
+    unread = object()
+    pairs = [(unit(3), unread), (QuadraticElement(), unread),
+             (tau(2), unit()), (b(1), b(2))]
+    built = []
+
+    class Counted(LaurentPoly):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(quadops, "LaurentPoly", Counted)
+    assert bracket_sum(pairs) == QuadraticElement()
+    assert built == []
+
+
 def test_vanishing_bracket_sum_builds_no_series(monkeypatch):
     elements = (pair(1, -3), tau(2), tau(-1).scale(3) + pair(2, 2) + b(4))
     gens = small_generator_set()
@@ -349,6 +395,10 @@ DIAGONAL_PAIRS = st.integers(-6, 6).flatmap(lambda d1: st.tuples(
 @example(((4, [1, 0, 0], {2: 3}), (-4, [0, 0, 0], {-2: -1, -1: 2, -3: 2})))
 @example(((2, [1, 2, -1], {1: 7}), (-2, [2, -4, -2], {-1: 1})))
 @example(((0, [0, 0, 0], {2: 1, -2: 1}), (2, [1, 0, 0], {1: 0})))
+# two constants with exceptions, at opposite and at unrelated offsets
+@example(((3, [2, 0, 0], {1: 5, 2: 5}), (-3, [-1, 0, 0], {-1: 4, -2: 4})))
+@example(((4, [3, 0, 0], {1: -1, 3: -1, 2: 7}),
+          (1, [HALF, 0, 0], {3: 2, -2: 2})))
 @given(DIAGONAL_PAIRS)
 def test_bracket_diag_matches_candidate_gather(pair_of_raw):
     r1, r2 = pair_of_raw
