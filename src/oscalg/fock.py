@@ -17,8 +17,9 @@ run of floor(|d|/2) images where both indices of a diagonal create stays
 lazy, as segments of consecutive indices with one coefficient, and the few
 other images of its degree are summed and sorted, and all come before it.
 A run's labels are cut from cached text: between two parts of the channel
-the created parts -a and a - d go in at fixed places, so only their digits
-change from label to label, and one list comprehension makes them.
+the created parts -a and a - d go in at fixed places, and between two
+multiples of 1000 only their last three digits change, which a table of
+the 1000 three-digit texts supplies, so no label turns an int into text.
 apply_quadratic and term_labels read a state's images from _images.
 """
 
@@ -316,26 +317,46 @@ def _merged(state, runs, others):
 
 def _blocks(state, spans):
     """The spans of _merged as term_labels' blocks: a span joins the open
-    block while its coefficient stays and the block has room, and a run's
-    labels are made only as many at a time as fit."""
+    block while its coefficient stays and the block has room.  A run's
+    labels are made a batch at a time, from the first a that has none, as
+    many as the open block has room for; the run's next spans take theirs
+    from the batch, so one-index segments need no _run_labels call each."""
     c0, block = None, []
+    dm, made, text = None, range(0), []
     for c, d, terms in spans:
         while terms:
             if block and (c != c0 or len(block) == BLOCK):
                 yield c0, block
                 block = []
             c0, room = c, BLOCK - len(block)
-            take, terms = terms[:room], terms[room:]
-            block += take if d is None else _run_labels(state, d, take)
+            if d is None:
+                take, terms = terms[:room], terms[room:]
+            else:
+                a = terms[0]
+                if d != dm or a not in made:
+                    dm, made = d, range(a, min(a + room, d // 2 + 1))
+                    text = _run_labels(state, d, made)
+                k = a - made.start
+                n = min(room, len(terms), len(made) - k)
+                take, terms = text[k:k + n], terms[n:]
+            block += take
     if block:
         yield c0, block
+
+# _DIGITS[i] is i in three digits: a number n of at least 1000 is written
+# str(n // 1000) + _DIGITS[n % 1000].
+_DIGITS = [f"{i:03d}" for i in range(1000)]
 
 def _run_labels(state, d: int, run: range) -> list:
     """The labels of the states of the run of offset d on channel 1 of
     state, for a in run.  Between two parts of the channel the insertion
     points i of -a and j of a - d stay fixed, so there each label is pre +
     str(-a) + mid + str(a - d) + post, three strings cut from the state's
-    text once per (i, j), and one list comprehension makes them all."""
+    text once per (i, j).  A window is cut again wherever -a or a - d
+    crosses a multiple of 1000: inside a piece both keep their text above
+    the last three digits, so once a - d reaches 1000 each label joins pre
+    and mid, each with that text put on once per piece, post, and two
+    slices of _DIGITS, one running down for -a and one up for a - d."""
     lam = state[0]
     if len(state) == 1:
         left, right = "[", "]"
@@ -355,7 +376,18 @@ def _run_labels(state, d: int, run: range) -> list:
         mid = "".join(f",{p}" for p in lam[i:j]) + ","
         post = "".join(f",{p}" for p in lam[j:]) + right
         window, run = run[:end - a], run[end - a:]
-        labels += [f"{pre}{-a}{mid}{a - d}{post}" for a in window]
+        while window:
+            a = window[0]
+            hx, lx = divmod(-a, 1000)
+            hy, ly = divmod(a - d, 1000)
+            n = min(len(window), lx + 1, 1000 - ly)
+            if hy:
+                u, v = pre + str(hx), mid + str(hy)
+                labels += [f"{u}{x}{v}{y}{post}" for x, y in
+                           zip(_DIGITS[lx::-1], _DIGITS[ly:ly + n])]
+            else:
+                labels += [f"{pre}{-a}{mid}{a - d}{post}" for a in window[:n]]
+            window = window[n:]
     return labels
 
 def virasoro(p: int, v: FockVector) -> FockVector:

@@ -389,7 +389,7 @@ COINV_DIGESTS = {
 }
 
 
-def _coinv_digest(capsys, argvs) -> str:
+def _cli_digest(capsys, argvs) -> str:
     """SHA-256 over each argv and the exit code, stdout and stderr it gives."""
     digest = hashlib.sha256()
     for argv in argvs:
@@ -408,8 +408,43 @@ def test_coinv_bytes_are_frozen(capsys):
     assert len(answered) == 1296
     refused = [["coinv", *argv, "--format", fmt]
                for argv in COINV_REFUSED for fmt in ("text", "json")]
-    assert _coinv_digest(capsys, answered) == COINV_DIGESTS["answered"]
-    assert _coinv_digest(capsys, refused) == COINV_DIGESTS["refused"]
+    assert _cli_digest(capsys, answered) == COINV_DIGESTS["answered"]
+    assert _cli_digest(capsys, refused) == COINV_DIGESTS["refused"]
+
+
+# fock-apply T(-p) and -1/2*T(-p) for p where the created parts -a and
+# a - d cross 10, 1000, 2000, 10^4 or 10^5, on states of rank 1 and 2 whose
+# parts straddle them; the largest p, whose runs print 5*10^4 terms, on
+# fewer states.
+FOCK_APPLY_STATES = {
+    (2, 3, 4, 11, 50, 999, 1000, 1001, 1002, 1003, 1999, 2000, 2001, 2002,
+     2003): ("[1]", "[1001,1000,999,2]", "([2001,1999,1000]|[3])",
+             "(-|[10001,9999])", "[100000,10000,1]"),
+    (9999, 10001): ("[1]", "(-|[10001,9999])", "[100000,10000,1]"),
+    (99999, 100001): ("[100000,10000,1]",),
+}
+# Commands that exit 2: malformed labels and expressions.
+FOCK_APPLY_REFUSED = (
+    ("T(-3)", "[1,0]"), ("T(-3)", "[1"), ("T(-3)", "([1]|[2]"),
+    ("T(-3)", "[1000,-1]"), ("T(-3) +", "[1]"), ("b(0)", "[1]"),
+    ("T(-p)", "[1]"), ("1/0*T(-3)", "[1]"),
+)
+FOCK_APPLY_DIGESTS = {
+    "answered": "bce48cc85aee2e0dcc22e1fe4e3984c53ea9d62c74116fde23e0e4eb9385f67f",
+    "refused": "6fa68193cb59323fae27cde65f4505cc5d49bb7d2d03e474a18dc42eeabdfc52",
+}
+
+
+def test_fock_apply_bytes_are_frozen(capsys):
+    answered = [["fock-apply", expr, state, "--format", fmt]
+                for ps, states in FOCK_APPLY_STATES.items() for p in ps
+                for expr in (f"T({-p})", f"-1/2*T({-p})")
+                for state in states for fmt in ("text", "json")]
+    assert len(answered) == 332
+    refused = [["fock-apply", expr, state, "--format", fmt]
+               for expr, state in FOCK_APPLY_REFUSED for fmt in ("text", "json")]
+    assert _cli_digest(capsys, answered) == FOCK_APPLY_DIGESTS["answered"]
+    assert _cli_digest(capsys, refused) == FOCK_APPLY_DIGESTS["refused"]
 
 
 def test_cmd_central_scalars(capsys):

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import oscalg.fock
 from oscalg.cli import main
-from oscalg.fock import (BLOCK, FockVector, _moved, apply_quadratic,
-                         canon_state, exp_apply, format_label, format_vector,
-                         graded_basis, measure_central_charge, parse_label,
-                         state_degree, term_labels, virasoro, virasoro_all)
+from oscalg.fock import (BLOCK, FockVector, _moved, _run_labels, _run_state,
+                         apply_quadratic, canon_state, exp_apply, format_label,
+                         format_vector, graded_basis, measure_central_charge,
+                         parse_label, state_degree, term_labels, virasoro,
+                         virasoro_all)
 from oscalg.laurent import LaurentPoly
 from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement, b, bracket,
                             pair, tau, unit)
@@ -351,6 +353,9 @@ def diagonal_element(central, modes, diagonals):
 # on an empty channel the first block of the run fills at a = -(BLOCK + 5),
 # and the exception at the next a opens the second block
 @example(0, {}, [(-(2 * BLOCK + 5), 1, 0, {-(BLOCK + 4): 2})], ((),))
+# the run of d = -12 opens at a = -9, inside the a of the run of d = -10
+# just before it, whose labels it must not reuse
+@example(0, {}, [(-10, 1, 0, {}), (-12, 1, 0, {-11: 0, -10: 0})], ((1,),))
 @given(COEFF, MODES, DIAGONALS, STATES)
 def test_term_stream_is_the_sorted_image(central, modes, diagonals, state):
     A = diagonal_element(central, modes, diagonals)
@@ -395,6 +400,57 @@ def test_term_stream_checks_the_state_before_the_first_term():
         term_labels(tau(-2), ((0,),))
     with pytest.raises(ValueError, match="rank"):
         term_labels(tau(-2), ())
+
+
+# Runs of at most 3000 indices in which -a or a - d crosses 999 -> 1000 or
+# 999999 -> 1000000, one whole run in which both cross 1000 and -a also
+# crosses 2000, and one that ends at the midpoint -a = a - d = 10^6, on
+# states with parts at 999, 1000, 1001 and 10^6.
+@pytest.mark.parametrize("d, run", [
+    (-1500, range(-1499, -750)),
+    (-2003, range(-2002, -1001)),
+    (-2500, range(-2499, -1250)),
+    (-1500000, range(-1001500, -998500)),
+    (-2500001, range(-1501500, -1498500)),
+    (-2000000, range(-1001000, -999999)),
+])
+def test_run_labels_cross_digit_boundaries(d, run):
+    assert d + 1 <= run[0] and run[-1] <= d // 2
+    for state in [((),), ((1,),), ((1001, 1000, 999),),
+                  ((1000000, 1001, 1000, 999, 1),), ((1000, 999), (1001,)),
+                  ((), (1000000, 1000)), ((1000000, 999, 3), (999,))]:
+        assert _run_labels(state, d, run) == [
+            format_label(_run_state(state, 0, d, a)) for a in run]
+
+
+def test_a_non_constant_run_makes_its_labels_a_batch_at_a_time(monkeypatch):
+    # the generic part 1 - a(a - d) of d = -40001 is not constant, so its
+    # run of 20000 terms comes as one-index segments, each coefficient
+    # its own block; its labels come in batches of BLOCK, not one per index
+    d = -40001
+    A = QuadraticElement(quad={d: DiagonalSeries(d, Poly((1, d, -1)))})
+    calls = []
+
+    def counted(state, d, run):
+        calls.append(run)
+        return _run_labels(state, d, run)
+
+    monkeypatch.setattr(oscalg.fock, "_run_labels", counted)
+    blocks = list(term_labels(A, ((1,),)))
+    assert len(blocks) == 20001
+    assert [a for run in calls for a in run] == list(range(d + 1, d // 2 + 1))
+    assert len(calls) == -(-20000 // BLOCK)
+    # a run of 20 terms that crosses eight insertion-point windows makes
+    # its labels in one call
+    calls.clear()
+    d = -40
+    A = QuadraticElement(quad={d: DiagonalSeries(d, Poly((1, d, -1)))})
+    state = ((30, 25, 20, 12, 5, 1),)
+    got = [(c, label) for c, labels in term_labels(A, state)
+           for label in labels]
+    image = apply_quadratic(A, FockVector.basis(state)).terms_sorted()
+    assert got == [(c, format_label(st)) for st, c in image]
+    assert calls == [range(d + 1, d // 2 + 1)]
 
 
 # -- central charge ------------------------------------------------------------
