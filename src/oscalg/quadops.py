@@ -144,9 +144,13 @@ class DiagonalSeries:
 
     def __init__(self, d: int, poly: Poly = POLY_ZERO, exc=None):
         self.d = d = index(d)
+        if not isinstance(poly, Poly):
+            raise _wrong_type("poly", poly, Poly)
         self.poly = poly
         clean = {}
         if exc:
+            if not isinstance(exc, dict):
+                raise _wrong_type("exc", exc, dict)
             # a constant polynomial, the zero one included, needs no poly(a)
             const = poly.constant_value() if poly.is_constant() else None
             for a, v in exc.items():
@@ -559,20 +563,24 @@ def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(_act_into({}, quad, f, 1))
 
 
-def _scatter_diag(s: DiagonalSeries, other: DiagonalSeries, sign: int,
-                  dev: dict) -> None:
-    """Add sign * [s, other]'s diagonal into dev for s with a zero
-    polynomial: c vanishes off exc(s) and exc(s) + d_other, and exception i
-    of s adds x (d - i) c_other(i - d) at i and x i c_other(i + d_other) at
-    i + d_other, two reads of the other side.  The reads are
-    DiagonalSeries.coeff written out, one after the other, and a constant
-    polynomial of the other side is read once per call: this is the Jacobi
-    sweep's hottest loop.  Exception keys avoid 0 and d, so the first read
-    never lands on 0 and the second never on d_other."""
-    d, e = s.d, other.d
-    exc, poly = other.exc, other.poly
-    const = poly.constant_value() if poly.is_constant() else None
+def _scatter_diag(s: DiagonalSeries, other: tuple, sign: int, dev: dict) -> None:
+    """Add sign * [E, other]'s diagonal into dev, E the deviations x =
+    v - P(i) of s from its polynomial P at its exceptions i, and other =
+    (e, exc, poly) the side read: exc.get(j), else poly(j), a constant poly
+    read once per call.  x adds x (d - i) c_other(i - d) at i and x i
+    c_other(i + e) at i + e.  Exception keys avoid 0 and d, so the first
+    read lands on the bracket's end d + e exactly when j == e and the
+    second on its end 0 exactly when j == 0: those two skips serve both
+    calls of _bracket_diag.  This is the Jacobi sweep's hottest loop."""
+    d, p = s.d, s.poly
+    e, exc, poly = other
+    base = (p.c[0] if p.c else 0) if len(p.c) <= 1 else None
+    const = (poly.c[0] if poly.c else 0) if len(poly.c) <= 1 else None
     for i, x in s.exc.items():
+        if base is None:
+            x -= p(i)
+        elif base:
+            x -= base
         j = i - d
         if j != e:
             y = exc.get(j)
@@ -593,41 +601,31 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
                   devs: dict) -> None:
     """Add the diagonal part of the endomorphism commutator of two diagonals
     into the accumulators of offset d1 + d2: its generic polynomial into
-    polys and its deviations actual - generic into devs.  Both terms of
-    c(a) = c1(a) (d1 - a) c2(a - d1) + c1(a - d2) (a - d2) c2(a) carry c1
-    and c2, so a side with a zero polynomial makes the generic polynomial
-    zero, and that side scatters its own exceptions (the commutator is
-    antisymmetric, so s2 scatters with sign -1).  Two nonzero polynomials
-    give the generic part and the candidates where c may differ from it;
-    two constants c1, c2 give it in closed form, c1 (d1 - a) c2 +
-    c1 (a - d2) c2 = c1 c2 (d1 - d2), with no polynomial product."""
+    polys and its deviations actual - generic into devs.  With each side its
+    polynomial P_i plus its deviations E_i, c(a) = c1(a) (d1 - a) c2(a - d1)
+    + c1(a - d2) (a - d2) c2(a) is bilinear, so [s1, s2] = [P1, P2] +
+    [E1, s2] + [P1, E2].  The generic part [P1, P2] is zero when either
+    polynomial is, and two constants give c1 c2 (d1 - d2) with no product;
+    each other part is one _scatter_diag, [P1, E2] = -[E2, P1] run only for
+    a nonzero P1.  The forced zeros of s_i at 0 and d_i are left out of E_i:
+    each meets a zero factor or lands on an end of the result, where the
+    scatter's skips drop it."""
     d1, d2 = s1.d, s2.d
     d = d1 + d2
     dev = devs.get(d)
     if dev is None:
         dev = devs[d] = {}
     p1, p2 = s1.poly, s2.poly
-    if not p1.c:
-        return _scatter_diag(s1, s2, 1, dev)
-    if not p2.c:
-        return _scatter_diag(s2, s1, -1, dev)
-    if len(p1.c) == 1 and len(p2.c) == 1:
-        generic = Poly((p1.c[0] * p2.c[0] * (d1 - d2),))
-    else:
-        generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
-                   + p1.affine(-d2) * Poly((-d2, 1)) * p2)
-    polys[d] = polys[d] + generic if d in polys else generic
-    e1 = set(s1.exc) | {0, d1}
-    e2 = set(s2.exc) | {0, d2}
-    for a in e1 | {a + d2 for a in e1} | e2 | {a + d1 for a in e2}:
-        if a == 0 or a == d:
-            continue
-        val = -generic(a)
-        for i, j, k in ((a, a - d1, d1 - a), (a - d2, a, a - d2)):
-            if (x := s1.coeff(i)) and (y := s2.coeff(j)):
-                val += x * y * k
-        if val:
-            dev[a] = dev.get(a, 0) + val
+    if p1.c and p2.c:
+        if len(p1.c) == 1 and len(p2.c) == 1:
+            generic = Poly((p1.c[0] * p2.c[0] * (d1 - d2),))
+        else:
+            generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
+                       + p1.affine(-d2) * Poly((-d2, 1)) * p2)
+        polys[d] = polys[d] + generic if d in polys else generic
+    _scatter_diag(s1, (d2, s2.exc, p2), 1, dev)
+    if p1.c:
+        _scatter_diag(s2, (d1, {}, p1), -1, dev)
 
 
 def bracket_sum(pairs) -> QuadraticElement:
@@ -642,8 +640,8 @@ def bracket_sum(pairs) -> QuadraticElement:
     scalar, one mode dict and, per offset, a generic polynomial and the
     deviations actual - generic, which add linearly, and _element builds
     only the offsets that survive, so a vanishing sum builds no series.  No
-    deviation sits at a = 0 or a = d: both diagonal kernels skip the
-    endpoints, where every c is zero.
+    deviation sits at a = 0 or a = d: _scatter_diag skips the reads that
+    land there, where every c is zero.
     """
     central, modes, polys, devs = 0, {}, {}, {}
     for A, B in pairs:

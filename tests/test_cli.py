@@ -1184,6 +1184,20 @@ def test_only_element_builds_computed_series():
                         "quadops.py:tau", "quadops.py:sigma"}
 
 
+def test_the_diagonal_commutator_takes_one_path():
+    # quadops._bracket_diag adds the generic part and scatters each side's
+    # deviations: no early return picks a path, no candidate set is
+    # gathered and no coefficient is read through DiagonalSeries.coeff
+    tree = ast.parse(Path(oscalg.quadops.__file__).read_text())
+    kinds = (ast.Return, ast.Set, ast.SetComp, ast.Call)
+    found = [type(node).__name__ for where, node in _enclosed(tree, kinds)
+             if where == "_bracket_diag" and (
+                 not isinstance(node, ast.Call)
+                 or getattr(node.func, "attr", None) == "coeff")]
+    assert found == []
+    assert "_bracket_diag" in {where for where, _ in _enclosed(tree, ast.Call)}
+
+
 def test_readme_modules_table_names_what_each_module_has():
     # every backticked call `name(...)` in a row of the README's Modules
     # table whose name has no dot is an attribute of the row's module

@@ -222,7 +222,7 @@ def test_bracket_matches_endo_commutator_on_window():
         assert got == {c: action(C, c) for c in got}
 
 
-def test_finite_diagonal_bracket_reads_only_its_support():
+def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
     # a pair diagonal s1 confines the bracket to exc(s1) and exc(s1) + d2:
     # each exception scatters to those two indices, reading s2 at most once
     # for each; every read of a pair diagonal is one lookup in its exceptions
@@ -247,6 +247,22 @@ def test_finite_diagonal_bracket_reads_only_its_support():
             reads += len(calls)
     assert reads > 0
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
+    # constant diagonals with exceptions are read the same way: at most two
+    # lookups per exception, with no coeff method and no polynomial call
+    monkeypatch.setattr(DiagonalSeries, "coeff", lambda *args: calls.append("coeff"))
+    monkeypatch.setattr(Poly, "__call__", lambda *args: calls.append("poly"))
+    constants = [DiagonalSeries(2, Poly((3,)), {1: 5}),
+                 DiagonalSeries(-2, Poly((HALF,)), {-1: 0, 3: 4, -5: 4}),
+                 DiagonalSeries(5, Poly((-1,)), {1: 2, 4: 2, -3: 7, 8: 7}),
+                 tau(-3).quad[-3]]
+    for s in constants:
+        s.exc = Reads(s.exc)
+    for s1 in constants:
+        for s2 in constants:
+            del calls[:]
+            _bracket_diag(s1, s2, {}, {})
+            assert "coeff" not in calls and "poly" not in calls, (s1, s2)
+            assert len(calls) <= 2 * (len(s1.exc) + len(s2.exc)), (s1, s2)
 
 
 def test_constant_diagonals_bracket_in_closed_form(monkeypatch):
@@ -346,6 +362,15 @@ def test_drop_central_hands_back_a_central_free_element():
     assert y.central == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, (1,)), "^poly must be a Poly, not tuple$"),
+    ((2, Poly((1,)), [(1, 2)]), "^exc must be a dict, not list$"),
+])
+def test_diagonal_series_refuses_wrong_types(args, message):
+    with pytest.raises(TypeError, match=message):
+        DiagonalSeries(*args)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub])
 def test_wrong_type_operands_are_a_type_error(op):
     for other in (5, HALF, LaurentPoly.term(1, 1)):
@@ -399,6 +424,18 @@ DIAGONAL_PAIRS = st.integers(-6, 6).flatmap(lambda d1: st.tuples(
 @example(((3, [2, 0, 0], {1: 5, 2: 5}), (-3, [-1, 0, 0], {-1: 4, -2: 4})))
 @example(((4, [3, 0, 0], {1: -1, 3: -1, 2: 7}),
           (1, [HALF, 0, 0], {3: 2, -2: 2})))
+# an s1 exception at -d2, whose second read lands on 0, and one at d1 + d2,
+# whose first read lands on d2
+@example(((3, [0, 0, 0], {-2: 4, 5: 4}), (2, [0, 0, 0], {1: 3})))
+@example(((1, [2, 0, 0], {4: -1, -3: -1}), (3, [HALF, 0, 0], {})))
+# s2 exceptions at -d1 and d1 + d2 against a constant P1: both skips of the
+# second scatter
+@example(((2, [1, 0, 0], {}), (3, [0, 0, 0], {-2: 3, 5: 3})))
+# non-constant polynomials on both sides, each with exceptions
+@example(((3, [1, 6, -2], {1: 5, 2: 5, -1: 0, 4: 0}),
+          (-2, [HALF, -2, -1], {-1: 3, 3: 2, -5: 2})))
+# a zero P2 against a constant s1 with exceptions
+@example(((3, [2, 0, 0], {1: 5, 2: 5}), (-1, [0, 0, 0], {2: 1, -3: 1})))
 @given(DIAGONAL_PAIRS)
 def test_bracket_diag_matches_candidate_gather(pair_of_raw):
     r1, r2 = pair_of_raw
@@ -409,6 +446,10 @@ def test_bracket_diag_matches_candidate_gather(pair_of_raw):
     got = bracket(*(QuadraticElement(quad={s.d: s}) for s in (s1, s2)))
     got = got.quad.get(d, DiagonalSeries(d))
     assert (got.d, got.poly.c, got.exc) == (d, tuple(generic), exc)
+    # no deviation sits on an end of the result, where every c is zero
+    devs = {}
+    _bracket_diag(s1, s2, {}, devs)
+    assert not devs[d].keys() & {0, d}
 
 
 def test_bracket_action_on_modes_matches_endo():
