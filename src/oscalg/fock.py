@@ -14,8 +14,9 @@ ascending and then state descending (terms_sorted's order), in blocks
 (coefficient, labels) of at most BLOCK terms that share a coefficient,
 which the CLI's fock-apply prints one piece each.  It holds no image: the
 run of floor(|d|/2) images where both indices of a diagonal create stays
-lazy, as segments of consecutive indices with one coefficient, and the few
-other images of its degree are summed and sorted, and all come before it.
+lazy, as segments of consecutive indices with one coefficient, cut where
+the diagonal stores a deviation from its polynomial, and the few other
+images of its degree are summed and sorted, and all come before it.
 A run's labels are cut from cached text: between two parts of the channel
 the created parts -a and a - d go in at fixed places, and between two
 multiples of 1000 only their last three digits change, which a table of
@@ -175,26 +176,25 @@ def _created_run(series):
     """The both-creating run of one diagonal series, the a in [d+1, d//2]
     whose pair puts the parts -a >= a - d into the channel, as (run,
     coefficient) segments: run is a range of a with that nonzero
-    coefficient.  A constant generic part is cut only at the exceptions in
-    range and at the halved midpoint; a non-constant one gives one-index
-    segments.  The states (_run_state) come out strictly in print order,
-    state descending: from a to a + 1 one unit moves from the larger
-    created part to the smaller, which lowers the partition in dominance
-    order and so lexicographically.  Empty unless d < -1."""
+    coefficient.  A constant generic part is cut only at the keys of the
+    series' deviations in range and at the halved midpoint, where coeff
+    reads the value; a non-constant one gives one-index segments.  The
+    states (_run_state) come out strictly in print order, state
+    descending: from a to a + 1 one unit moves from the larger created
+    part to the smaller, which lowers the partition in dominance order and
+    so lexicographically.  Empty unless d < -1."""
     d = series.d
-    poly, exc = series.poly, series.exc
+    poly = series.poly
     lo, hi = d + 1, d // 2
     const, cuts = None, range(lo, hi + 1)
     if poly.is_constant():
         const = poly.constant_value()
-        cuts = {a for a in exc if lo <= a <= hi}
+        cuts = {a for a in series.dev if lo <= a <= hi}
         cuts = sorted(cuts | {hi} if 2 * hi == d else cuts)
     for a in cuts:
         if const and lo < a:
             yield range(lo, a), const
-        c = exc.get(a)
-        if c is None:
-            c = rat(poly(a)) if const is None else const
+        c = series.coeff(a)
         if c:
             yield range(a, a + 1), ratio(c, 2) if 2 * a == d else c
         lo = a + 1

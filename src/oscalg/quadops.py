@@ -2,9 +2,10 @@
 
 The central object is QuadraticElement: central * K + finite linear part +
 banded symmetric quadratic part.  Quadratic parts are stored per
-anti-diagonal a + b = d as a coefficient polynomial in a with finitely many
-exceptional values, which is closed under the commutator; this is what lets
-infinite formal sums like the Virasoro modes be bracketed exactly.
+anti-diagonal a + b = d as a coefficient polynomial P in a plus finitely
+many deviations c(a) - P(a), the form every kernel reads and writes; it is
+closed under the commutator, which is what lets infinite formal sums like
+the Virasoro modes be bracketed exactly.
 
 Index 0 is banished from linear and quadratic parts.  The central
 coordinate is the only residue of the zero mode, and the forced zeros of
@@ -134,36 +135,35 @@ def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Rational:
 class DiagonalSeries:
     """Coefficient function on the anti-diagonal a + b = d.
 
-    ctilde(a) = 0 if a in {0, d}, else exceptions.get(a, poly(a)).
-    The stored data is canonical: exception keys avoid {0, d} and values
-    that merely repeat poly(a).  The constructor raises ValueError unless
-    ctilde(a) == ctilde(d - a), so every series lies in sp(H').
+    ctilde(a) = 0 if a in {0, d}, else poly(a) + dev.get(a, 0): dev maps
+    each exceptional index a to its deviation ctilde(a) - poly(a).  The
+    stored data is canonical: deviation keys avoid {0, d} and no deviation
+    is zero.  The constructor raises ValueError unless ctilde(a) ==
+    ctilde(d - a), so every series lies in sp(H').
     """
 
-    __slots__ = ("d", "poly", "exc")
+    __slots__ = ("d", "poly", "dev")
 
-    def __init__(self, d: int, poly: Poly = POLY_ZERO, exc=None):
+    def __init__(self, d: int, poly: Poly = POLY_ZERO, dev=None):
         self.d = d = index(d)
         if not isinstance(poly, Poly):
             raise _wrong_type("poly", poly, Poly)
         self.poly = poly
         clean = {}
-        if exc:
-            if not isinstance(exc, dict):
-                raise _wrong_type("exc", exc, dict)
-            # a constant polynomial, the zero one included, needs no poly(a)
-            const = poly.constant_value() if poly.is_constant() else None
-            for a, v in exc.items():
+        if dev:
+            if not isinstance(dev, dict):
+                raise _wrong_type("dev", dev, dict)
+            for a, x in dev.items():
                 a = index(a)
                 if a == 0 or a == d:
                     continue
-                v = rat(v)
-                if v != (poly(a) if const is None else const):
-                    clean[a] = v
-        self.exc = clean
+                x = rat(x)
+                if x:
+                    clean[a] = x
+        self.dev = clean
         # poly(a) - poly(d - a) has degree <= deg, so agreeing at a = 0..deg
-        # proves the polynomial symmetric; then the mirror of an exception
-        # must be an exception of the same value
+        # proves the polynomial symmetric; then the mirror of a deviation
+        # must be a deviation of the same value
         for a in (() if poly.is_constant() else range(len(poly.c))):
             if poly(a) != poly(d - a):
                 raise ValueError(f"diagonal series at offset {d} is not "
@@ -176,24 +176,23 @@ class DiagonalSeries:
     def coeff(self, a: int) -> Rational:
         if a == 0 or a == self.d:
             return 0
-        got = self.exc.get(a)
-        return got if got is not None else self.poly(a)
+        return rat(self.poly(a) + self.dev.get(a, 0))
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero() and not self.exc
+        return self.poly.is_zero() and not self.dev
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiagonalSeries) and self.d == other.d
-                and self.poly == other.poly and self.exc == other.exc)
+                and self.poly == other.poly and self.dev == other.dev)
 
     def __repr__(self):
-        return f"DiagonalSeries(d={self.d}, poly={self.poly!r}, exc={self.exc!r})"
+        return f"DiagonalSeries(d={self.d}, poly={self.poly!r}, dev={self.dev!r})"
 
 
 def _element(central, modes: dict, polys: dict, devs: dict) -> QuadraticElement:
     """central * K + sum of modes[m] b_m + per offset d of devs the series
-    with generic polynomial polys.get(d) and deviations actual - generic
-    devs[d], built only if it survives: a zero polynomial with no nonzero
+    with generic polynomial polys.get(d) and the deviations devs[d] it
+    stores, built only if it survives: a zero polynomial with no nonzero
     deviation is the zero series, which the element would drop.  A sum with
     no central, mode or offset entry is the zero element, built at once."""
     if not (central or modes or devs):
@@ -202,8 +201,7 @@ def _element(central, modes: dict, polys: dict, devs: dict) -> QuadraticElement:
     for d, dev in devs.items():
         poly = polys.get(d, POLY_ZERO)
         if poly.c or any(dev.values()):
-            quad[d] = DiagonalSeries(d, poly,
-                                     {a: poly(a) + v for a, v in dev.items()})
+            quad[d] = DiagonalSeries(d, poly, dev)
     return QuadraticElement(central, LaurentPoly(modes) if modes else _NO_MODES,
                             quad)
 
@@ -220,8 +218,8 @@ def _combine(terms) -> QuadraticElement:
             poly = series.poly.scale(c)
             polys[d] = polys[d] + poly if d in polys else poly
             dev = devs.setdefault(d, {})
-            for a, v in series.exc.items():
-                dev[a] = dev.get(a, 0) + c * (v - series.poly(a))
+            for a, x in series.dev.items():
+                dev[a] = dev.get(a, 0) + c * x
     return _element(central, modes, polys, devs)
 
 
@@ -326,12 +324,11 @@ def _term_chunks(A: QuadraticElement):
         if c:
             chunks.append((c, f"T({d})"))
     for d in sorted(A.quad):
-        series = A.quad[d]
-        c = series.poly.constant_value()
-        for a in sorted(x for x in series.exc if 2 * x <= d):
-            v = series.exc[a]
-            coeff = ratio(v - c, 2) if 2 * a == d else v - c
-            chunks.append((coeff, f":b({a})b({d - a}):"))
+        dev = A.quad[d].dev
+        for a in sorted(x for x in dev if 2 * x <= d):
+            x = dev[a]
+            chunks.append((ratio(x, 2) if 2 * a == d else x,
+                           f":b({a})b({d - a}):"))
     for m in sorted(A.linear.coeffs):
         chunks.append((A.linear.coeffs[m], f"b({m})"))
     if A.central:
@@ -492,8 +489,8 @@ def pair(a: int, bb: int) -> QuadraticElement:
     if a == 0 or bb == 0:
         raise ValueError("index 0 is not allowed in quadratic parts")
     d = a + bb
-    exc = {a: 2} if a == bb else {a: 1, bb: 1}
-    return QuadraticElement(quad={d: DiagonalSeries(d, POLY_ZERO, exc)})
+    dev = {a: 2} if a == bb else {a: 1, bb: 1}
+    return QuadraticElement(quad={d: DiagonalSeries(d, POLY_ZERO, dev)})
 
 
 def normal_order_lift(f: LaurentPoly, g: LaurentPoly) -> QuadraticElement:
@@ -533,7 +530,7 @@ def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Rational:
         d - 1, len(p1.c) + len(p2.c),
         lambda j: j * (d - j) * p1(d - j) * p2(-j),
         lambda j: j * (d - j) * s1.coeff(d - j) * s2.coeff(-j),
-        {d - a for a in s1.exc} | {-a for a in s2.exc})
+        {d - a for a in s1.dev} | {-a for a in s2.dev})
 
 
 def _quad_trace(qa: dict, qb: dict) -> Rational:
@@ -564,35 +561,26 @@ def _quad_apply_laurent(quad: dict, f: LaurentPoly) -> LaurentPoly:
 
 
 def _scatter_diag(s: DiagonalSeries, other: tuple, sign: int, dev: dict) -> None:
-    """Add sign * [E, other]'s diagonal into dev, E the deviations x =
-    v - P(i) of s from its polynomial P at its exceptions i, and other =
-    (e, exc, poly) the side read: exc.get(j), else poly(j), a constant poly
-    read once per call.  x adds x (d - i) c_other(i - d) at i and x i
-    c_other(i + e) at i + e.  Exception keys avoid 0 and d, so the first
-    read lands on the bracket's end d + e exactly when j == e and the
-    second on its end 0 exactly when j == 0: those two skips serve both
-    calls of _bracket_diag.  This is the Jacobi sweep's hottest loop."""
-    d, p = s.d, s.poly
-    e, exc, poly = other
-    base = (p.c[0] if p.c else 0) if len(p.c) <= 1 else None
+    """Add sign * [E, other]'s diagonal into dev, E the stored deviations x
+    of s at its indices i, and other = (e, odev, poly) the side read:
+    poly(j) + odev.get(j, 0), a constant poly read once per call.  x adds
+    x (d - i) c_other(i - d) at i and x i c_other(i + e) at i + e.
+    Deviation keys avoid 0 and d, so the first read lands on the bracket's
+    end d + e exactly when j == e and the second on its end 0 exactly when
+    j == 0: those two skips serve both calls of _bracket_diag.  This is the
+    Jacobi sweep's hottest loop."""
+    d = s.d
+    e, odev, poly = other
     const = (poly.c[0] if poly.c else 0) if len(poly.c) <= 1 else None
-    for i, x in s.exc.items():
-        if base is None:
-            x -= p(i)
-        elif base:
-            x -= base
+    for i, x in s.dev.items():
         j = i - d
         if j != e:
-            y = exc.get(j)
-            if y is None:
-                y = const if const is not None else poly(j)
+            y = (const if const is not None else poly(j)) + odev.get(j, 0)
             if y:
                 dev[i] = dev.get(i, 0) + x * sign * (d - i) * y
         j = i + e
         if j:
-            y = exc.get(j)
-            if y is None:
-                y = const if const is not None else poly(j)
+            y = (const if const is not None else poly(j)) + odev.get(j, 0)
             if y:
                 dev[j] = dev.get(j, 0) + x * sign * i * y
 
@@ -602,9 +590,9 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
     """Add the diagonal part of the endomorphism commutator of two diagonals
     into the accumulators of offset d1 + d2: its generic polynomial into
     polys and its deviations actual - generic into devs.  With each side its
-    polynomial P_i plus its deviations E_i, c(a) = c1(a) (d1 - a) c2(a - d1)
-    + c1(a - d2) (a - d2) c2(a) is bilinear, so [s1, s2] = [P1, P2] +
-    [E1, s2] + [P1, E2].  The generic part [P1, P2] is zero when either
+    polynomial P_i plus its stored deviations E_i, c(a) = c1(a) (d1 - a)
+    c2(a - d1) + c1(a - d2) (a - d2) c2(a) is bilinear, so [s1, s2] =
+    [P1, P2] + [E1, s2] + [P1, E2].  The generic part [P1, P2] is zero when either
     polynomial is, and two constants give c1 c2 (d1 - d2) with no product;
     each other part is one _scatter_diag, [P1, E2] = -[E2, P1] run only for
     a nonzero P1.  The forced zeros of s_i at 0 and d_i are left out of E_i:
@@ -623,7 +611,7 @@ def _bracket_diag(s1: DiagonalSeries, s2: DiagonalSeries, polys: dict,
             generic = (p1 * Poly((d1, -1)) * p2.affine(-d1)
                        + p1.affine(-d2) * Poly((-d2, 1)) * p2)
         polys[d] = polys[d] + generic if d in polys else generic
-    _scatter_diag(s1, (d2, s2.exc, p2), 1, dev)
+    _scatter_diag(s1, (d2, s2.dev, p2), 1, dev)
     if p1.c:
         _scatter_diag(s2, (d1, {}, p1), -1, dev)
 
@@ -690,7 +678,7 @@ def _mixed_trace(quad: dict, g: LaurentPoly) -> Rational:
                 abs(d) - 1, len(series.poly.c),
                 lambda j: j * series.poly(s * j),
                 lambda j: j * series.coeff(s * j),
-                {s * a for a in series.exc})
+                {s * a for a in series.dev})
     return total
 
 

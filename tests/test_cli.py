@@ -1198,6 +1198,33 @@ def test_the_diagonal_commutator_takes_one_path():
     assert "_bracket_diag" in {where for where, _ in _enclosed(tree, ast.Call)}
 
 
+def test_a_diagonal_stores_its_deviations():
+    # a DiagonalSeries keeps c(a) - P(a) in `dev`, so no module reads an
+    # `exc` attribute, and the kernels that build, sum, scatter and print
+    # deviations never call the series' own polynomial to convert one: not
+    # as `series.poly(a)` nor through a name bound to it or to `polys`
+    pkg = Path(oscalg.__file__).parent
+    readers = [f"{path.name}:{where}" for path in sorted(pkg.glob("*.py"))
+               for where, node in _enclosed(ast.parse(path.read_text()),
+                                            ast.Attribute)
+               if node.attr == "exc"]
+    assert readers == []
+    tree = ast.parse(Path(oscalg.quadops.__file__).read_text())
+    kernels = {"_element", "_combine", "_scatter_diag", "_term_chunks"}
+    own = {(where, target.id)
+           for where, node in _enclosed(tree, ast.Assign) if where in kernels
+           and any(getattr(inner, "attr", getattr(inner, "id", None))
+                   in ("poly", "polys") for inner in ast.walk(node.value))
+           for target in getattr(node.targets[0], "elts", node.targets)
+           if isinstance(target, ast.Name)}
+    calls = [(where, ast.unparse(call)) for where, call in _enclosed(tree, ast.Call)
+             if where in kernels and (
+                 getattr(call.func, "attr", None) == "poly"
+                 or (where, getattr(call.func, "id", None)) in own)]
+    assert calls == []
+    assert {where for where, _ in _enclosed(tree, ast.Call)} >= kernels
+
+
 def test_readme_modules_table_names_what_each_module_has():
     # every backticked call `name(...)` in a row of the README's Modules
     # table whose name has no dot is an attribute of the row's module

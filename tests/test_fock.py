@@ -170,16 +170,16 @@ class CountingDict(dict):
 
 def test_finite_diagonal_creates_only_at_its_exceptions():
     # the creating range of d = -10**6 - 1 holds 500000 indices, but a
-    # zero polynomial creates only at its exceptions: read those, not the range
+    # zero polynomial creates only at its deviations: read those, not the range
     A = pair(-1, -10 ** 6)
     series = A.quad[-10 ** 6 - 1]
-    series.exc = CountingDict(series.exc)
+    series.dev = CountingDict(series.dev)
     v1 = FockVector.basis(((1,),))
     assert apply_quadratic(A, v1) == FockVector.basis(((10 ** 6, 1, 1),))
-    assert series.exc.reads <= 2 * len(series.exc)
-    series.exc.reads = 0
+    assert series.dev.reads <= 2 * len(series.dev)
+    series.dev.reads = 0
     assert list(term_labels(A, ((1,),))) == [(1, ["[1000000,1,1]"])]
-    assert series.exc.reads <= 2 * len(series.exc)
+    assert series.dev.reads <= 2 * len(series.dev)
 
 
 def test_grading():
@@ -247,6 +247,16 @@ VECTORS = st.integers(1, 2).flatmap(lambda rank: st.dictionaries(
     max_size=3).map(lambda terms: FockVector(rank, terms)))
 
 
+def mirrored(d, c0, c1, exceptions):
+    """The series c0 + c1 a(d - a) at offset d with each exception (a, v)
+    placed at a and d - a, stored as the deviation v - P(a)."""
+    poly = Poly((c0, c1 * d, -c1))
+    dev = {}
+    for a, v in exceptions.items():
+        dev[a] = dev[d - a] = v - poly(a)
+    return DiagonalSeries(d, poly, dev)
+
+
 def oracle_diagonal_action(series, v):
     """The diagonal applied to v term by term: c(a) :b_a b_(d-a): over the
     pairs a <= d - a that can act on v's states, c(a)/2 at the midpoint,
@@ -273,10 +283,7 @@ def oracle_diagonal_action(series, v):
 @given(st.integers(-12, -2), COEFF, COEFF,
        st.dictionaries(st.integers(-16, -1), COEFF, max_size=3), VECTORS)
 def test_diagonal_action_matches_oracle_pairs(d, c0, c1, exceptions, v):
-    exc = {}
-    for a, value in exceptions.items():
-        exc[a] = exc[d - a] = value
-    series = DiagonalSeries(d, Poly((c0, c1 * d, -c1)), exc)
+    series = mirrored(d, c0, c1, exceptions)
     got = apply_quadratic(QuadraticElement(quad={d: series}), v, v.rank)
     assert got == oracle_diagonal_action(series, v)
 
@@ -325,11 +332,7 @@ STATES = st.integers(1, 3).flatmap(
 def diagonal_element(central, modes, diagonals):
     A = QuadraticElement(central=central, linear=LaurentPoly(modes))
     for d, c0, c1, exceptions in diagonals:
-        exc = {}
-        for a, value in exceptions.items():
-            exc[a] = exc[d - a] = value
-        series = DiagonalSeries(d, Poly((c0, c1 * d, -c1)), exc)
-        A = A + QuadraticElement(quad={d: series})
+        A = A + QuadraticElement(quad={d: mirrored(d, c0, c1, exceptions)})
     return A
 
 

@@ -200,7 +200,7 @@ def test_mul_declines_an_operand_that_is_no_number():
     (lambda: b(1).scale(0.5), 0.5),
     (lambda: LaurentPoly({1: 0.1}), 0.1),
     (lambda: FockVector(1, {((1,),): 0.25}), 0.25),
-    (lambda: DiagonalSeries(2, exc={1: 0.75}), 0.75),
+    (lambda: DiagonalSeries(2, dev={1: 0.75}), 0.75),
 ])
 def test_floats_are_rejected(make, value):
     # a float coefficient would be stored as its binary expansion
@@ -212,7 +212,7 @@ def test_floats_are_rejected(make, value):
     pytest.param(lambda: LaurentPoly({1.5: 1}), id="laurent-exponent"),
     pytest.param(lambda: b(1.7), id="mode"),
     pytest.param(lambda: tau(2.5), id="series-offset"),
-    pytest.param(lambda: DiagonalSeries(4, exc={1.5: 1, 2.5: 1}),
+    pytest.param(lambda: DiagonalSeries(4, dev={1.5: 1, 2.5: 1}),
                  id="series-exception"),
     pytest.param(lambda: QuadraticElement(quad={2.0: DiagonalSeries(2)}),
                  id="quad-key"),

@@ -23,6 +23,21 @@ from oscalg.verify import check_jacobi, d_cocycle, small_generator_set
 HALF = Fraction(1, 2)
 
 
+def valued(d, coeffs, values):
+    """The series at offset d with polynomial coeffs and the value v at
+    each (a, v) of values, which it stores as the deviation v - P(a)."""
+    poly = Poly(coeffs)
+    return DiagonalSeries(d, poly, {a: v - poly(a) for a, v in values.items()})
+
+
+def constant_diagonals():
+    """Constant diagonals with and without exceptions, fresh on each call."""
+    return [valued(2, (3,), {1: 5}),
+            valued(-2, (HALF,), {-1: 0, 3: 4, -5: 4}),
+            valued(5, (-1,), {1: 2, 4: 2, -3: 7, 8: 7}),
+            tau(-3).quad[-3]]
+
+
 def generator_set(idx=2, taus=2):
     gens = [unit()]
     ids = [i for i in range(-idx, idx + 1) if i != 0]
@@ -87,12 +102,21 @@ def test_normal_order_lift_matches_pair():
 
 
 def test_diagonal_series_canonical():
-    s = DiagonalSeries(2, Poly((1,)), {0: 5, 2: 7, 1: 1})
-    # keys at 0 and d are forced zeros, values equal to the poly are pruned
-    assert s.exc == {}
+    s = DiagonalSeries(2, Poly((1,)), {0: 4, 2: 6, 1: 0})
+    # keys at 0 and d are forced zeros, zero deviations are pruned
+    assert s.dev == {}
     assert s.coeff(0) == 0 and s.coeff(2) == 0 and s.coeff(1) == 1
-    s = DiagonalSeries(2, Poly((1,)), {1: 3})
-    assert s.exc == {1: 3} and s.coeff(1) == 3 and s.coeff(-4) == 1
+    s = DiagonalSeries(2, Poly((1,)), {1: 2})
+    assert s.dev == {1: 2} and s.coeff(1) == 3 and s.coeff(-4) == 1
+
+
+def test_coeff_follows_the_number_rule():
+    # a(1 - a)/2 has Fraction coefficients but an integral value at a = 3
+    s = DiagonalSeries(1, Poly((0, HALF, -HALF)))
+    assert s.coeff(3) == -3 and type(s.coeff(3)) is int
+    s = DiagonalSeries(3, Poly((HALF,)), {1: HALF, 2: HALF})
+    assert s.coeff(1) == 1 and type(s.coeff(1)) is int
+    assert s.coeff(4) == HALF
 
 
 def test_series_must_sit_at_its_own_offset():
@@ -108,9 +132,9 @@ def test_series_must_be_symmetric():
     with pytest.raises(ValueError, match=r"offset 3 .*: c\(1\) != c\(2\)"):
         DiagonalSeries(3, POLY_ZERO, {1: 1})
     with pytest.raises(ValueError, match=r"offset 3 .*: c\(1\) != c\(2\)"):
-        DiagonalSeries(3, Poly((1,)), {1: 2})
-    # an exception that repeats the constant is no exception
-    assert DiagonalSeries(3, Poly((1,)), {1: 1, 2: 1}) == tau(3).quad[3]
+        DiagonalSeries(3, Poly((1,)), {1: 1})
+    # a zero deviation is no deviation
+    assert DiagonalSeries(3, Poly((1,)), {1: 0, 2: 0}) == tau(3).quad[3]
     with pytest.raises(ValueError, match=r"offset 2 .*: poly\(0\) != poly\(2\)"):
         DiagonalSeries(2, Poly((0, 1)))
     assert DiagonalSeries(3, POLY_ZERO, {1: 1, 2: 1}) == pair(1, 2).quad[3]
@@ -126,8 +150,9 @@ def test_mirror_symmetry_preserved_by_bracket():
         A = rng.choice(gens)
         B = rng.choice(gens)
         for series in bracket(A, B).quad.values():
-            for a, v in series.exc.items():
-                assert series.exc.get(series.d - a, series.poly(series.d - a)) == v
+            for a, x in series.dev.items():
+                assert series.dev.get(series.d - a) == x
+                assert series.coeff(series.d - a) == series.coeff(a)
             assert series.coeff(0) == 0 and series.coeff(series.d) == 0
 
 
@@ -223,9 +248,9 @@ def test_bracket_matches_endo_commutator_on_window():
 
 
 def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
-    # a pair diagonal s1 confines the bracket to exc(s1) and exc(s1) + d2:
-    # each exception scatters to those two indices, reading s2 at most once
-    # for each; every read of a pair diagonal is one lookup in its exceptions
+    # a pair diagonal s1 confines the bracket to dev(s1) and dev(s1) + d2:
+    # each deviation scatters to those two indices, reading s2 at most once
+    # for each; every read of a pair diagonal is one lookup in its deviations
     calls = []
 
     class Reads(dict):
@@ -237,32 +262,29 @@ def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
     diagonals = [d for i, a in enumerate(ids) for bb in ids[i:]
                  for d in pair(a, bb).quad.values()]
     for s in diagonals:
-        s.exc = Reads(s.exc)
+        s.dev = Reads(s.dev)
     reads = 0
     for s1 in diagonals:
         for s2 in diagonals:
             del calls[:]
             _bracket_diag(s1, s2, {}, {})
-            assert len(calls) <= 2 * len(s1.exc), (s1, s2)
+            assert len(calls) <= 2 * len(s1.dev), (s1, s2)
             reads += len(calls)
     assert reads > 0
     assert bracket(pair(1, 2), pair(3, -1)) == pair(2, 3)
     # constant diagonals with exceptions are read the same way: at most two
-    # lookups per exception, with no coeff method and no polynomial call
+    # lookups per deviation, with no coeff method and no polynomial call
+    constants = constant_diagonals()
     monkeypatch.setattr(DiagonalSeries, "coeff", lambda *args: calls.append("coeff"))
     monkeypatch.setattr(Poly, "__call__", lambda *args: calls.append("poly"))
-    constants = [DiagonalSeries(2, Poly((3,)), {1: 5}),
-                 DiagonalSeries(-2, Poly((HALF,)), {-1: 0, 3: 4, -5: 4}),
-                 DiagonalSeries(5, Poly((-1,)), {1: 2, 4: 2, -3: 7, 8: 7}),
-                 tau(-3).quad[-3]]
     for s in constants:
-        s.exc = Reads(s.exc)
+        s.dev = Reads(s.dev)
     for s1 in constants:
         for s2 in constants:
             del calls[:]
             _bracket_diag(s1, s2, {}, {})
             assert "coeff" not in calls and "poly" not in calls, (s1, s2)
-            assert len(calls) <= 2 * (len(s1.exc) + len(s2.exc)), (s1, s2)
+            assert len(calls) <= 2 * (len(s1.dev) + len(s2.dev)), (s1, s2)
 
 
 def test_constant_diagonals_bracket_in_closed_form(monkeypatch):
@@ -276,9 +298,7 @@ def test_constant_diagonals_bracket_in_closed_form(monkeypatch):
 
     for name in ("__mul__", "affine"):
         monkeypatch.setattr(Poly, name, counted(name))
-    constants = [DiagonalSeries(2, Poly((3,)), {1: 5}),
-                 DiagonalSeries(-2, Poly((HALF,)), {-1: 0, 3: 4, -5: 4}),
-                 DiagonalSeries(5, Poly((-1,))), tau(-3).quad[-3]]
+    constants = constant_diagonals()
     for s1 in constants:
         for s2 in constants:
             polys = {}
@@ -364,7 +384,7 @@ def test_drop_central_hands_back_a_central_free_element():
 
 @pytest.mark.parametrize("args, message", [
     ((2, (1,)), "^poly must be a Poly, not tuple$"),
-    ((2, Poly((1,)), [(1, 2)]), "^exc must be a dict, not list$"),
+    ((2, Poly((1,)), [(1, 2)]), "^dev must be a dict, not list$"),
 ])
 def test_diagonal_series_refuses_wrong_types(args, message):
     with pytest.raises(TypeError, match=message):
@@ -439,13 +459,16 @@ DIAGONAL_PAIRS = st.integers(-6, 6).flatmap(lambda d1: st.tuples(
 @given(DIAGONAL_PAIRS)
 def test_bracket_diag_matches_candidate_gather(pair_of_raw):
     r1, r2 = pair_of_raw
-    s1, s2 = (DiagonalSeries(d, Poly(c), exc) for d, c, exc in (r1, r2))
+    s1, s2 = (valued(d, c, exc) for d, c, exc in (r1, r2))
     d, generic, exc = oracles.diag_bracket(r1, r2)
     # the bracket of two one-diagonal elements is their diagonal bracket,
     # built from _bracket_diag's generic polynomial and deviations
     got = bracket(*(QuadraticElement(quad={s.d: s}) for s in (s1, s2)))
     got = got.quad.get(d, DiagonalSeries(d))
-    assert (got.d, got.poly.c, got.exc) == (d, tuple(generic), exc)
+    assert got == valued(d, generic, exc)
+    # its coefficient function, less its polynomial, rebuilds it
+    assert DiagonalSeries(d, got.poly, {a: got.coeff(a) - got.poly(a)
+                                        for a in range(-24, 25)}) == got
     # no deviation sits on an end of the result, where every c is zero
     devs = {}
     _bracket_diag(s1, s2, {}, devs)
@@ -570,7 +593,7 @@ def test_repr_without_canonical_expression():
                          quad={2: DiagonalSeries(2, Poly((0, 2, -1)))})
     assert repr(A) == ("QuadraticElement(central=3, linear=LaurentPoly('t^-2'), "
                        "quad={2: DiagonalSeries(d=2, poly=Poly([0, 2, -1]), "
-                       "exc={})})")
+                       "dev={})})")
     assert repr(tau(2)) == "QuadraticElement('T(2)')"
 
 
