@@ -33,7 +33,7 @@ from numbers import Rational
 from operator import index, neg
 
 from .laurent import as_int, format_signed_sum, parse_int, rat, ratio
-from .quadops import QuadraticElement, tau
+from .quadops import QuadraticElement, _wrong_type, tau
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,9 @@ class FockVector:
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
         clean = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, dict):
+                raise _wrong_type("terms", terms, dict)
             for state, c in terms.items():
                 if not _is_canonical(state, self.rank):
                     raise ValueError(f"not a canonical rank-{self.rank} "

@@ -110,21 +110,17 @@ POLY_ONE = Poly((1,))
 _NO_MODES = LaurentPoly()
 
 
-def _diagonal_sum(n: int, deg: int, generic, actual, js) -> Rational:
-    """actual(1) + ... + actual(n), where actual = generic, a polynomial of
-    degree <= deg, off the distinct indices js.  Exact in O(deg^2 + len(js))
-    for any n: Newton's forward formula and the hockey-stick identity give
-    sum_i D^i generic(1) C(n, i+1), plus actual - generic at each j in js."""
+def _power_sum(n: int, deg: int, q) -> Rational:
+    """q(1) + ... + q(n) for a polynomial q of degree <= deg, exact in
+    O(deg^2) for any n: Newton's forward formula and the hockey-stick
+    identity give sum_i D^i q(1) C(n, i+1)."""
     if n < 1:
         return 0
-    diffs = [generic(j) for j in range(1, deg + 2)]
+    diffs = [q(j) for j in range(1, deg + 2)]
     total = 0
     for i in range(deg + 1):
         total += diffs[0] * comb(n, i + 1)
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    for j in js:
-        if 1 <= j <= n:
-            total += actual(j) - generic(j)
     return total
 
 
@@ -150,7 +146,7 @@ class DiagonalSeries:
             raise _wrong_type("poly", poly, Poly)
         self.poly = poly
         clean = {}
-        if dev:
+        if dev is not None:
             if not isinstance(dev, dict):
                 raise _wrong_type("dev", dev, dict)
             for a, x in dev.items():
@@ -249,7 +245,7 @@ class QuadraticElement:
                              "use the central coordinate instead")
         self.linear = linear
         clean = {}
-        if quad:
+        if quad is not None:
             if not isinstance(quad, dict):
                 raise _wrong_type("quad", quad, dict)
             for d, series in quad.items():
@@ -517,20 +513,24 @@ def tau(p: int) -> QuadraticElement:
 
 def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Rational:
     """Trace cocycle of two diagonals with opposite offsets d and -d: for
-    d > 0, minus the sum over j in [1, d-1] of j(d-j) c1(d-j) c2(-j).  In
-    closed form, the power sum of the generic polynomial j(d-j) P1(d-j)
-    P2(-j) plus (actual - generic) at each exceptional j in that range."""
+    d > 0, minus the sum over a in [1, d-1] of a(d-a) c1(a) c2(a-d), split
+    c1 c2 = P1 P2 + E1 c2 + P1 E2 as in _bracket_diag: the power sum of
+    j(d-j) P1(d-j) P2(-j), then the deviations of s1 and of s2 in range."""
     d = s1.d
     if d == 0:
         return 0
     if d < 0:
         return -_psi_diag_pair(s2, s1)
-    p1, p2 = s1.poly, s2.poly
-    return -_diagonal_sum(
-        d - 1, len(p1.c) + len(p2.c),
-        lambda j: j * (d - j) * p1(d - j) * p2(-j),
-        lambda j: j * (d - j) * s1.coeff(d - j) * s2.coeff(-j),
-        {d - a for a in s1.dev} | {-a for a in s2.dev})
+    p1, p2, dev2 = s1.poly, s2.poly, s2.dev
+    total = _power_sum(d - 1, len(p1.c) + len(p2.c),
+                       lambda j: j * (d - j) * p1(d - j) * p2(-j))
+    for a, x in s1.dev.items():
+        if 0 < a < d:
+            total += a * (d - a) * x * (p2(a - d) + dev2.get(a - d, 0))
+    for a, y in dev2.items():
+        if -d < a < 0:
+            total -= a * (d + a) * p1(d + a) * y
+    return -total
 
 
 def _quad_trace(qa: dict, qb: dict) -> Rational:
@@ -668,17 +668,15 @@ def _mixed_trace(quad: dict, g: LaurentPoly) -> Rational:
     """Trace of a quadratic part against multiplication by g:
     sum_d g_{-d} * sum over a strictly between 0 and d of |a| c_d(a).  With
     a = s*j, s the sign of d, that is the power sum of j P(s*j) over j in
-    [1, |d|-1] plus |a| (actual - generic) at each exceptional a in range."""
+    [1, |d|-1] plus |a| x at each stored deviation x at an a in range."""
     total = 0
     for d, series in quad.items():
         gd = g.coeff(-d)
         if gd:
-            s = 1 if d > 0 else -1
-            total += gd * _diagonal_sum(
-                abs(d) - 1, len(series.poly.c),
-                lambda j: j * series.poly(s * j),
-                lambda j: j * series.coeff(s * j),
-                {s * a for a in series.dev})
+            s, poly = (1 if d > 0 else -1), series.poly
+            trace = _power_sum(abs(d) - 1, len(poly.c), lambda j: j * poly(s * j))
+            total += gd * (trace + sum(s * a * x for a, x in series.dev.items()
+                                       if 0 < s * a < abs(d)))
     return total
 
 

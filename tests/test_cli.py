@@ -1225,6 +1225,26 @@ def test_a_diagonal_stores_its_deviations():
     assert {where for where, _ in _enclosed(tree, ast.Call)} >= kernels
 
 
+def test_the_trace_sums_read_stored_deviations():
+    # quadops._psi_diag_pair and _mixed_trace add the stored deviations to
+    # one power sum of the polynomial part: neither reads a value through
+    # DiagonalSeries.coeff (the one coeff call left reads the mode sum g)
+    # nor gathers a set of candidate keys, and the power sum takes no
+    # actual values and no key set
+    tree = ast.parse(Path(oscalg.quadops.__file__).read_text())
+    traces = {"_psi_diag_pair", "_mixed_trace"}
+    found = [(where, ast.unparse(node))
+             for where, node in _enclosed(tree, (ast.Call, ast.Set, ast.SetComp))
+             if where in traces and (not isinstance(node, ast.Call)
+                                     or getattr(node.func, "attr", None) == "coeff")]
+    assert found == [("_mixed_trace", "g.coeff(-d)")]
+    defs = {node.name: [arg.arg for arg in node.args.args]
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_diagonal_sum" not in defs
+    assert defs["_power_sum"] == ["n", "deg", "q"]
+    assert traces <= {where for where, _ in _enclosed(tree, ast.Call)}
+
+
 def test_readme_modules_table_names_what_each_module_has():
     # every backticked call `name(...)` in a row of the README's Modules
     # table whose name has no dot is an attribute of the row's module

@@ -606,6 +606,17 @@ def test_vector_refuses_a_non_canonical_key(state):
     assert FockVector(2, {((2, 2, 1), ()): 1}).terms == {((2, 2, 1), ()): 1}
 
 
+@pytest.mark.parametrize("terms", [
+    pytest.param([(((1,),), 1)], id="pairs"),
+    pytest.param([], id="empty-list"),
+])
+def test_vector_refuses_terms_that_are_not_a_dict(terms):
+    # refused where it is passed, empty or not, rather than failing in
+    # a later .items() or standing for the zero vector
+    with pytest.raises(TypeError, match="^terms must be a dict, not list$"):
+        FockVector(1, terms)
+
+
 # -- bases and labels -----------------------------------------------------------
 
 def test_graded_basis_counts_and_order():

@@ -135,6 +135,15 @@ def symmetric(d, coeffs, exceptions):
 
 
 @SETTINGS
+# deviations at the ends of the range: a = 1, d - 1 on s1 and a = -1, 1 - d
+# on s2; just outside it: a = -1, d + 1 on s1 and a = 1, -1 - d on s2;
+# zero polynomials on both sides; a negative d
+@example(7, [Fraction(1)], {1: Fraction(2)}, [Fraction(1), Fraction(1, 2)],
+         {-1: Fraction(3)})
+@example(7, [Fraction(1)], {-1: Fraction(2)}, [Fraction(-2, 3)], {1: Fraction(3)})
+@example(6, [], {2: Fraction(1), -3: Fraction(2)}, [], {-1: Fraction(-3), 4: Fraction(5)})
+@example(-5, [Fraction(2), Fraction(1, 3)], {-2: Fraction(1), 1: Fraction(4)},
+         [Fraction(-1)], {3: Fraction(2), -1: Fraction(1)})
 @given(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, SYMMETRIC_POLY, EXCEPTIONS)
 def test_psi_diag_pair_matches_loop(d, p1, e1, p2, e2):
     s1, s2 = symmetric(d, p1, e1), symmetric(-d, p2, e2)
@@ -161,6 +170,12 @@ def test_sums_and_multiples_add_coefficients(d, p1, e1, p2, e2, c):
 
 
 @SETTINGS
+# deviations at the ends of the range and just outside it, a zero
+# polynomial, and a negative d
+@example([(7, [Fraction(1)], {1: Fraction(2), -1: Fraction(3)}, Fraction(1)),
+          (5, [], {2: Fraction(1), 6: Fraction(-2)}, Fraction(2, 3))])
+@example([(-6, [Fraction(1, 2)], {-1: Fraction(2), 1: Fraction(3)}, Fraction(-1, 2)),
+          (-3, [], {-1: Fraction(4), -4: Fraction(1)}, Fraction(1))])
 @given(st.lists(st.tuples(OFFSET, SYMMETRIC_POLY, EXCEPTIONS, COEFF),
                 min_size=1, max_size=2, unique_by=lambda t: t[0]))
 def test_mixed_trace_matches_loop(diagonals):

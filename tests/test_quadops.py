@@ -287,6 +287,32 @@ def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
             assert len(calls) <= 2 * (len(s1.dev) + len(s2.dev)), (s1, s2)
 
 
+def test_psi_reads_stored_deviations_without_coeff(monkeypatch):
+    # psi of two normal-ordered squares: 1600 deviations a side on zero
+    # polynomials.  The trace reads each deviation once, with at most one
+    # polynomial call, and each power sum's polynomial with two; no value
+    # is rebuilt through DiagonalSeries.coeff
+    f = LaurentPoly({e: 1 for e in range(-40, 0)})
+    g = LaurentPoly({e: 1 for e in range(1, 41)})
+    A, B = normal_order_lift(f, f), normal_order_lift(g, g)
+    stored = sum(len(s.dev) for E in (A, B) for s in E.quad.values())
+    calls = []
+
+    def counted(name, method):
+        return lambda *args: calls.append(name) or method(*args)
+
+    power_sum = quadops._power_sum
+    monkeypatch.setattr(quadops, "_power_sum", lambda n, deg, q: power_sum(
+        n, deg, counted("q", q)))
+    monkeypatch.setattr(DiagonalSeries, "coeff",
+                        counted("coeff", DiagonalSeries.coeff))
+    monkeypatch.setattr(Poly, "__call__", counted("poly", Poly.__call__))
+    assert psi(A, B) == 2689600
+    assert calls.count("coeff") == 0
+    assert stored == 3200
+    assert 0 < calls.count("poly") <= stored + 2 * calls.count("q")
+
+
 def test_constant_diagonals_bracket_in_closed_form(monkeypatch):
     # two constant polynomials give the generic part c1 c2 (d1 - d2) with
     # no polynomial product or shift; a non-constant one still takes them
@@ -385,6 +411,10 @@ def test_drop_central_hands_back_a_central_free_element():
 @pytest.mark.parametrize("args, message", [
     ((2, (1,)), "^poly must be a Poly, not tuple$"),
     ((2, Poly((1,)), [(1, 2)]), "^dev must be a dict, not list$"),
+    # a falsy non-dict is refused too, not taken as no deviation
+    ((1, Poly((1,)), []), "^dev must be a dict, not list$"),
+    ((1, Poly((1,)), ()), "^dev must be a dict, not tuple$"),
+    ((1, Poly((1,)), 0), "^dev must be a dict, not int$"),
 ])
 def test_diagonal_series_refuses_wrong_types(args, message):
     with pytest.raises(TypeError, match=message):
@@ -518,6 +548,13 @@ def test_traces_at_large_offset_are_exact_and_fast():
     assert bracket(tau(p), tau(-p)) == (tau(0).scale(2 * p)
                                         + unit(Fraction(p ** 3 - p, 12)))
     assert gamma(tau(p), b(-p)) == p * (p - 1) // 2
+    # stored deviations cost one term each, at an offset no loop reaches
+    p = 10 ** 9
+    assert (psi(tau(p) + pair(1, p - 1), tau(-p)) - psi(tau(p), tau(-p))
+            == -2 * (p - 1))
+    assert psi(pair(p // 2, p // 2), tau(-p)) == -(p // 2) ** 2 * 2
+    assert psi(pair(3, p - 3), pair(-3, 3 - p)) == -5999999982
+    assert gamma(pair(1, p - 1), b(-p)) == p
     assert time.process_time() - start < 0.2
 
 
@@ -622,6 +659,7 @@ def test_witt_element_errors():
 @pytest.mark.parametrize("make, name", [
     pytest.param(lambda: QuadraticElement(linear=5), "linear", id="linear"),
     pytest.param(lambda: QuadraticElement(quad=[1]), "quad", id="quad"),
+    pytest.param(lambda: QuadraticElement(quad=[]), "quad", id="quad-empty"),
     pytest.param(lambda: QuadraticElement(quad={2: 5}), r"quad\[2\]",
                  id="quad-series"),
     pytest.param(lambda: WittElement(f=3), "f", id="witt-f"),
