@@ -3,13 +3,14 @@ of quadops (quadops.parse_expression, quadops.format_expression), and
 deterministic text/JSON reporting.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 coinvariant run did not stabilize.
+3 coinvariant run did not stabilize, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # coinv is called through this module's names, which perfbench/tracer.py
@@ -298,9 +299,14 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out = sys.stdout
-    out.writelines((text,) if isinstance(text, str) else text)
-    out.write("\n")
+    try:
+        sys.stdout.writelines((text,) if isinstance(text, str) else text)
+        sys.stdout.write("\n")
+    except BrokenPipeError:
+        # the reader left, as `| head` does: devnull takes the flush at
+        # exit, and 141 = 128 + SIGPIPE is no command's answer
+        sys.stdout = open(os.devnull, "w")
+        return 141
     return code
 
 if __name__ == "__main__":

@@ -189,15 +189,15 @@ def _element(central, modes: dict, polys: dict, devs: dict) -> QuadraticElement:
     """central * K + sum of modes[m] b_m + per offset d of devs the series
     with generic polynomial polys.get(d) and the deviations devs[d] it
     stores, built only if it survives: a zero polynomial with no nonzero
-    deviation is the zero series, which the element would drop.  A sum with
-    no central, mode or offset entry is the zero element, built at once."""
-    if not (central or modes or devs):
-        return QuadraticElement()
+    deviation is the zero series, which the element would drop.  A sum in
+    which nothing survives, cancelled entries included, is _ZERO."""
     quad = {}
     for d, dev in devs.items():
         poly = polys.get(d, POLY_ZERO)
         if poly.c or any(dev.values()):
             quad[d] = DiagonalSeries(d, poly, dev)
+    if not (central or quad or any(modes.values())):
+        return _ZERO
     return QuadraticElement(central, LaurentPoly(modes) if modes else _NO_MODES,
                             quad)
 
@@ -296,6 +296,10 @@ class QuadraticElement:
         except ValueError:
             return (f"QuadraticElement(central={self.central}, "
                     f"linear={self.linear!r}, quad={self.quad!r})")
+
+
+# every vanishing sum; no code mutates an element, so all of them share it
+_ZERO = QuadraticElement()
 
 
 # -- the expression language --------------------------------------------------
@@ -515,19 +519,20 @@ def _psi_diag_pair(s1: DiagonalSeries, s2: DiagonalSeries) -> Rational:
     """Trace cocycle of two diagonals with opposite offsets d and -d: for
     d > 0, minus the sum over a in [1, d-1] of a(d-a) c1(a) c2(a-d), split
     c1 c2 = P1 P2 + E1 c2 + P1 E2 as in _bracket_diag: the power sum of
-    j(d-j) P1(d-j) P2(-j), then the deviations of s1 and of s2 in range."""
+    j(d-j) P1(d-j) P2(-j), then the deviations of s1 and of s2 in range.
+    No zero polynomial is evaluated, and at d = 0 every range is empty."""
     d = s1.d
-    if d == 0:
-        return 0
     if d < 0:
         return -_psi_diag_pair(s2, s1)
     p1, p2, dev2 = s1.poly, s2.poly, s2.dev
-    total = _power_sum(d - 1, len(p1.c) + len(p2.c),
-                       lambda j: j * (d - j) * p1(d - j) * p2(-j))
+    total = (_power_sum(d - 1, len(p1.c) + len(p2.c),
+                        lambda j: j * (d - j) * p1(d - j) * p2(-j))
+             if p1.c and p2.c else 0)
     for a, x in s1.dev.items():
         if 0 < a < d:
-            total += a * (d - a) * x * (p2(a - d) + dev2.get(a - d, 0))
-    for a, y in dev2.items():
+            total += a * (d - a) * x * ((p2(a - d) if p2.c else 0)
+                                        + dev2.get(a - d, 0))
+    for a, y in (dev2.items() if p1.c else ()):
         if -d < a < 0:
             total -= a * (d + a) * p1(d + a) * y
     return -total
@@ -775,11 +780,18 @@ class WittElement:
 
 def witt_bracket(u: WittElement, v: WittElement) -> WittElement:
     """[f d/dt + g, h d/dt + k] = (fh' - hf') d/dt + (fk' - hg'), with the
-    constant part of the translation projected away (it vanishes in H')."""
-    f, g, h, k = u.f, u.g, v.f, v.g
-    newf = f * h.derivative() - h * f.derivative()
-    newg = (f * k.derivative() - h * g.derivative()).without_constant()
-    return WittElement(newf, newg)
+    constant part of the translation projected away (it vanishes in H').
+    One pass over the coefficient dicts, with t^a (t^b)' = b t^(a+b-1)."""
+    newf, newg = {}, {}
+    for a, fa in u.f.coeffs.items():
+        for b, hb in v.f.coeffs.items():
+            newf[a + b - 1] = newf.get(a + b - 1, 0) + fa * hb * (b - a)
+    for f, k, sign in ((u.f, v.g, 1), (v.f, u.g, -1)):
+        for a, fa in f.coeffs.items():
+            for b, kb in k.coeffs.items():
+                if a + b - 1:
+                    newg[a + b - 1] = newg.get(a + b - 1, 0) + sign * fa * kb * b
+    return WittElement(LaurentPoly(newf), LaurentPoly(newg))
 
 
 def sigma(x: WittElement) -> QuadraticElement:

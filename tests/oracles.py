@@ -144,16 +144,43 @@ def diag_mixed_sum(d, c):
 # residues of Laurent polynomials, given as dicts exponent -> coefficient
 # ---------------------------------------------------------------------------
 
-def residue_of_derivative(f, g, k):
-    """Res f g^(k): differentiate g k times term by term, multiply the two
-    sums out, and read the coefficient of t^-1."""
-    for _ in range(k):
-        g = {e - 1: e * c for e, c in g.items() if e}
+def _derivative(f):
+    return {e - 1: e * c for e, c in f.items() if e}
+
+
+def _product(f, g):
+    """The two sums multiplied out term by term."""
     product = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             product[e1 + e2] = product.get(e1 + e2, F0) + c1 * c2
-    return product.get(-1, F0)
+    return product
+
+
+def _difference(f, g):
+    """f - g with its zero coefficients dropped."""
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, F0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def residue_of_derivative(f, g, k):
+    """Res f g^(k): differentiate g k times term by term, multiply the two
+    sums out, and read the coefficient of t^-1."""
+    for _ in range(k):
+        g = _derivative(g)
+    return _product(f, g).get(-1, F0)
+
+
+def witt_bracket(f, g, h, k):
+    """[f d/dt + g, h d/dt + k] as the pair (fh' - hf', fk' - hg' without
+    its constant term), each a dict with no zero coefficient, from plain
+    products of the derivatives."""
+    newf = _difference(_product(f, _derivative(h)), _product(h, _derivative(f)))
+    newg = _difference(_product(f, _derivative(k)), _product(h, _derivative(g)))
+    newg.pop(0, None)
+    return newf, newg
 
 
 # ---------------------------------------------------------------------------

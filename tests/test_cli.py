@@ -26,6 +26,7 @@ import oscalg
 import oscalg.cli
 import oscalg.coinv
 import oscalg.fock
+import oscalg.verify
 from oscalg.cli import format_expression, main, parse_expression
 from oscalg.fock import (FockVector, apply_quadratic, format_label, parse_label,
                          virasoro)
@@ -370,6 +371,51 @@ def test_verify_all_bytes_are_frozen(capsys, monkeypatch):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (bound, fmt)
 
 
+# SHA-256 of verify-all's stdout at --probe-bound 1..4, text then json,
+# each run exiting 1, with a wrong lift (verify.sigma returns sigma(x) +
+# b(1)) and with a wrong bracket (verify.bracket adds b(3) to [u, v] when u
+# has modes and v a quadratic part): the failing witness lines are frozen
+# as well as the passing verdicts.
+FAILING_VERIFY_ALL_DIGESTS = {
+    "sigma": {
+        1: ("d478ebd7a89f0f1ec09e9bc725659420120d9d9ed860f4388782ee425feed7a9",
+            "ffec64bdf2012d8f8443ed445d52eb640364b97b80d6103856f4b30aa141c97f"),
+        2: ("6598520cc7c4e8bd7ace9db53b7e85776dd7abf61df3d8c799656716a55a4d8d",
+            "f781f32968d76e4f7fff25aae0405c1143160267adaa6dcffd9c8a04dcd348a4"),
+        3: ("2b0abe46ee0376057ede983d988f650ec0d12735a42fcd79b723cf6516ae9172",
+            "e509530ab54a068e291b152d8a831bfe96e682a21330d50f6b845ab1129ae1a2"),
+        4: ("b8bbc0d80cf1eaa5979b56285934e3cf502545920b081fe7d39653862ad9667b",
+            "abc911df3a03e6e0fc042fda63800fcc34592c7ce260f08dbaf776da6d34c491"),
+    },
+    "bracket": {
+        1: ("a742e7ddc41da5de3876ac47a4a14ad9dd788197c3890ad8964b7c472a58b943",
+            "5a32f73464a6cdf3d965079261750952a0c451f0f7672111424af54a4df19639"),
+        2: ("f424177c78afb5b540b48e2091ad7ac8e9ce0590ad0cd1aa852860fb83848e0b",
+            "0ee8384dedc9cbbced159f682b2b2c1c391296390c9883c96948d042425ffc86"),
+        3: ("6f2054b20d7a5c37f445831da67843740f90ccb8939d4496f01586218cc011ed",
+            "0fbed6a1412dbe67389a4fbb8141dd06840d15a8a0776c70a5920cfd54216d89"),
+        4: ("05466b05e873f2c01b6863815ec649c17359b06f7950d1c97e9bf4db6e29ce04",
+            "46feb7fb97d320cfb5658e45229b757756541621af1c98c01f913684dd34b419"),
+    },
+}
+
+
+@pytest.mark.parametrize("patched", sorted(FAILING_VERIFY_ALL_DIGESTS))
+def test_failing_verify_all_bytes_are_frozen(capsys, monkeypatch, patched):
+    sigma, bracket = oscalg.verify.sigma, oscalg.verify.bracket
+    wrong = {"sigma": lambda x: sigma(x) + b(1),
+             "bracket": lambda u, v: (bracket(u, v) + b(3)
+                                      if u.linear.coeffs and v.quad
+                                      else bracket(u, v))}
+    monkeypatch.setattr(oscalg.verify, patched, wrong[patched])
+    for bound, digests in FAILING_VERIFY_ALL_DIGESTS[patched].items():
+        for fmt, digest in zip(("text", "json"), digests):
+            code, out, err = run_cli(capsys, ["verify-all", "--probe-bound",
+                                              str(bound), "--format", fmt])
+            assert (code, err) == (1, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (bound, fmt)
+
+
 # The gap sets of perfbench/jobs.py: every numerical semigroup of genus <= 3
 # and {1,2,3,5,7}.
 COINV_GAP_SETS = ("", "1", "1,2", "1,3", "1,2,3", "1,2,4", "1,2,5", "1,3,5",
@@ -535,6 +581,37 @@ def test_fock_apply_streams_its_json(monkeypatch):
     assert (code, count) == (0, len(json.dumps(report)) + 1)
     assert peak < 2 * 2 ** 20
     assert writes <= -(-20001 // oscalg.fock.BLOCK) + 2 + 2
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader leaves after `accepted` characters, as `head
+    -c` does: a write past them raises BrokenPipeError."""
+
+    def __init__(self, accepted):
+        self.left = accepted
+
+    def write(self, text):
+        if len(text) > self.left:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.left -= len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fock-apply", "T(-40000)", "[1]"],
+    ["fock-apply", "T(-40000)", "[1]", "--format", "json"],
+    ["central-scalars"],
+    ["verify-all", "--probe-bound", "1"],
+])
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
+    # `oscalg fock-apply 'T(-2000000)' '[1]' | head -c 20`: main answers
+    # 128 + SIGPIPE, a code no command answers with, prints no traceback,
+    # and leaves stdout on devnull so the flush at exit writes nowhere
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(20))
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])

@@ -4,13 +4,14 @@ language.
 psi = alpha + beta + gamma and the residue form of d_cocycle are checked
 against the brute-force window traces of tests/oracles.py on random
 elements, the bracket of finite elements against the window commutator
-there, and the closed-form diagonal trace sums against the term-by-term
-loops there on random diagonals with exceptions.  The bracket is
-antisymmetric and satisfies Jacobi on random elements with central parts,
-and alpha and beta have zero defect on random central-free triples.  Every
-value the library stores or returns is an int or a Fraction with a
-denominator, never a float.  Seeds are derandomized and example counts
-capped, so the runs are the same every time.
+there, the closed-form diagonal trace sums against the term-by-term
+loops there on random diagonals with exceptions, and the Witt bracket
+against plain dict products on multi-term vector fields and modes.  The
+bracket is antisymmetric and satisfies Jacobi on random elements with
+central parts, and alpha and beta have zero defect on random central-free
+triples.  Every value the library stores or returns is an int or a
+Fraction with a denominator, never a float.  Seeds are derandomized and
+example counts capped, so the runs are the same every time.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from oscalg.quadops import (DiagonalSeries, Poly, QuadraticElement,
                             WittElement, _mixed_trace, _psi_diag_pair,
                             _quad_apply_laurent, alpha, b, beta, bracket,
                             bracket_sum, gamma, is_in_sp_plus, pair, psi,
-                            sigma, tau, unit)
+                            sigma, tau, unit, witt_bracket)
 from oscalg.verify import (alpha_closed, check_cocycle_defects, check_jacobi,
                            cocycle_defect, d_cocycle, gamma_closed)
 
@@ -239,6 +240,23 @@ def test_closed_forms_match_derivative_residues(f, g, h, k):
     assert gamma_closed(u, v) == gamma_want
     # <g, k> = -Res g dk
     assert d_cocycle(u, v) == alpha_want - gamma_want - res(g, k, 1)
+
+
+# Several terms a side, exponents -6..6: products land on t^0, where the
+# translation part drops them, and terms cancel, as for f = h and g = k.
+WITT_FIELD = st.dictionaries(st.integers(-6, 6), COEFF, min_size=2, max_size=4)
+WITT_MODES = st.dictionaries(INDEX, COEFF, min_size=2, max_size=4)
+
+
+@SETTINGS
+@given(WITT_FIELD, WITT_MODES, WITT_FIELD, WITT_MODES)
+@example({1: 1, 2: 3}, {-1: 1, 2: 1}, {1: 1, 2: 3}, {-1: 1, 2: 1})
+@example({2: 1, 3: 1}, {-2: 1, -1: 1}, {0: 1, 1: 2}, {-1: 1, 1: 1})
+def test_witt_bracket_matches_dict_products(f, g, h, k):
+    u = WittElement(LaurentPoly(f), LaurentPoly(g))
+    v = WittElement(LaurentPoly(h), LaurentPoly(k))
+    w = witt_bracket(u, v)
+    assert (w.f.coeffs, w.g.coeffs) == oracles.witt_bracket(f, g, h, k)
 
 
 ATOM = st.one_of(QUAD_ATOM, MODE_ATOM, st.just(("K",)))

@@ -289,9 +289,11 @@ def test_finite_diagonal_bracket_reads_only_its_support(monkeypatch):
 
 def test_psi_reads_stored_deviations_without_coeff(monkeypatch):
     # psi of two normal-ordered squares: 1600 deviations a side on zero
-    # polynomials.  The trace reads each deviation once, with at most one
-    # polynomial call, and each power sum's polynomial with two; no value
-    # is rebuilt through DiagonalSeries.coeff
+    # polynomials.  The trace reads each deviation once and evaluates no
+    # zero polynomial, so it makes no polynomial call and no power sum;
+    # with T(-40) and T(40) added, each deviation makes at most one
+    # polynomial call and each power-sum point two.  No value is rebuilt
+    # through DiagonalSeries.coeff
     f = LaurentPoly({e: 1 for e in range(-40, 0)})
     g = LaurentPoly({e: 1 for e in range(1, 41)})
     A, B = normal_order_lift(f, f), normal_order_lift(g, g)
@@ -310,7 +312,15 @@ def test_psi_reads_stored_deviations_without_coeff(monkeypatch):
     assert psi(A, B) == 2689600
     assert calls.count("coeff") == 0
     assert stored == 3200
+    assert calls.count("poly") == calls.count("q") == 0
+    C, D = A + tau(-40), B + tau(40)
+    calls.clear()
+    value = psi(C, D)
+    assert calls.count("coeff") == 0
     assert 0 < calls.count("poly") <= stored + 2 * calls.count("q")
+    # bilinear, with psi(T(-p), T(p)) = (p^3 - p)/6
+    assert value == (2689600 + psi(A, tau(40)) + psi(tau(-40), B)
+                     + (40 ** 3 - 40) // 6)
 
 
 def test_constant_diagonals_bracket_in_closed_form(monkeypatch):

@@ -18,6 +18,7 @@ from oscalg.quadops import (
     alpha,
     b,
     beta,
+    bracket_sum,
     pair,
     tau,
     unit,
@@ -394,6 +395,56 @@ def test_lift_diagram_witnesses(monkeypatch):
     assert "lift defect mod K at (L(1), L(0)): expected 0*K, got -b(2)" in bad
 
 
+def _verify_all_report(capsys) -> dict:
+    """verify-all's verdict lines, each with the witnesses printed under it;
+    the run must fail with nothing on stderr."""
+    code = main(["verify-all"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    report = {}
+    for line in captured.out.splitlines():
+        if line.startswith(" "):
+            report[verdict_line].append(line.removeprefix("    witness: "))
+        else:
+            verdict_line = line
+            report[line] = []
+    assert len(report) == 8
+    return report
+
+
+def test_lift_diagram_compares_the_action_of_each_tau(monkeypatch, capsys):
+    # the diagram's action half: a wrong image of t^12 under T(4) and of
+    # t^-12 under T(-4), the corners of its grid, fails it and nothing else
+    apply = verify._quad_apply_laurent
+    corners = (({4}, {12}), ({-4}, {-12}))
+    monkeypatch.setattr(verify, "_quad_apply_laurent", lambda quad, f: (
+        apply(quad, f).scale(2) if (set(quad), set(f.coeffs)) in corners
+        else apply(quad, f)))
+    report = _verify_all_report(capsys)
+    assert report["FAIL lift-diagram (bound=4)"] == [
+        "T(-4) on t^-12: expected 12*t^-16, got 24*t^-16",
+        "T(4) on t^12: expected -12*t^16, got -24*t^16"]
+    assert [line for line in report if line.startswith("FAIL")] == [
+        "FAIL lift-diagram (bound=4)"]
+
+
+def test_closed_forms_compare_gamma_with_the_trace(monkeypatch, capsys):
+    # the closed forms' gamma half: gamma_closed wrong at (L(4), b(-4)) and
+    # at (b(4), L(-4)), corners of the grid in both orders, fails it;
+    # d_cocycle reads gamma_closed too, so pullback-sigma fails as well
+    gamma = verify.gamma_closed
+    wrong = ((WittElement.L(4), WittElement.mode(-4)),
+             (WittElement.mode(4), WittElement.L(-4)))
+    monkeypatch.setattr(verify, "gamma_closed", lambda u, v: (
+        Fraction(5) if (u, v) in wrong else gamma(u, v)))
+    report = _verify_all_report(capsys)
+    assert report["FAIL closed-forms (bound=4)"] == [
+        "gamma_closed at (b(4), L(-4)): expected -6, got 5",
+        "gamma_closed at (L(4), b(-4)): expected 10, got 5"]
+    assert [line for line in report if line.startswith("FAIL")] == [
+        "FAIL pullback-sigma (bound=4)", "FAIL closed-forms (bound=4)"]
+
+
 # ---------------------------------------------------------------------------
 # one bracket table for every triple sweep
 # ---------------------------------------------------------------------------
@@ -426,6 +477,24 @@ def test_cocycle_defects_read_one_bracket_table(monkeypatch):
     calls = _count_brackets(monkeypatch)
     assert check_cocycle_defects(central_free) == []
     assert len(calls) == 19 * 18 + 3
+
+
+def test_vanishing_sums_share_one_zero_element(monkeypatch):
+    # every Jacobi sum of the 52 acceptance generators vanishes, and a
+    # vanishing sum builds no element: the sweep builds at most one per
+    # ordered pair of its table (24752, one per bracket, when each sum
+    # built its own zero)
+    gens = acceptance_generators()
+    init = QuadraticElement.__init__
+    built = []
+    monkeypatch.setattr(QuadraticElement, "__init__", lambda self, *args,
+                        **kwargs: built.append(1) or init(self, *args, **kwargs))
+    assert check_jacobi(gens) == []
+    assert len(built) <= 52 * 51
+    # the accumulators of the second sum hold cancelled modes and a
+    # cancelled polynomial, and it is the same zero
+    assert bracket_sum(((b(1), b(2)),)) is bracket_sum(
+        ((tau(2), b(1)), (b(1), tau(2)), (tau(1), tau(2)), (tau(2), tau(1))))
 
 
 def test_jacobi_brackets_per_triple(monkeypatch):
